@@ -8,6 +8,7 @@ reported bins.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -23,6 +24,8 @@ class ComparisonError(ValueError):
 
 
 def bin_label(loading_percent: float) -> str:
+    if not math.isfinite(loading_percent):
+        raise ValueError(f"loading percentage must be finite, got {loading_percent}")
     if loading_percent < 0:
         raise ValueError(f"loading percentage must be >= 0, got {loading_percent}")
     if loading_percent < _EDGES[0]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from typing import Any, Sequence
 
 from .congestion import BELOW_LABEL, BIN_LABELS, CongestionHistogram, bin_label
@@ -526,6 +527,9 @@ def parse_branch_detail_csv(text: str) -> dict[str, tuple[str, float, str]]:
             loading = float(loading_raw)
         except ValueError:
             errors.append(f"detail row {i + 1}: non-numeric loading")
+            continue
+        if not math.isfinite(loading):
+            errors.append(f"detail row {i + 1}: non-finite loading")
             continue
         if label not in (BELOW_LABEL, *BIN_LABELS):
             errors.append(f"detail row {i + 1}: unknown bin {label!r}")

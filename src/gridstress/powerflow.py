@@ -7,7 +7,10 @@ polar form (the production path) and Gauss-Seidel per-bus fixed-point
 iteration (slower, used as a cross-check). Every non-slack bus is a PQ
 node; PV generation enters as negative load upstream of this module.
 
-Solves are pure and deterministic: the same network and injections give
+Each Network is compiled into arrays (Ybus, bus and branch indices) on
+its first solve, and the compiled form is kept on the instance, so a
+single solve and every slot of a sweep run the same code. Solves are
+pure and deterministic: the same network and injections give
 bit-identical solutions. Non-convergence is a reportable outcome, not
 an exception, because overload studies intentionally push past
 feasibility.
@@ -16,8 +19,9 @@ feasibility.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -30,7 +34,6 @@ InjectionSet = Mapping[str, complex]
 class SolverOptions:
     tol: float = 1e-8
     max_iter: int = 30
-    flat_start: bool = True
 
 
 # Gauss-Seidel converges linearly; the tolerance applies to the largest
@@ -106,51 +109,136 @@ def build_ybus(net: Network) -> np.ndarray:
     return ybus
 
 
-def _injection_vector(net: Network, injections: InjectionSet) -> tuple[np.ndarray, int]:
-    """Ordered injection array (slack entry zero) and the slack index."""
-    slack = net.slack_id()
-    expected = set(net.non_slack_ids())
-    given = set(injections)
-    if given != expected:
-        missing = sorted(expected - given)
-        extra = sorted(given - expected)
-        parts = []
-        if missing:
-            parts.append(f"missing injections for: {', '.join(missing)}")
-        if extra:
-            parts.append(f"unexpected injections for: {', '.join(extra)}")
-        raise ValueError("; ".join(parts))
-    s = np.zeros(len(net.buses), dtype=complex)
-    for i, bus in enumerate(net.buses):
-        if bus.id == slack:
-            slack_index = i
-            continue
-        value = complex(injections[bus.id])
-        if not (np.isfinite(value.real) and np.isfinite(value.imag)):
-            raise ValueError(f"non-finite injection at {bus.id}: {value}")
-        s[i] = value
-    return s, slack_index
+class _Compiled(NamedTuple):
+    """A Network's solver inputs as index arrays, built once per instance.
+
+    The branch admittance terms y/tap**2, y/tap and y are computed with
+    the same scalar expressions as build_ybus uses.
+    """
+
+    ybus: np.ndarray
+    bus_ids: tuple[str, ...]
+    slack: int
+    pq: np.ndarray
+    pq_grid: tuple[np.ndarray, np.ndarray]
+    pq_ids: tuple[str, ...]
+    non_slack: frozenset[str]
+    branch_ids: tuple[str, ...]
+    branch_kinds: tuple[str, ...]
+    from_ids: tuple[str, ...]
+    to_ids: tuple[str, ...]
+    y_ff: np.ndarray
+    y_ft: np.ndarray
+    y_tt: np.ndarray
+    rating_pu: np.ndarray
+
+    def injection_vector(self, injections: InjectionSet) -> np.ndarray:
+        """Injections ordered like the buses, with the slack entry zero."""
+        given = set(injections)
+        if given != self.non_slack:
+            missing = sorted(self.non_slack - given)
+            extra = sorted(given - self.non_slack)
+            parts = []
+            if missing:
+                parts.append(f"missing injections for: {', '.join(missing)}")
+            if extra:
+                parts.append(f"unexpected injections for: {', '.join(extra)}")
+            raise ValueError("; ".join(parts))
+        s = np.zeros(len(self.bus_ids), dtype=complex)
+        for i, bus_id in zip(self.pq.tolist(), self.pq_ids):
+            value = complex(injections[bus_id])
+            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+                raise ValueError(f"non-finite injection at {bus_id}: {value}")
+            s[i] = value
+        return s
+
+
+def _compiled(net: Network) -> _Compiled:
+    """The compiled form of net, memoised in the instance's __dict__.
+
+    Network is frozen, so the cache can never go stale; it is not a
+    dataclass field and takes no part in equality, hashing or replace().
+    """
+    compiled = net.__dict__.get("_compiled")
+    if compiled is None:
+        compiled = _compile(net)
+        net.__dict__["_compiled"] = compiled
+    return compiled
+
+
+def _compile(net: Network) -> _Compiled:
+    ybus = build_ybus(net)
+    ybus.setflags(write=False)
+    bus_ids = net.bus_ids()
+    slack = bus_ids.index(net.slack_id())
+    pq = np.array([i for i in range(len(bus_ids)) if i != slack], dtype=int)
+    pq_ids = tuple(bus_ids[i] for i in pq)
+    y_ff, y_ft, y_tt = [], [], []
+    for branch in net.branches:
+        y = 1.0 / branch.series_impedance_pu
+        y_ff.append(y / branch.tap ** 2)
+        y_ft.append(y / branch.tap)
+        y_tt.append(y)
+    return _Compiled(
+        ybus=ybus,
+        bus_ids=bus_ids,
+        slack=slack,
+        pq=pq,
+        pq_grid=np.ix_(pq, pq),
+        pq_ids=pq_ids,
+        non_slack=frozenset(pq_ids),
+        branch_ids=tuple(b.id for b in net.branches),
+        branch_kinds=tuple(b.kind for b in net.branches),
+        from_ids=tuple(b.from_bus for b in net.branches),
+        to_ids=tuple(b.to_bus for b in net.branches),
+        y_ff=np.array(y_ff, dtype=complex),
+        y_ft=np.array(y_ft, dtype=complex),
+        y_tt=np.array(y_tt, dtype=complex),
+        rating_pu=np.array([b.rating_kva / (1000.0 * net.s_base_mva) for b in net.branches],
+                           dtype=float),
+    )
+
+
+def _cmul(a_re: np.ndarray, a_im: np.ndarray, b_re: np.ndarray,
+          b_im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise complex product on real and imaginary parts.
+
+    Spelled out because numpy's vectorised complex multiply may round
+    differently from the scalar one; this form rounds like it, which
+    keeps branch flows (and every report built from them) bit-identical
+    to a per-branch scalar loop.
+    """
+    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
 
 
 def branch_flows(net: Network, voltages: Mapping[str, complex]) -> tuple[BranchFlow, ...]:
     """Per-branch complex power at both ends and the loading percentage."""
-    flows = []
-    for branch in net.branches:
-        z = branch.series_impedance_pu
-        if z is None:
-            raise ValueError(f"branch {branch.id} has no derived impedance")
-        y = 1.0 / z
-        tap = branch.tap
-        vf = voltages[branch.from_bus]
-        vt = voltages[branch.to_bus]
-        i_from = (y / tap ** 2) * vf - (y / tap) * vt
-        i_to = y * vt - (y / tap) * vf
-        s_from = complex(vf * i_from.conjugate())
-        s_to = complex(vt * i_to.conjugate())
-        rating_pu = branch.rating_kva / (1000.0 * net.s_base_mva)
-        loading = float(100.0 * max(abs(s_from), abs(s_to)) / rating_pu)
-        flows.append(BranchFlow(branch.id, branch.kind, s_from, s_to, loading))
-    return tuple(flows)
+    c = _compiled(net)
+    vf = np.array([voltages[bus_id] for bus_id in c.from_ids], dtype=complex)
+    vt = np.array([voltages[bus_id] for bus_id in c.to_ids], dtype=complex)
+    vf_re, vf_im, vt_re, vt_im = vf.real, vf.imag, vt.real, vt.imag
+
+    # i_from = y_ff*vf - y_ft*vt and i_to = y_tt*vt - y_ft*vf
+    a_re, a_im = _cmul(c.y_ff.real, c.y_ff.imag, vf_re, vf_im)
+    b_re, b_im = _cmul(c.y_ft.real, c.y_ft.imag, vt_re, vt_im)
+    if_re, if_im = a_re - b_re, a_im - b_im
+    a_re, a_im = _cmul(c.y_tt.real, c.y_tt.imag, vt_re, vt_im)
+    b_re, b_im = _cmul(c.y_ft.real, c.y_ft.imag, vf_re, vf_im)
+    it_re, it_im = a_re - b_re, a_im - b_im
+
+    # s = v * conj(i); np.hypot rounds like abs() of a Python complex.
+    sf_re, sf_im = _cmul(vf_re, vf_im, if_re, -if_im)
+    st_re, st_im = _cmul(vt_re, vt_im, it_re, -it_im)
+    abs_f = np.hypot(sf_re, sf_im)
+    abs_t = np.hypot(st_re, st_im)
+    # np.where(t > f, t, f) is Python's max(f, t), NaN order included.
+    loading = 100.0 * np.where(abs_t > abs_f, abs_t, abs_f) / c.rating_pu
+    return tuple(
+        BranchFlow(branch_id, kind, complex(fr, fi), complex(tr, ti), load)
+        for branch_id, kind, fr, fi, tr, ti, load in zip(
+            c.branch_ids, c.branch_kinds, sf_re.tolist(), sf_im.tolist(),
+            st_re.tolist(), st_im.tolist(), loading.tolist())
+    )
 
 
 def total_losses(net: Network, solution: PowerFlowSolution) -> complex:
@@ -161,19 +249,18 @@ def total_losses(net: Network, solution: PowerFlowSolution) -> complex:
 
 def _finish(
     net: Network,
-    ybus: np.ndarray,
+    c: _Compiled,
     voltages: np.ndarray,
-    slack_index: int,
     iterations: int,
     converged: bool,
     max_mismatch: float,
 ) -> PowerFlowSolution:
-    by_id = {bus.id: voltages[i] for i, bus in enumerate(net.buses)}
-    s_slack = voltages[slack_index] * np.conj(ybus[slack_index, :] @ voltages)
+    by_id = dict(zip(c.bus_ids, voltages))
+    s_slack = voltages[c.slack] * np.conj(c.ybus[c.slack, :] @ voltages)
     return PowerFlowSolution(
-        bus_ids=net.bus_ids(),
-        v_mag=tuple(float(abs(v)) for v in voltages),
-        v_ang=tuple(float(cmath.phase(v)) for v in voltages),
+        bus_ids=c.bus_ids,
+        v_mag=tuple(np.hypot(voltages.real, voltages.imag).tolist()),
+        v_ang=tuple(cmath.phase(v) for v in voltages.tolist()),
         branch_flows=branch_flows(net, by_id),
         slack_injection=complex(s_slack),
         iterations=iterations,
@@ -202,18 +289,17 @@ def solve_newton_raphson(
     On non-convergence the best iterate seen (smallest mismatch) is
     returned with converged=False so the caller can decide.
     """
-    ybus = build_ybus(net)
-    s_spec, slack_index = _injection_vector(net, injections)
-    n = len(net.buses)
-    pq = np.array([i for i in range(n) if i != slack_index], dtype=int)
+    c = _compiled(net)
+    ybus, pq = c.ybus, c.pq
+    s_spec = c.injection_vector(injections)
+    n, npq = len(c.bus_ids), len(pq)
 
-    # flat_start=False has no warm-start source in this signature, so both
-    # settings begin at 1.0 per unit, zero angle.
-    voltages = np.ones(n, dtype=complex)
-    v_mag = np.abs(voltages)
-    v_ang = np.angle(voltages)
+    # Flat start: 1.0 per unit, zero angle.
+    v_mag = np.ones(n)
+    v_ang = np.zeros(n)
+    jacobian = np.empty((2 * npq, 2 * npq))
 
-    best_voltages = voltages.copy()
+    best_voltages = np.ones(n, dtype=complex)
     best_mismatch = np.inf
     iterations = 0
     converged = False
@@ -223,7 +309,7 @@ def solve_newton_raphson(
         mis, max_mis = _mismatch(ybus, voltages, s_spec, pq)
         if max_mis < best_mismatch:
             best_mismatch = max_mis
-            best_voltages = voltages.copy()
+            best_voltages = voltages
         if max_mis <= opts.tol:
             converged = True
             break
@@ -231,34 +317,34 @@ def solve_newton_raphson(
             break
 
         # Complex power derivatives with respect to voltage angle and
-        # magnitude; the Jacobian blocks are their real/imag parts.
+        # magnitude; the Jacobian blocks are their real/imag parts. The
+        # dense diagonal products stay: an elementwise O(n^2) form is
+        # faster but rounds differently, which moves the last bits of
+        # the loadings written to reports.
         i_bus = ybus @ voltages
         diag_v = np.diag(voltages)
         diag_i = np.diag(i_bus)
         diag_vnorm = np.diag(voltages / np.abs(voltages))
-        ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
-        ds_dvm = diag_v @ np.conj(ybus @ diag_vnorm) + np.conj(diag_i) @ diag_vnorm
-
-        j11 = ds_dva[np.ix_(pq, pq)].real
-        j12 = ds_dvm[np.ix_(pq, pq)].real
-        j21 = ds_dva[np.ix_(pq, pq)].imag
-        j22 = ds_dvm[np.ix_(pq, pq)].imag
-        jacobian = np.block([[j11, j12], [j21, j22]])
+        ds_dva = (1j * diag_v @ np.conj(diag_i - ybus @ diag_v))[c.pq_grid]
+        ds_dvm = (diag_v @ np.conj(ybus @ diag_vnorm) + np.conj(diag_i) @ diag_vnorm)[c.pq_grid]
+        jacobian[:npq, :npq] = ds_dva.real
+        jacobian[:npq, npq:] = ds_dvm.real
+        jacobian[npq:, :npq] = ds_dva.imag
+        jacobian[npq:, npq:] = ds_dvm.imag
 
         try:
             dx = np.linalg.solve(jacobian, mis)
         except np.linalg.LinAlgError:
             break
-        npq = len(pq)
         v_ang[pq] += dx[:npq]
         v_mag[pq] += dx[npq:]
         iterations += 1
         if not np.all(np.isfinite(v_mag)) or not np.all(np.isfinite(v_ang)):
             break
 
-    final = voltages if converged else best_voltages
-    final_mis = best_mismatch if not converged else _mismatch(ybus, final, s_spec, pq)[1]
-    return _finish(net, ybus, final, slack_index, iterations, converged, final_mis)
+    if converged:
+        return _finish(net, c, voltages, iterations, True, max_mis)
+    return _finish(net, c, best_voltages, iterations, False, best_mismatch)
 
 
 def solve_gauss_seidel(
@@ -271,12 +357,12 @@ def solve_gauss_seidel(
     Converged means the largest voltage change in a sweep is <= opts.tol.
     Independent of the Newton path, which makes it a usable oracle.
     """
-    ybus = build_ybus(net)
-    s_spec, slack_index = _injection_vector(net, injections)
-    n = len(net.buses)
-    pq = [i for i in range(n) if i != slack_index]
+    c = _compiled(net)
+    ybus = c.ybus
+    s_spec = c.injection_vector(injections)
+    pq = c.pq.tolist()
 
-    voltages = np.ones(n, dtype=complex)
+    voltages = np.ones(len(c.bus_ids), dtype=complex)
     iterations = 0
     converged = False
 
@@ -294,6 +380,5 @@ def solve_gauss_seidel(
         if not np.all(np.isfinite(voltages)):
             break
 
-    pq_arr = np.array(pq, dtype=int)
-    _, max_mis = _mismatch(ybus, voltages, s_spec, pq_arr)
-    return _finish(net, ybus, voltages, slack_index, iterations, converged, max_mis)
+    _, max_mis = _mismatch(ybus, voltages, s_spec, c.pq)
+    return _finish(net, c, voltages, iterations, converged, max_mis)

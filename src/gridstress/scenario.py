@@ -5,15 +5,16 @@ A day is 96 slots of 15 minutes. Building loads scale their nominal kW
 by a normalized profile coefficient; EV charging load is penetration
 times parking capacity times per-charger kW, shaped by an EV profile;
 PV sites inject capacity times their profile coefficient as negative
-load at unity power factor. The sweep solves each interval, shows the
-solution to the controller, applies interventions, re-solves once if
-loads changed, and records the result.
+load at unity power factor. For each interval the sweep lets the
+controller settle the EV draw, builds the injections once, solves them
+once, and records the result.
 
 Sweeps with the null controller have independent intervals and may be
 evaluated concurrently by callers. The one-third stagger controller
-carries a deferral queue across intervals, so staggered sweeps are
-strictly serial; run_sweep itself is always single-threaded and never
-shares the mutable ledger.
+carries a deferral queue across intervals, so its ledger runs serially
+in sweep order; it never reads a solution, so each interval is solved
+once, after the controller. run_sweep itself is always single-threaded
+and never shares the mutable ledger.
 """
 
 from __future__ import annotations
@@ -220,6 +221,18 @@ def _resolve_pv_profile(site: Generator, bindings: ProfileBindings,
     return profiles[profile_id]
 
 
+def _resolve_ev_profile(ev_nominal: Mapping[str, float], bindings: ProfileBindings,
+                        profiles: Mapping[str, LoadProfile]) -> LoadProfile | None:
+    """The EV demand shape, or None when no bus draws EV power."""
+    if not any(ev_nominal.values()):
+        return None
+    if bindings.ev is None:
+        raise ScenarioConfigError("scenario has EV load but no EV profile binding")
+    if bindings.ev not in profiles:
+        raise ScenarioConfigError(f"EV profile {bindings.ev!r} not found")
+    return profiles[bindings.ev]
+
+
 def build_injections(
     net: Network,
     scenario: Scenario,
@@ -236,16 +249,11 @@ def build_injections(
     (used by controllers); omitted buses fall back to nominal.
     """
     ev_nominal = scenario.ev_connected_kw_by_bus()
-    ev_profile = None
-    if any(ev_nominal.values()):
-        if scenario.bindings.ev is None:
-            raise ScenarioConfigError("scenario has EV load but no EV profile binding")
-        if scenario.bindings.ev not in profiles:
-            raise ScenarioConfigError(f"EV profile {scenario.bindings.ev!r} not found")
-        ev_profile = profiles[scenario.bindings.ev]
+    ev_profile = _resolve_ev_profile(ev_nominal, scenario.bindings, profiles)
 
+    bus_ids = set(net.bus_ids())
     for lot in scenario.parking_lots:
-        if all(bus.id != lot.bus for bus in net.buses):
+        if lot.bus not in bus_ids:
             raise ScenarioConfigError(
                 f"parking lot {lot.name!r} references unknown bus {lot.bus!r}"
             )
@@ -380,7 +388,11 @@ def one_third_stagger(
 
 @dataclass(frozen=True)
 class IntervalRecord:
-    """One sweep step: the solved interval plus any controller actions."""
+    """One sweep step: the solved interval plus any controller actions.
+
+    resolved is True when the controller changed the EV loads, so the
+    interval was solved with them instead of the nominal draw.
+    """
 
     interval: int
     solution: PowerFlowSolution
@@ -425,41 +437,39 @@ def run_sweep(
     intervals: Iterable[int] = range(SLOTS_PER_DAY),
     opts: SolverOptions = SolverOptions(),
 ) -> SweepResult:
-    """Solve each interval, let the controller intervene, and record.
+    """Run the controller over each interval, then solve it once, and record.
 
-    For every interval: build nominal injections, solve, expose the
-    solution to the controller, apply its interventions, and re-solve
-    once if the EV loads changed. Solver divergence is recorded on the
-    interval and the sweep continues. Deferred EV energy carries across
-    intervals in sweep order.
+    For every interval the controller first settles the EV draw: the
+    deferral ledger runs serially in sweep order, and deferred EV energy
+    carries across intervals. The interval's injections are then built
+    once, with the controller's EV loads when it changed them, and
+    solved once. Solver divergence is recorded on the interval and the
+    sweep continues.
     """
     ev_nominal = scenario.ev_connected_kw_by_bus()
     state = StaggerState(ev_nominal) if scenario.controller == "one_third_stagger" else None
-    ev_profile_id = scenario.bindings.ev
+    ev_profile = _resolve_ev_profile(ev_nominal, scenario.bindings, profiles)
 
     records: list[IntervalRecord] = []
     demanded_without_controller = Fraction(0)
     for interval in intervals:
-        injections = build_injections(net, scenario, profiles, interval)
-        solution = solve_newton_raphson(net, injections, opts)
         actions: tuple[StaggerAction, ...] = ()
-        resolved = False
-
-        if state is not None and ev_nominal:
-            coeff = profiles[ev_profile_id].coefficient(interval)
+        override = None
+        if ev_profile is not None:
+            coeff = ev_profile.coefficient(interval)
             demands = {bus: kw * coeff for bus, kw in ev_nominal.items()}
-            active, actions = one_third_stagger(demands, interval, state)
-            if any(abs(active[bus] - demands[bus]) > 0.0 for bus in demands):
-                injections = build_injections(net, scenario, profiles, interval,
-                                              ev_kw_override=active)
-                solution = solve_newton_raphson(net, injections, opts)
-                resolved = True
-        elif ev_nominal and ev_profile_id is not None:
-            coeff = profiles[ev_profile_id].coefficient(interval)
-            demanded_without_controller += sum(
-                (Fraction(kw * coeff) for kw in ev_nominal.values()), Fraction(0))
+            if state is not None:
+                active, actions = one_third_stagger(demands, interval, state)
+                if any(abs(active[bus] - demands[bus]) > 0.0 for bus in demands):
+                    override = active
+            else:
+                demanded_without_controller += sum(
+                    (Fraction(kw) for kw in demands.values()), Fraction(0))
 
-        records.append(IntervalRecord(interval, solution, actions, resolved))
+        injections = build_injections(net, scenario, profiles, interval,
+                                      ev_kw_override=override)
+        solution = solve_newton_raphson(net, injections, opts)
+        records.append(IntervalRecord(interval, solution, actions, override is not None))
 
     per_slot_hours = Fraction(1, 4)
     if state is not None:

@@ -39,6 +39,13 @@ class TestBinLoadings:
         with pytest.raises(ValueError, match=">= 0"):
             bin_loadings([-1.0])
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_loading_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            bin_label(value)
+        with pytest.raises(ValueError, match="finite"):
+            bin_loadings([value])
+
     def test_named_input_preserves_assignments(self):
         hist = bin_loadings({"tx": 120.0, "line": 12.0})
         assert hist.branch_bins == {"tx": "100-150", "line": "<40"}

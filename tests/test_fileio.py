@@ -243,3 +243,9 @@ class TestBranchDetail:
     def test_malformed_detail_rejected(self):
         with pytest.raises(FileSchemaError, match="header"):
             parse_branch_detail_csv("nope\n")
+
+    @pytest.mark.parametrize("loading", ["nan", "inf", "-inf"])
+    def test_non_finite_detail_loading_rejected(self, loading):
+        text = f"branch,kind,loading_percent,bin\na -> b,cable,{loading},>150\n"
+        with pytest.raises(FileSchemaError, match="non-finite"):
+            parse_branch_detail_csv(text)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import cmath
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,8 @@ from gridstress import (
     solve_newton_raphson,
     total_losses,
 )
-from gridstress.powerflow import SolverOptions
+from gridstress import powerflow as powerflow_module
+from gridstress.powerflow import BranchFlow, SolverOptions
 
 from helpers import make_radial_network, two_bus_network
 
@@ -200,6 +204,78 @@ class TestBranchFlows:
         flow = solution.branch_flows[0]
         assert flow.s_from == pytest.approx(TWO_BUS_S_FROM, abs=1e-8)
         assert flow.s_to == pytest.approx(-TWO_BUS_LOAD, abs=1e-8)
+
+
+def _scalar_branch_flows(net, voltages):
+    """Reference: one branch at a time on Python complex scalars."""
+    flows = []
+    for branch in net.branches:
+        y = 1.0 / branch.series_impedance_pu
+        tap = branch.tap
+        vf = voltages[branch.from_bus]
+        vt = voltages[branch.to_bus]
+        i_from = (y / tap ** 2) * vf - (y / tap) * vt
+        i_to = y * vt - (y / tap) * vf
+        s_from = complex(vf * i_from.conjugate())
+        s_to = complex(vt * i_to.conjugate())
+        rating_pu = branch.rating_kva / (1000.0 * net.s_base_mva)
+        loading = float(100.0 * max(abs(s_from), abs(s_to)) / rating_pu)
+        flows.append(BranchFlow(branch.id, branch.kind, s_from, s_to, loading))
+    return tuple(flows)
+
+
+def _tapped_radial_networks(rng, count=12):
+    """Random radial networks, every other one with off-nominal taps."""
+    cases = []
+    for k in range(count):
+        net, injections = make_radial_network(rng, rng.randrange(2, 25))
+        if k % 2:
+            net = dataclasses.replace(net, branches=tuple(
+                dataclasses.replace(b, tap=rng.uniform(0.9, 1.1)) for b in net.branches))
+        cases.append((net, injections))
+    return cases
+
+
+def _solved_cases(bench, rng):
+    from gridstress import build_injections
+    cases = [(bench.network, build_injections(bench.network, bench.scenario(name),
+                                              bench.profiles, 36))
+             for name in ("base", "ev25", "ev25_pv")]
+    return cases + _tapped_radial_networks(rng)
+
+
+class TestBitExactVectorisation:
+    def test_branch_flows_equal_scalar_loop(self, bench, rng):
+        for net, injections in _solved_cases(bench, rng):
+            solution = solve_newton_raphson(net, injections)
+            for voltages in (solution.voltages(),
+                             {b: complex(rng.uniform(0.8, 1.1), rng.uniform(-0.2, 0.2))
+                              for b in solution.bus_ids}):
+                assert branch_flows(net, voltages) == _scalar_branch_flows(net, voltages)
+
+    def test_solution_voltages_are_exact_magnitude_and_phase(self, bench, rng, monkeypatch):
+        seen = []
+
+        def capture(net, voltages):
+            seen.append(voltages)
+            return branch_flows(net, voltages)
+
+        monkeypatch.setattr(powerflow_module, "branch_flows", capture)
+        for net, injections in _solved_cases(bench, rng):
+            solution = solve_newton_raphson(net, injections)
+            voltages = [seen[-1][b] for b in solution.bus_ids]
+            assert solution.v_mag == tuple(abs(v) for v in voltages)
+            assert solution.v_ang == tuple(cmath.phase(v) for v in voltages)
+            assert solution.branch_flows == _scalar_branch_flows(net, seen[-1])
+
+    def test_compiled_ybus_is_read_only(self):
+        net = two_bus_network(TWO_BUS_Z)
+        solve_newton_raphson(net, {"load": -TWO_BUS_LOAD})
+        ybus = powerflow_module._compiled(net).ybus
+        assert not ybus.flags.writeable
+        with pytest.raises(ValueError):
+            ybus[0, 0] = 0j
+        assert np.array_equal(ybus, build_ybus(net))
 
 
 class TestLosses:

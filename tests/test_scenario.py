@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +17,7 @@ from gridstress import (
     Network,
     NominalLoad,
     build_injections,
+    build_ybus,
     derive_impedances,
     ev_load_kw,
     normalize_profile,
@@ -24,6 +26,8 @@ from gridstress import (
     run_sweep,
     solve_newton_raphson,
 )
+from gridstress import powerflow as powerflow_module
+from gridstress import scenario as scenario_module
 from gridstress.scenario import (
     LoadProfile,
     ParkingLot,
@@ -421,6 +425,32 @@ class TestRunSweep:
         with_pv = run_sweep(bench.network, bench.scenario("ev25_pv"), bench.profiles,
                             intervals=[36]).records[0].solution
         assert with_pv.slack_injection.real <= no_pv.slack_injection.real
+
+    def test_stagger_day_solves_each_interval_once(self, bench, monkeypatch):
+        calls = []
+
+        def counted(net, injections, opts):
+            calls.append(1)
+            return solve_newton_raphson(net, injections, opts)
+
+        monkeypatch.setattr(scenario_module, "solve_newton_raphson", counted)
+        result = run_sweep(bench.network, bench.scenario("ev25_pv_lm"), bench.profiles)
+        assert any(record.resolved for record in result.records)
+        assert len(calls) == len(result.records) == 96
+
+    def test_ybus_built_once_per_network_across_sweeps(self, bench, monkeypatch):
+        net = dataclasses.replace(bench.network)   # a fresh, never-solved instance
+        builds = []
+
+        def counted(network):
+            builds.append(network)
+            return build_ybus(network)
+
+        monkeypatch.setattr(powerflow_module, "build_ybus", counted)
+        for name in ("ev25", "ev25_pv_lm"):
+            for _ in range(2):
+                run_sweep(net, bench.scenario(name), bench.profiles, intervals=[35, 36, 37])
+        assert builds == [net]
 
     def test_parallelizable_flag(self, bench):
         assert sweep_is_parallelizable(bench.scenario("ev25"))
