@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Mapping
 
 BUS_KINDS = ("slack", "load")
@@ -115,6 +116,16 @@ class Network:
     branches: tuple[Branch, ...]
     generators: tuple[Generator, ...] = ()
     cable_catalog: Mapping[str, CableType] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # Frozen fields can still be mutated in place, so the catalog is a
+        # read-only view of a private copy.
+        object.__setattr__(self, "cable_catalog", MappingProxyType(dict(self.cable_catalog)))
+
+    def __reduce__(self):
+        # A mappingproxy cannot be pickled or copied; rebuild from a dict.
+        return (type(self), (self.s_base_mva, self.buses, self.branches, self.generators,
+                             dict(self.cable_catalog)))
 
     def bus(self, bus_id: str) -> Bus:
         for bus in self.buses:

@@ -6,15 +6,17 @@ by a normalized profile coefficient; EV charging load is penetration
 times parking capacity times per-charger kW, shaped by an EV profile;
 PV sites inject capacity times their profile coefficient as negative
 load at unity power factor. For each interval the sweep lets the
-controller settle the EV draw, builds the injections once, solves them
-once, and records the result.
+controller settle the EV draw, builds the injections once, and records
+the solution. A sweep solves each distinct operating point once: an
+interval whose injections repeat an earlier interval of the same sweep,
+bit for bit, shares that interval's (immutable) solution.
 
 Sweeps with the null controller have independent intervals and may be
 evaluated concurrently by callers. The one-third stagger controller
 carries a deferral queue across intervals, so its ledger runs serially
 in sweep order; it never reads a solution, so each interval is solved
-once, after the controller. run_sweep itself is always single-threaded
-and never shares the mutable ledger.
+after the controller. run_sweep itself is always single-threaded and
+never shares the mutable ledger.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .network import Generator, Network
 from .powerflow import PowerFlowSolution, SolverOptions, solve_newton_raphson
@@ -437,13 +441,17 @@ def run_sweep(
     intervals: Iterable[int] = range(SLOTS_PER_DAY),
     opts: SolverOptions = SolverOptions(),
 ) -> SweepResult:
-    """Run the controller over each interval, then solve it once, and record.
+    """Run the controller over each interval, then solve it, and record.
 
     For every interval the controller first settles the EV draw: the
     deferral ledger runs serially in sweep order, and deferred EV energy
     carries across intervals. The interval's injections are then built
-    once, with the controller's EV loads when it changed them, and
-    solved once. Solver divergence is recorded on the interval and the
+    once, with the controller's EV loads when it changed them. Each
+    distinct operating point is solved once: an interval whose injection
+    values equal an earlier interval's bit for bit (so +0.0 and -0.0
+    differ) reuses that interval's solution, which is immutable and
+    exactly what solving again would return. The reuse lasts only for
+    this call. Solver divergence is recorded on the interval and the
     sweep continues.
     """
     ev_nominal = scenario.ev_connected_kw_by_bus()
@@ -451,6 +459,7 @@ def run_sweep(
     ev_profile = _resolve_ev_profile(ev_nominal, scenario.bindings, profiles)
 
     records: list[IntervalRecord] = []
+    solved: dict[bytes, PowerFlowSolution] = {}
     demanded_without_controller = Fraction(0)
     for interval in intervals:
         actions: tuple[StaggerAction, ...] = ()
@@ -468,7 +477,12 @@ def run_sweep(
 
         injections = build_injections(net, scenario, profiles, interval,
                                       ev_kw_override=override)
-        solution = solve_newton_raphson(net, injections, opts)
+        # build_injections emits every non-slack bus in net.buses order,
+        # so the values alone identify the operating point.
+        key = np.array(list(injections.values()), dtype=complex).tobytes()
+        solution = solved.get(key)
+        if solution is None:
+            solution = solved[key] = solve_newton_raphson(net, injections, opts)
         records.append(IntervalRecord(interval, solution, actions, override is not None))
 
     per_slot_hours = Fraction(1, 4)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
@@ -19,6 +21,7 @@ from gridstress import (
     validate_network,
 )
 from gridstress.benchmark import CABLE_CATALOG
+from gridstress.fileio import emit_network_file, parse_network_file
 from gridstress.network import reactive_kvar
 
 
@@ -233,3 +236,34 @@ class TestNetworkContainer:
     def test_network_is_frozen(self, bench):
         with pytest.raises(dataclasses.FrozenInstanceError):
             bench.network.s_base_mva = 1.0
+
+    def test_cable_catalog_is_read_only(self, bench):
+        with pytest.raises(TypeError):
+            bench.network.cable_catalog["MV-feeder-A"] = CableType("x", 0.0, 0.0)
+        with pytest.raises(TypeError):
+            del bench.network.cable_catalog["MV-feeder-A"]
+        source = {"c": CableType("c", 0.2, 0.3)}
+        net = _tiny_net(cable_catalog=source)
+        source["c"] = CableType("c", 9.0, 9.0)
+        assert net.cable_catalog["c"] == CableType("c", 0.2, 0.3)
+
+    def test_read_only_catalog_keeps_equality_replace_and_derivation(self, bench):
+        net = bench.network
+        assert net == dataclasses.replace(net)
+        assert _tiny_net() == _tiny_net()
+        assert _tiny_net() != _tiny_net(cable_catalog={"c": CableType("c", 0.2, 0.4)})
+        replaced = dataclasses.replace(net, s_base_mva=5.0)
+        with pytest.raises(TypeError):
+            replaced.cable_catalog["c"] = CableType("c", 0.2, 0.3)
+        assert replaced.cable_catalog == net.cable_catalog
+        underived = dataclasses.replace(net, branches=tuple(
+            dataclasses.replace(b, series_impedance_pu=None) for b in net.branches))
+        assert derive_impedances(underived) == net
+
+    def test_read_only_catalog_round_trips(self, bench):
+        emitted = emit_network_file(bench.network)
+        parsed = parse_network_file(emitted)
+        assert parsed == bench.network
+        assert emit_network_file(parsed) == emitted
+        assert pickle.loads(pickle.dumps(bench.network)) == bench.network
+        assert copy.deepcopy(bench.network) == bench.network

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -346,6 +347,30 @@ def _stagger_demo_network() -> Network:
     return derive_impedances(Network(10.0, tuple(buses), tuple(branches), (), catalog))
 
 
+def _count_solves(monkeypatch) -> list[tuple[complex, ...]]:
+    """Count run_sweep's Newton-Raphson calls; returns each call's injection values."""
+    calls = []
+
+    def counted(net, injections, opts):
+        calls.append(tuple(injections.values()))
+        return solve_newton_raphson(net, injections, opts)
+
+    monkeypatch.setattr(scenario_module, "solve_newton_raphson", counted)
+    return calls
+
+
+def _record_injections(monkeypatch) -> dict[int, dict[str, complex]]:
+    """Capture the injections run_sweep builds for each interval."""
+    built = {}
+
+    def recorded(net, scenario, profiles, interval, ev_kw_override=None):
+        built[interval] = build_injections(net, scenario, profiles, interval, ev_kw_override)
+        return built[interval]
+
+    monkeypatch.setattr(scenario_module, "build_injections", recorded)
+    return built
+
+
 class TestRunSweep:
     def test_zero_load_day_is_flat(self):
         net = _mini_grid(load_kw=0.0)
@@ -427,16 +452,64 @@ class TestRunSweep:
         assert with_pv.slack_injection.real <= no_pv.slack_injection.real
 
     def test_stagger_day_solves_each_interval_once(self, bench, monkeypatch):
-        calls = []
-
-        def counted(net, injections, opts):
-            calls.append(1)
-            return solve_newton_raphson(net, injections, opts)
-
-        monkeypatch.setattr(scenario_module, "solve_newton_raphson", counted)
+        calls = _count_solves(monkeypatch)
+        built = _record_injections(monkeypatch)
         result = run_sweep(bench.network, bench.scenario("ev25_pv_lm"), bench.profiles)
         assert any(record.resolved for record in result.records)
+        assert len(result.records) == len(built) == 96
+        distinct = {tuple(injections.values()) for injections in built.values()}
+        # One solve per distinct injection set, and no set solved twice.
+        assert len(calls) == len(set(calls)) == len(distinct) == 66
+
+    # ev25_pv_lm (66) is pinned by test_stagger_day_solves_each_interval_once.
+    @pytest.mark.parametrize("name, solves", [
+        ("base", 39), ("ev10", 39), ("ev25", 39), ("ev25_pv", 57)])
+    def test_campus_day_solves_each_distinct_operating_point_once(
+            self, bench, monkeypatch, name, solves):
+        calls = _count_solves(monkeypatch)
+        result = run_sweep(bench.network, bench.scenario(name), bench.profiles)
+        assert len(result.records) == 96
+        assert len(calls) == solves
+
+    def test_every_record_equals_a_direct_solve_of_its_injections(self, bench, monkeypatch):
+        built = _record_injections(monkeypatch)
+        result = run_sweep(bench.network, bench.scenario("ev25_pv_lm"), bench.profiles)
+        assert any(record.resolved for record in result.records)
+        for record in result.records:
+            direct = solve_newton_raphson(bench.network, built[record.interval])
+            assert record.solution == direct
+            assert repr(record.solution) == repr(direct)
+
+    def test_reuse_does_not_outlive_a_sweep(self, bench, monkeypatch):
+        calls = _count_solves(monkeypatch)
+        for expected in (39, 78):
+            run_sweep(bench.network, bench.scenario("ev25"), bench.profiles)
+            assert len(calls) == expected
+
+    def test_jittered_day_solves_every_interval(self, monkeypatch):
+        rng = random.Random(7)
+        coeffs = [rng.uniform(0.2, 0.9) for _ in range(95)] + [1.0]
+        scenario = Scenario("jitter", penetration=0.0,
+                            bindings=ProfileBindings(load_default="jitter"))
+        calls = _count_solves(monkeypatch)
+        result = run_sweep(_mini_grid(load_kw=2000.0), scenario,
+                           {"jitter": LoadProfile("jitter", tuple(coeffs))})
         assert len(calls) == len(result.records) == 96
+        assert len({id(record.solution) for record in result.records}) == 96
+
+    def test_signed_zero_injections_are_solved_apart(self, monkeypatch):
+        net = _mini_grid(load_kw=0.0)
+        sets = [{"town": complex(0.0, 0.0)}, {"town": complex(-0.0, 0.0)},
+                {"town": complex(0.0, -0.0)}]
+        monkeypatch.setattr(scenario_module, "build_injections",
+                            lambda net, scenario, profiles, interval, ev_kw_override=None:
+                            dict(sets[interval % 3]))
+        calls = _count_solves(monkeypatch)
+        result = run_sweep(net, Scenario("zeros", penetration=0.0), {}, intervals=range(6))
+        assert len(calls) == 3
+        solutions = [record.solution for record in result.records]
+        assert len({id(s) for s in solutions[:3]}) == 3
+        assert all(a is b for a, b in zip(solutions[3:], solutions[:3]))
 
     def test_ybus_built_once_per_network_across_sweeps(self, bench, monkeypatch):
         net = dataclasses.replace(bench.network)   # a fresh, never-solved instance
