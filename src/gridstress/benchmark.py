@@ -197,8 +197,6 @@ PARKING_LOTS = (
 
 PARKING_CAPACITIES: Mapping[str, int] = {lot.name: lot.capacity for lot in PARKING_LOTS}
 
-SCENARIO_NAMES = ("base", "ev10", "ev25", "ev25_pv", "ev25_pv_lm")
-
 
 def campus_building_profile() -> LoadProfile:
     """Weekday building-demand shape: overnight floor, morning ramp,

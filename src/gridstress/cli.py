@@ -6,6 +6,11 @@ files), benchmark (materialize the bundled campus fixture and run its
 scenario set). Exit status: 0 success, 1 diagnostics (bad input or
 usage), 2 solver divergence in a requested interval.
 
+solve applies the scenario's nominal EV draw and ignores its
+controller. benchmark runs each scenario through run_sweep for the one
+interval, so a stagger controller acts there from an empty ledger, and
+the two commands can bin the same scenario and slot differently.
+
 The simulator itself uses no randomness; output bytes depend only on
 the inputs.
 """
@@ -14,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -55,21 +59,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{message}\n{self.format_usage()}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved inputs for a solve or sweep run."""
-
-    network_path: Path
-    scenario_path: Path
-    profiles_dir: Path
-    interval: int | None          # None means the full day
-    out_dir: Path | None
-    report_format: str
-
-    def __post_init__(self) -> None:
-        if self.interval is not None and not 0 <= self.interval < SLOTS_PER_DAY:
-            raise _UsageError(
-                f"--interval must be in [0, {SLOTS_PER_DAY - 1}], got {self.interval}")
+def _interval(text: str) -> int:
+    """argparse type of --interval, a slot index in [0, 95]. argparse lets
+    the _UsageError of an out-of-range slot pass through unchanged."""
+    try:
+        slot = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= slot < SLOTS_PER_DAY:
+        raise _UsageError(f"--interval must be in [0, {SLOTS_PER_DAY - 1}], got {slot}")
+    return slot
 
 
 def _add_run_arguments(parser: argparse.ArgumentParser, interval_default: int | None) -> None:
@@ -77,7 +76,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser, interval_default: int | 
     parser.add_argument("--scenario", required=True, help="scenario JSON file")
     parser.add_argument("--profiles", required=True, help="directory of profile CSV files")
     if interval_default is not None:
-        parser.add_argument("--interval", type=int, default=interval_default,
+        parser.add_argument("--interval", type=_interval, default=interval_default,
                             help="15-minute slot index 0-95 (default: %(default)s, 09:00)")
     parser.add_argument("--out", default=None, help="directory for report files")
     parser.add_argument("--format", choices=REPORT_FORMATS, default="csv",
@@ -108,7 +107,7 @@ def _build_arg_parser() -> _Parser:
     p_bench = sub.add_parser("benchmark",
                              help="write the bundled campus fixture and run its scenarios")
     p_bench.add_argument("--out", required=True, help="directory for fixture and reports")
-    p_bench.add_argument("--interval", type=int, default=36)
+    p_bench.add_argument("--interval", type=_interval, default=36)
     p_bench.add_argument("--format", choices=REPORT_FORMATS, default="csv")
 
     return parser
@@ -156,37 +155,27 @@ def _print_solution(name: str, interval: int, solution: PowerFlowSolution,
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    text = Path(args.network).read_text()
-    try:
-        parse_network_file(text)
-    except GridFileError as exc:
-        for diagnostic in exc.diagnostics:
-            print(diagnostic, file=sys.stderr)
-        return EXIT_DIAGNOSTICS
+    parse_network_file(Path(args.network).read_text())
     print(f"{args.network}: OK")
     return EXIT_OK
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    config = RunConfig(Path(args.network), Path(args.scenario), Path(args.profiles),
-                       args.interval, Path(args.out) if args.out else None, args.format)
     net, scenario, profiles = _load_inputs(args)
-    injections = build_injections(net, scenario, profiles, config.interval)
+    injections = build_injections(net, scenario, profiles, args.interval)
     solution = solve_newton_raphson(net, injections)
-    _print_solution(scenario.name, config.interval, solution, net.s_base_mva)
+    _print_solution(scenario.name, args.interval, solution, net.s_base_mva)
 
-    if config.out_dir is not None:
+    if args.out:
         hist = bin_loadings(solution.loading_by_branch())
-        _write(config.out_dir / _summary_filename(config.report_format),
-               _emit_summary([(scenario.name, hist)], config.report_format))
-        _write(config.out_dir / f"detail_{scenario.name}_slot{config.interval:02d}.csv",
+        _write(Path(args.out) / _summary_filename(args.format),
+               _emit_summary([(scenario.name, hist)], args.format))
+        _write(Path(args.out) / f"detail_{scenario.name}_slot{args.interval:02d}.csv",
                detail_csv_for_solution(solution))
     return EXIT_OK if solution.converged else EXIT_DIVERGED
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = RunConfig(Path(args.network), Path(args.scenario), Path(args.profiles),
-                       None, Path(args.out) if args.out else None, args.format)
     net, scenario, profiles = _load_inputs(args)
     result = run_sweep(net, scenario, profiles)
 
@@ -195,7 +184,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         loadings = record.solution.loading_by_branch().values()
         over = sum(1 for v in loadings if v >= 100.0)
         status_lines.append(f"{record.interval},{int(record.solution.converged)},"
-                            f"{record.solution.iterations},{max(loadings):.6f},{over}")
+                            f"{record.solution.iterations},{max(loadings, default=0.0):.6f},{over}")
     status_csv = "\n".join(status_lines) + "\n"
 
     diverged = result.diverged_intervals()
@@ -205,10 +194,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(f"  EV energy kWh: demanded {float(ledger.demanded_kwh):.1f}, "
           f"served {float(ledger.served_kwh):.1f}, unserved {float(ledger.unserved_kwh):.1f}")
 
-    if config.out_dir is not None:
-        _write(config.out_dir / f"sweep_{scenario.name}.csv", status_csv)
+    if args.out:
+        _write(Path(args.out) / f"sweep_{scenario.name}.csv", status_csv)
         for record in result.records:
-            _write(config.out_dir / "details"
+            _write(Path(args.out) / "details"
                    / f"{scenario.name}_slot{record.interval:02d}.csv",
                    detail_csv_for_solution(record.solution))
     return EXIT_DIVERGED if diverged else EXIT_OK
@@ -229,8 +218,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_benchmark(args: argparse.Namespace) -> int:
-    if not 0 <= args.interval < SLOTS_PER_DAY:
-        raise _UsageError(f"--interval must be in [0, {SLOTS_PER_DAY - 1}]")
     out_dir = Path(args.out)
     bundle = benchmark_fixture.build_benchmark()
 

@@ -14,7 +14,8 @@ import csv
 import io
 import json
 import math
-from typing import Any, Sequence
+import re
+from typing import Any, Callable, Iterable, Sequence
 
 from .congestion import BELOW_LABEL, BIN_LABELS, CongestionHistogram, bin_label
 from .network import (
@@ -105,9 +106,6 @@ class _Record:
         unknown = sorted(set(self.raw) - self._consumed)
         for key in unknown:
             self.errors.append(f"{self.path}: unknown key {key!r}")
-
-
-_NETWORK_KEYS = ("s_base_mva", "cable_catalog", "buses", "branches", "generators")
 
 
 def parse_network_file(text: str) -> Network:
@@ -343,76 +341,92 @@ def emit_scenario_file(scenario: Scenario) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+    """Canonical CSV text: the header row, then the rows, newline-ended."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def _csv_rows(text: str, what: str, header: Sequence[str] | None = None) -> list[list[str]]:
+    """The non-empty rows of a CSV document, the first one equal to header if given."""
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise FileSyntaxError([f"{what}: malformed CSV: {exc}"]) from exc
+    rows = [row for row in rows if row]
+    if header is not None and (not rows or tuple(rows[0]) != tuple(header)):
+        raise FileSchemaError([f"{what}: header must be {','.join(header)}"])
+    return rows
+
+
+def _convert_rows(body: Sequence[list[str]], what: str, width: int,
+                  convert: Callable[[int, list[str]], Any]) -> list[Any]:
+    """convert(index, row) for every row. A row of another width, or whose
+    conversion raises ValueError(problem), gets one diagnostic; all of
+    them are raised together after the last row."""
+    converted = []
+    errors = []
+    for i, row in enumerate(body):
+        if len(row) != width:
+            errors.append(f"{what} row {i + 1}: expected {width} columns")
+            continue
+        try:
+            converted.append(convert(i, row))
+        except ValueError as exc:
+            errors.append(f"{what} row {i + 1}: {exc}")
+    if errors:
+        raise FileSchemaError(errors)
+    return converted
+
+
+def _number(kind: Callable[[str], Any], cell: str, problem: str) -> Any:
+    """kind(cell), or ValueError(problem) when the cell does not parse."""
+    try:
+        return kind(cell)
+    except ValueError:
+        raise ValueError(problem) from None
+
+
+def _slot_coefficient(i: int, row: list[str]) -> float:
+    slot = _number(int, row[0], "non-numeric cell")
+    coeff = _number(float, row[1], "non-numeric cell")
+    if slot != i:
+        raise ValueError(f"expected slot {i}, got {slot}")
+    return coeff
+
+
 def parse_profile_csv(text: str, profile_id: str) -> LoadProfile:
     """Read a 96-slot profile.
 
     Header slot,coefficient: values already normalized (max must be
     exactly 1). Header timestamp,kw: raw demand, normalized on ingest.
     """
-    try:
-        rows = list(csv.reader(io.StringIO(text)))
-    except csv.Error as exc:
-        raise FileSyntaxError([f"profile {profile_id!r}: malformed CSV: {exc}"]) from exc
-    rows = [row for row in rows if row]
+    what = f"profile {profile_id!r}"
+    rows = _csv_rows(text, what)
     if not rows:
-        raise FileSchemaError([f"profile {profile_id!r}: empty file"])
+        raise FileSchemaError([f"{what}: empty file"])
     header = [cell.strip() for cell in rows[0]]
     body = rows[1:]
     if len(body) != 96:
-        raise FileSchemaError(
-            [f"profile {profile_id!r}: expected 96 data rows, got {len(body)}"])
-
-    if header == ["slot", "coefficient"]:
-        coefficients = []
-        errors = []
-        for i, row in enumerate(body):
-            if len(row) != 2:
-                errors.append(f"profile {profile_id!r} row {i + 1}: expected 2 columns")
-                continue
-            try:
-                slot, coeff = int(row[0]), float(row[1])
-            except ValueError:
-                errors.append(f"profile {profile_id!r} row {i + 1}: non-numeric cell")
-                continue
-            if slot != i:
-                errors.append(f"profile {profile_id!r} row {i + 1}: expected slot {i}, got {slot}")
-            coefficients.append(coeff)
-        if errors:
-            raise FileSchemaError(errors)
-        try:
-            return LoadProfile(profile_id, tuple(coefficients))
-        except ProfileError as exc:
-            raise FileValidationError([str(exc)]) from exc
-
-    if header == ["timestamp", "kw"]:
-        values = []
-        errors = []
-        for i, row in enumerate(body):
-            if len(row) != 2:
-                errors.append(f"profile {profile_id!r} row {i + 1}: expected 2 columns")
-                continue
-            try:
-                values.append(float(row[1]))
-            except ValueError:
-                errors.append(f"profile {profile_id!r} row {i + 1}: non-numeric kw")
-        if errors:
-            raise FileSchemaError(errors)
-        try:
-            return normalize_profile(values, profile_id)
-        except ProfileError as exc:
-            raise FileValidationError([str(exc)]) from exc
-
-    raise FileSchemaError(
-        [f"profile {profile_id!r}: header must be slot,coefficient or timestamp,kw"])
+        raise FileSchemaError([f"{what}: expected 96 data rows, got {len(body)}"])
+    try:
+        if header == ["slot", "coefficient"]:
+            return LoadProfile(profile_id, tuple(_convert_rows(body, what, 2, _slot_coefficient)))
+        if header == ["timestamp", "kw"]:
+            kws = _convert_rows(body, what, 2,
+                                lambda i, row: _number(float, row[1], "non-numeric kw"))
+            return normalize_profile(kws, profile_id)
+    except ProfileError as exc:
+        raise FileValidationError([str(exc)]) from exc
+    raise FileSchemaError([f"{what}: header must be slot,coefficient or timestamp,kw"])
 
 
 def emit_profile_csv(profile: LoadProfile) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["slot", "coefficient"])
-    for slot, coeff in enumerate(profile.coefficients):
-        writer.writerow([slot, repr(coeff)])
-    return out.getvalue()
+    return _csv_text(("slot", "coefficient"),
+                     ([slot, repr(coeff)] for slot, coeff in enumerate(profile.coefficients)))
 
 
 REPORT_COLUMNS = ("scenario", "bin_40_80", "bin_80_100", "bin_100_150", "bin_gt_150")
@@ -420,38 +434,25 @@ REPORT_COLUMNS = ("scenario", "bin_40_80", "bin_80_100", "bin_100_150", "bin_gt_
 
 def emit_report_csv(rows: Sequence[tuple[str, CongestionHistogram]]) -> str:
     """Summary table: one row per scenario, the four loading bins."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
-    for name, hist in rows:
-        writer.writerow([name, hist.bin_40_80, hist.bin_80_100,
-                         hist.bin_100_150, hist.bin_gt_150])
-    return out.getvalue()
+    return _csv_text(REPORT_COLUMNS, ([name, hist.bin_40_80, hist.bin_80_100,
+                                       hist.bin_100_150, hist.bin_gt_150]
+                                      for name, hist in rows))
+
+
+def _bin_count(cell: str) -> int:
+    """A bin count cell: decimal digits only, so no sign, point or '_'."""
+    if re.fullmatch(r"\s*-?[0-9]+\s*", cell) is None:
+        raise ValueError("non-integer bin count")
+    count = int(cell)
+    if count < 0:
+        raise ValueError("negative bin count")
+    return count
 
 
 def parse_report_csv(text: str) -> list[tuple[str, CongestionHistogram]]:
-    try:
-        rows = list(csv.reader(io.StringIO(text)))
-    except csv.Error as exc:
-        raise FileSyntaxError([f"report: malformed CSV: {exc}"]) from exc
-    rows = [row for row in rows if row]
-    if not rows or tuple(rows[0]) != REPORT_COLUMNS:
-        raise FileSchemaError([f"report: header must be {','.join(REPORT_COLUMNS)}"])
-    parsed = []
-    errors = []
-    for i, row in enumerate(rows[1:]):
-        if len(row) != 5:
-            errors.append(f"report row {i + 1}: expected 5 columns")
-            continue
-        try:
-            counts = [int(cell) for cell in row[1:]]
-        except ValueError:
-            errors.append(f"report row {i + 1}: non-integer bin count")
-            continue
-        parsed.append((row[0], CongestionHistogram(*counts)))
-    if errors:
-        raise FileSchemaError(errors)
-    return parsed
+    rows = _csv_rows(text, "report", REPORT_COLUMNS)
+    return _convert_rows(rows[1:], "report", 5, lambda i, row: (
+        row[0], CongestionHistogram(*[_bin_count(cell) for cell in row[1:]])))
 
 
 def emit_report_json(rows: Sequence[tuple[str, CongestionHistogram]]) -> str:
@@ -482,6 +483,10 @@ def parse_report_json(text: str) -> list[tuple[str, CongestionHistogram]]:
         if unknown:
             errors.append(f"report[{i}].bins: unknown bin label(s) {unknown}")
             continue
+        for label, count in bins.items():
+            if type(count) is not int or count < 0:     # bool is not a count
+                errors.append(f"report[{i}].bins[{label!r}]: bin count must be an "
+                              f"integer >= 0, got {count!r}")
         parsed.append((name, CongestionHistogram.from_counts(bins)))
     if errors:
         raise FileSchemaError(errors)
@@ -494,47 +499,25 @@ DETAIL_COLUMNS = ("branch", "kind", "loading_percent", "bin")
 def emit_branch_detail_csv(flows: Sequence[BranchFlow]) -> str:
     """Per-branch loading detail. Percentages use repr so that re-parsing
     reproduces the exact float and therefore the exact bin."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(DETAIL_COLUMNS)
-    for flow in flows:
-        writer.writerow([flow.branch_id, flow.kind, repr(flow.loading_percent),
-                         bin_label(flow.loading_percent)])
-    return out.getvalue()
+    return _csv_text(DETAIL_COLUMNS, ([flow.branch_id, flow.kind, repr(flow.loading_percent),
+                                       bin_label(flow.loading_percent)] for flow in flows))
 
 
 def detail_csv_for_solution(solution: PowerFlowSolution) -> str:
     return emit_branch_detail_csv(solution.branch_flows)
 
 
+def _detail_row(i: int, row: list[str]) -> tuple[str, tuple[str, float, str]]:
+    branch, kind, loading_raw, label = row
+    loading = _number(float, loading_raw, "non-numeric loading")
+    if not math.isfinite(loading):
+        raise ValueError("non-finite loading")
+    if label not in (BELOW_LABEL, *BIN_LABELS):
+        raise ValueError(f"unknown bin {label!r}")
+    return branch, (kind, loading, label)
+
+
 def parse_branch_detail_csv(text: str) -> dict[str, tuple[str, float, str]]:
     """Detail rows keyed by branch id: (kind, loading_percent, bin)."""
-    try:
-        rows = list(csv.reader(io.StringIO(text)))
-    except csv.Error as exc:
-        raise FileSyntaxError([f"detail: malformed CSV: {exc}"]) from exc
-    rows = [row for row in rows if row]
-    if not rows or tuple(rows[0]) != DETAIL_COLUMNS:
-        raise FileSchemaError([f"detail: header must be {','.join(DETAIL_COLUMNS)}"])
-    errors = []
-    parsed: dict[str, tuple[str, float, str]] = {}
-    for i, row in enumerate(rows[1:]):
-        if len(row) != 4:
-            errors.append(f"detail row {i + 1}: expected 4 columns")
-            continue
-        branch, kind, loading_raw, label = row
-        try:
-            loading = float(loading_raw)
-        except ValueError:
-            errors.append(f"detail row {i + 1}: non-numeric loading")
-            continue
-        if not math.isfinite(loading):
-            errors.append(f"detail row {i + 1}: non-finite loading")
-            continue
-        if label not in (BELOW_LABEL, *BIN_LABELS):
-            errors.append(f"detail row {i + 1}: unknown bin {label!r}")
-            continue
-        parsed[branch] = (kind, loading, label)
-    if errors:
-        raise FileSchemaError(errors)
-    return parsed
+    rows = _csv_rows(text, "detail", DETAIL_COLUMNS)
+    return dict(_convert_rows(rows[1:], "detail", 4, _detail_row))

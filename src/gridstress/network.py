@@ -37,9 +37,6 @@ class NominalLoad:
     kw: float = 0.0
     kvar: float = 0.0
 
-    def as_complex_kva(self) -> complex:
-        return complex(self.kw, self.kvar)
-
 
 @dataclass(frozen=True)
 class Bus:

@@ -318,12 +318,9 @@ class StaggerState:
         self.demanded = Fraction(0)
         self.served = Fraction(0)
 
-    def queued(self) -> Fraction:
-        return sum((sum(q, Fraction(0)) for q in self.queues.values()), Fraction(0))
-
     def unserved(self) -> Fraction:
         """Energy still queued; at horizon end this is reported as unserved."""
-        return self.queued()
+        return sum((sum(q, Fraction(0)) for q in self.queues.values()), Fraction(0))
 
     def group_cap_kw(self, interval: int) -> float:
         """Documented per-interval cap: total connected power of the active group."""
@@ -422,16 +419,8 @@ class SweepResult:
     records: tuple[IntervalRecord, ...]
     ledger: EnergyLedger
 
-    def solutions(self) -> dict[int, PowerFlowSolution]:
-        return {r.interval: r.solution for r in self.records}
-
     def diverged_intervals(self) -> tuple[int, ...]:
         return tuple(r.interval for r in self.records if not r.solution.converged)
-
-
-def sweep_is_parallelizable(scenario: Scenario) -> bool:
-    """True when intervals are independent (no stateful controller)."""
-    return scenario.controller == "null"
 
 
 def run_sweep(

@@ -6,8 +6,14 @@ import json
 
 import pytest
 
+from gridstress import Bus, Network, Scenario
 from gridstress.cli import cli_main
-from gridstress.fileio import parse_branch_detail_csv, parse_report_csv
+from gridstress.fileio import (
+    emit_network_file,
+    emit_scenario_file,
+    parse_branch_detail_csv,
+    parse_report_csv,
+)
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +110,41 @@ class TestSolve:
         assert doc["report"][0]["scenario"] == "ev10"
 
 
+class TestIntervalOption:
+    """solve and benchmark share one --interval check."""
+
+    @staticmethod
+    def _argv(command, fixture_dir, tmp_path, interval):
+        if command == "solve":
+            return ["solve", *_run_args(fixture_dir, "base"), "--interval", interval]
+        return ["benchmark", "--out", str(tmp_path / "bench"), "--interval", interval]
+
+    @pytest.mark.parametrize("command", ["solve", "benchmark"])
+    @pytest.mark.parametrize("interval", ["96", "-1"])
+    def test_out_of_range_is_usage_error(self, fixture_dir, tmp_path, capsys,
+                                         command, interval):
+        code = cli_main(self._argv(command, fixture_dir, tmp_path, interval))
+        assert code == 1
+        assert f"--interval must be in [0, 95], got {interval}" in capsys.readouterr().err
+        assert not (tmp_path / "bench").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "benchmark"])
+    def test_non_integer_is_usage_error(self, fixture_dir, tmp_path, capsys, command):
+        code = cli_main(self._argv(command, fixture_dir, tmp_path, "nine"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "argument --interval: invalid int value: 'nine'" in err
+        assert "usage:" in err
+
+    @pytest.mark.parametrize("interval", ["0", "95"])
+    def test_bounds_are_accepted(self, fixture_dir, tmp_path, interval):
+        out = tmp_path / "solve"
+        code = cli_main(["solve", *_run_args(fixture_dir, "base"),
+                         "--interval", interval, "--out", str(out)])
+        assert code == 0
+        assert (out / f"detail_base_slot{int(interval):02d}.csv").is_file()
+
+
 class TestSweep:
     def test_full_day_ev25(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "sweep"
@@ -114,6 +155,23 @@ class TestSweep:
         assert len(status) == 97
         assert len(list((out / "details").glob("ev25_slot*.csv"))) == 96
         assert "96 intervals" in capsys.readouterr().out
+
+    def test_network_without_branches(self, tmp_path, capsys):
+        network = tmp_path / "network.json"
+        network.write_text(emit_network_file(Network(
+            s_base_mva=10.0, buses=(Bus("source", "slack", 4.16),), branches=())))
+        scenario = tmp_path / "solo.json"
+        scenario.write_text(emit_scenario_file(Scenario("solo", 0.0)))
+        (tmp_path / "profiles").mkdir()
+        assert cli_main(["validate", "--network", str(network)]) == 0
+        out = tmp_path / "sweep"
+        code = cli_main(["sweep", "--network", str(network), "--scenario", str(scenario),
+                         "--profiles", str(tmp_path / "profiles"), "--out", str(out)])
+        assert code == 0
+        status = (out / "sweep_solo.csv").read_text().splitlines()
+        assert len(status) == 97
+        assert status[1] == "0,1,0,0.000000,0"
+        assert "solo: 96 intervals, 0 diverged" in capsys.readouterr().out
 
     def test_stagger_sweep_reports_ledger(self, fixture_dir, capsys):
         code = cli_main(["sweep", *_run_args(fixture_dir, "ev25_pv_lm")])

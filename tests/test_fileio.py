@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import json
+
 import pytest
 
 from gridstress import CongestionHistogram, bin_loadings, solve_newton_raphson
@@ -9,6 +13,7 @@ from gridstress.fileio import (
     FileSchemaError,
     FileSyntaxError,
     FileValidationError,
+    GridFileError,
     detail_csv_for_solution,
     emit_network_file,
     emit_profile_csv,
@@ -215,6 +220,44 @@ class TestReportEmission:
         assert emit_report_json(rows) == emit_report_json(rows)
 
 
+class TestReportCounts:
+    """A bin count is a non-negative integer in both report forms."""
+
+    @pytest.mark.parametrize("cell, problem", [
+        ("-3", "negative bin count"),
+        ("1_0", "non-integer bin count"),
+        ("1.5", "non-integer bin count"),
+        ("+3", "non-integer bin count"),
+        ("", "non-integer bin count"),
+    ])
+    def test_csv_rejects_non_counts(self, cell, problem):
+        text = emit_report_csv([("a", CongestionHistogram(1, 2, 3, 4))]) + f"b,0,{cell},0,0\n"
+        with pytest.raises(FileSchemaError) as info:
+            parse_report_csv(text)
+        assert info.value.diagnostics == [f"report row 2: {problem}"]
+
+    def test_csv_accepts_padded_digits(self):
+        parsed = parse_report_csv(emit_report_csv([]) + "a, 7 ,007,0,12\n")
+        assert parsed[0][1].counts() == {"40-80": 7, "80-100": 7, "100-150": 0, ">150": 12}
+
+    @pytest.mark.parametrize("count", ["lots", 1.5, True, -3, None])
+    def test_json_rejects_non_counts(self, count):
+        doc = {"report": [{"scenario": "a", "bins": {"40-80": 1, "80-100": count}}]}
+        with pytest.raises(FileSchemaError) as info:
+            parse_report_json(json.dumps(doc))
+        assert info.value.diagnostics == [
+            f"report[0].bins['80-100']: bin count must be an integer >= 0, got {count!r}"]
+
+    def test_json_names_every_bad_count(self):
+        doc = {"report": [{"scenario": "a", "bins": {"40-80": 1}},
+                          {"scenario": "b", "bins": {"40-80": -1, ">150": 2.0}}]}
+        with pytest.raises(FileSchemaError) as info:
+            parse_report_json(json.dumps(doc))
+        assert info.value.diagnostics == [
+            "report[1].bins['40-80']: bin count must be an integer >= 0, got -1",
+            "report[1].bins['>150']: bin count must be an integer >= 0, got 2.0"]
+
+
 class TestBranchDetail:
     def test_detail_reparse_rebuilds_identical_histogram(self, bench):
         from gridstress import build_injections
@@ -249,3 +292,141 @@ class TestBranchDetail:
         text = f"branch,kind,loading_percent,bin\na -> b,cable,{loading},>150\n"
         with pytest.raises(FileSchemaError, match="non-finite"):
             parse_branch_detail_csv(text)
+
+
+# ------------------------------------------------- pinned CSV diagnostics
+
+def _profile_text(header: str, cells: list[str]) -> str:
+    return "\n".join([header, *cells]) + "\n"
+
+
+def _slots(edits: dict[int, str] | None = None, value: str = "1.0") -> list[str]:
+    rows = [f"{i},{value}" for i in range(96)]
+    for i, row in (edits or {}).items():
+        rows[i] = row
+    return rows
+
+
+def _kws(edits: dict[int, str] | None = None) -> list[str]:
+    rows = [f"t{i},{50 + i}" for i in range(96)]
+    for i, row in (edits or {}).items():
+        rows[i] = row
+    return rows
+
+
+_SLOT_HEADER = "slot,coefficient"
+_KW_HEADER = "timestamp,kw"
+_REPORT_HEADER = "scenario,bin_40_80,bin_80_100,bin_100_150,bin_gt_150"
+_DETAIL_HEADER = "branch,kind,loading_percent,bin"
+# An unquoted carriage return inside a line: the csv module refuses it.
+_BAD_CSV = "a\rb\n"
+
+
+def _csv_error(text: str) -> str:
+    """The csv module's own message for text it cannot read."""
+    try:
+        list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        return str(exc)
+    raise AssertionError("text was readable")
+
+
+_BAD_CSV_ERROR = _csv_error(_BAD_CSV)
+
+
+def _parse_profile(text):
+    return parse_profile_csv(text, "p")
+
+
+# (id, parser, text, exception class, full diagnostics list).
+CSV_ERROR_CASES = [
+    ("profile-malformed", _parse_profile, _BAD_CSV, FileSyntaxError,
+     [f"profile 'p': malformed CSV: {_BAD_CSV_ERROR}"]),
+    ("profile-empty", _parse_profile, "", FileSchemaError, ["profile 'p': empty file"]),
+    ("profile-blank-lines", _parse_profile, "\n\n", FileSchemaError,
+     ["profile 'p': empty file"]),
+    ("profile-row-count", _parse_profile, "slot,coefficient\n0,1.0\n", FileSchemaError,
+     ["profile 'p': expected 96 data rows, got 1"]),
+    ("profile-row-count-before-header", _parse_profile, "time,value\n0,1.0\n",
+     FileSchemaError, ["profile 'p': expected 96 data rows, got 1"]),
+    ("profile-header", _parse_profile, _profile_text("time,value", _slots()),
+     FileSchemaError,
+     ["profile 'p': header must be slot,coefficient or timestamp,kw"]),
+    ("profile-columns", _parse_profile,
+     _profile_text(_SLOT_HEADER, _slots({2: "2", 4: "4,1.0,x"})), FileSchemaError,
+     ["profile 'p' row 3: expected 2 columns", "profile 'p' row 5: expected 2 columns"]),
+    ("profile-kw-columns", _parse_profile,
+     _profile_text(_KW_HEADER, _kws({0: "t0"})), FileSchemaError,
+     ["profile 'p' row 1: expected 2 columns"]),
+    ("profile-non-numeric-cell", _parse_profile,
+     _profile_text(_SLOT_HEADER, _slots({1: "1,abc", 7: "x,1.0"})), FileSchemaError,
+     ["profile 'p' row 2: non-numeric cell", "profile 'p' row 8: non-numeric cell"]),
+    ("profile-non-numeric-kw", _parse_profile,
+     _profile_text(_KW_HEADER, _kws({3: "t3,abc"})), FileSchemaError,
+     ["profile 'p' row 4: non-numeric kw"]),
+    ("profile-misnumbered", _parse_profile,
+     _profile_text(_SLOT_HEADER, _slots({0: "5,1.0"})), FileSchemaError,
+     ["profile 'p' row 1: expected slot 0, got 5"]),
+    ("profile-errors-in-row-order", _parse_profile,
+     _profile_text(_SLOT_HEADER, _slots({9: "99,1.0", 1: "1", 5: "5,?"})),
+     FileSchemaError,
+     ["profile 'p' row 2: expected 2 columns", "profile 'p' row 6: non-numeric cell",
+      "profile 'p' row 10: expected slot 9, got 99"]),
+    ("profile-out-of-range", _parse_profile,
+     _profile_text(_SLOT_HEADER, _slots({2: "2,1.5"})), FileValidationError,
+     ["profile 'p' slot 2: 1.5 outside [0, 1]"]),
+    ("profile-max-not-one", _parse_profile,
+     _profile_text(_SLOT_HEADER, _slots(value="0.5")), FileValidationError,
+     ["profile 'p' max must be exactly 1"]),
+    ("profile-negative-kw", _parse_profile,
+     _profile_text(_KW_HEADER, _kws({10: "t10,-1"})), FileValidationError,
+     ["series values must be >= 0"]),
+    ("profile-all-zero-kw", _parse_profile,
+     _profile_text(_KW_HEADER, [f"t{i},0" for i in range(96)]), FileValidationError,
+     ["series maximum must be > 0"]),
+    ("report-malformed", parse_report_csv, _BAD_CSV, FileSyntaxError,
+     [f"report: malformed CSV: {_BAD_CSV_ERROR}"]),
+    ("report-empty", parse_report_csv, "", FileSchemaError,
+     [f"report: header must be {_REPORT_HEADER}"]),
+    ("report-header", parse_report_csv, "a,b\n1,2\n", FileSchemaError,
+     [f"report: header must be {_REPORT_HEADER}"]),
+    ("report-columns", parse_report_csv, f"{_REPORT_HEADER}\nx,1,2,3\ny,1,2,3,4,5\n",
+     FileSchemaError, ["report row 1: expected 5 columns", "report row 2: expected 5 columns"]),
+    ("report-non-integer", parse_report_csv, f"{_REPORT_HEADER}\nok,1,2,3,4\nx,1,2.5,3,4\n",
+     FileSchemaError, ["report row 2: non-integer bin count"]),
+    ("detail-malformed", parse_branch_detail_csv, _BAD_CSV, FileSyntaxError,
+     [f"detail: malformed CSV: {_BAD_CSV_ERROR}"]),
+    ("detail-empty", parse_branch_detail_csv, "", FileSchemaError,
+     [f"detail: header must be {_DETAIL_HEADER}"]),
+    ("detail-header", parse_branch_detail_csv, "nope\n", FileSchemaError,
+     [f"detail: header must be {_DETAIL_HEADER}"]),
+    ("detail-columns", parse_branch_detail_csv, f"{_DETAIL_HEADER}\na -> b,cable,50.0\n",
+     FileSchemaError, ["detail row 1: expected 4 columns"]),
+    ("detail-non-numeric", parse_branch_detail_csv,
+     f"{_DETAIL_HEADER}\na -> b,cable,high,40-80\n", FileSchemaError,
+     ["detail row 1: non-numeric loading"]),
+    ("detail-non-finite", parse_branch_detail_csv,
+     f"{_DETAIL_HEADER}\na -> b,cable,50.0,40-80\nb -> c,cable,nan,>150\n", FileSchemaError,
+     ["detail row 2: non-finite loading"]),
+    ("detail-unknown-bin", parse_branch_detail_csv,
+     f"{_DETAIL_HEADER}\na -> b,cable,50.0,30-40\n", FileSchemaError,
+     ["detail row 1: unknown bin '30-40'"]),
+    ("detail-errors-in-row-order", parse_branch_detail_csv,
+     f"{_DETAIL_HEADER}\na,cable,1e400,>150\nb,cable\nc,cable,x,<40\nd,cable,1.0,??\n",
+     FileSchemaError,
+     ["detail row 1: non-finite loading", "detail row 2: expected 4 columns",
+      "detail row 3: non-numeric loading", "detail row 4: unknown bin '??'"]),
+]
+
+
+class TestCsvDiagnostics:
+    """Every CSV error path: the exact exception class and diagnostics."""
+
+    @pytest.mark.parametrize("parse, text, error, expected",
+                             [case[1:] for case in CSV_ERROR_CASES],
+                             ids=[case[0] for case in CSV_ERROR_CASES])
+    def test_error_path(self, parse, text, error, expected):
+        with pytest.raises(GridFileError) as info:
+            parse(text)
+        assert type(info.value) is error
+        assert info.value.diagnostics == expected

@@ -39,7 +39,6 @@ from gridstress.scenario import (
     StaggerState,
     ev_workday_profile,
     pv_clear_day_profile,
-    sweep_is_parallelizable,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -524,7 +523,3 @@ class TestRunSweep:
             for _ in range(2):
                 run_sweep(net, bench.scenario(name), bench.profiles, intervals=[35, 36, 37])
         assert builds == [net]
-
-    def test_parallelizable_flag(self, bench):
-        assert sweep_is_parallelizable(bench.scenario("ev25"))
-        assert not sweep_is_parallelizable(bench.scenario("ev25_pv_lm"))
