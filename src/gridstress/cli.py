@@ -39,7 +39,8 @@ from .fileio import (
 )
 from .network import Network
 from .powerflow import PowerFlowSolution, solve_newton_raphson
-from .scenario import SLOTS_PER_DAY, LoadProfile, Scenario, build_injections, run_sweep
+from .scenario import (SLOTS_PER_DAY, LoadProfile, Scenario, ScenarioConfigError,
+                       build_injections, run_sweep)
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
@@ -130,28 +131,37 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text)
 
 
-def _emit_summary(rows: list[tuple[str, CongestionHistogram]], fmt: str) -> str:
-    return emit_report_csv(rows) if fmt == "csv" else emit_report_json(rows)
+def _summary(rows: list[tuple[str, CongestionHistogram]], fmt: str, out: str | None,
+             echo: bool = False) -> None:
+    """Emit the summary report once in fmt; print it if echo, write it under out if given."""
+    if fmt == "csv":
+        text, filename = emit_report_csv(rows), "report.csv"
+    else:
+        text, filename = emit_report_json(rows), "report.json"
+    if echo:
+        print(text, end="")
+    if out:
+        _write(Path(out) / filename, text)
 
 
-def _summary_filename(fmt: str) -> str:
-    return "report.csv" if fmt == "csv" else "report.json"
-
-
-def _print_solution(name: str, interval: int, solution: PowerFlowSolution,
-                    s_base_mva: float) -> None:
+def _report_slot(name: str, interval: int, solution: PowerFlowSolution, s_base_mva: float,
+                 detail: Path | None) -> CongestionHistogram:
+    """Print one solved slot, bin it and write its detail CSV to detail, if given."""
+    hist = bin_loadings(solution.loading_by_branch())
     status = "converged" if solution.converged else "DIVERGED"
     vmin, vmax = solution.voltage_range()
-    hist = bin_loadings(solution.loading_by_branch())
     print(f"{name} slot {interval}: {status} in {solution.iterations} iterations, "
           f"slack {solution.slack_injection.real * s_base_mva:.3f} MW "
           f"({solution.slack_injection.real:.4f} pu)")
     print(f"  voltage band: {vmin:.4f} - {vmax:.4f} pu")
-    print(f"  loading bins: <40%: {hist.below_40}  40-80: {hist.bin_40_80}  "
-          f"80-100: {hist.bin_80_100}  100-150: {hist.bin_100_150}  >150: {hist.bin_gt_150}")
+    print(f"  loading bins: <40%: {hist.below_40}  "
+          + "  ".join(f"{label}: {count}" for label, count in hist.counts().items()))
     worst = congested_elements(solution, 80.0)[:5]
     for branch_id, loading in worst:
         print(f"    {loading:7.1f}%  {branch_id}")
+    if detail is not None:
+        _write(detail, detail_csv_for_solution(solution))
+    return hist
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -164,14 +174,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     net, scenario, profiles = _load_inputs(args)
     injections = build_injections(net, scenario, profiles, args.interval)
     solution = solve_newton_raphson(net, injections)
-    _print_solution(scenario.name, args.interval, solution, net.s_base_mva)
-
+    detail = (Path(args.out) / f"detail_{scenario.name}_slot{args.interval:02d}.csv"
+              if args.out else None)
+    hist = _report_slot(scenario.name, args.interval, solution, net.s_base_mva, detail)
     if args.out:
-        hist = bin_loadings(solution.loading_by_branch())
-        _write(Path(args.out) / _summary_filename(args.format),
-               _emit_summary([(scenario.name, hist)], args.format))
-        _write(Path(args.out) / f"detail_{scenario.name}_slot{args.interval:02d}.csv",
-               detail_csv_for_solution(solution))
+        _summary([(scenario.name, hist)], args.format, args.out)
     return EXIT_OK if solution.converged else EXIT_DIVERGED
 
 
@@ -210,10 +217,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         detail = parse_branch_detail_csv(path.read_text())
         hist = bin_loadings({branch: loading for branch, (_, loading, _) in detail.items()})
         rows.append((path.stem, hist))
-    summary = _emit_summary(rows, args.format)
-    print(summary, end="")
-    if args.out:
-        _write(Path(args.out) / _summary_filename(args.format), summary)
+    _summary(rows, args.format, args.out, echo=True)
     return EXIT_OK
 
 
@@ -232,15 +236,13 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     for scenario in bundle.scenarios:
         result = run_sweep(bundle.network, scenario, bundle.profiles,
                            intervals=[args.interval])
-        record = result.records[0]
-        diverged = diverged or not record.solution.converged
-        _print_solution(scenario.name, args.interval, record.solution,
-                        bundle.network.s_base_mva)
-        rows.append((scenario.name, bin_loadings(record.solution.loading_by_branch())))
-        _write(out_dir / "details" / f"{scenario.name}_slot{args.interval:02d}.csv",
-               detail_csv_for_solution(record.solution))
+        solution = result.records[0].solution
+        diverged = diverged or not solution.converged
+        rows.append((scenario.name, _report_slot(
+            scenario.name, args.interval, solution, bundle.network.s_base_mva,
+            out_dir / "details" / f"{scenario.name}_slot{args.interval:02d}.csv")))
 
-    _write(out_dir / _summary_filename(args.format), _emit_summary(rows, args.format))
+    _summary(rows, args.format, args.out)
     print(f"fixture and reports written to {out_dir}")
     return EXIT_DIVERGED if diverged else EXIT_OK
 
@@ -259,7 +261,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
+    except (_UsageError, ScenarioConfigError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_DIAGNOSTICS
     except GridFileError as exc:

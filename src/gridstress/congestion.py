@@ -8,7 +8,9 @@ reported bins.
 
 from __future__ import annotations
 
+import bisect
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -16,7 +18,9 @@ from .powerflow import PowerFlowSolution
 
 BIN_LABELS = ("40-80", "80-100", "100-150", ">150")
 BELOW_LABEL = "<40"
+# A loading's label is _LABELS[bisect_right(_EDGES, loading)].
 _EDGES = (40.0, 80.0, 100.0, 150.0)
+_LABELS = (BELOW_LABEL, *BIN_LABELS)
 
 
 class ComparisonError(ValueError):
@@ -28,12 +32,7 @@ def bin_label(loading_percent: float) -> str:
         raise ValueError(f"loading percentage must be finite, got {loading_percent}")
     if loading_percent < 0:
         raise ValueError(f"loading percentage must be >= 0, got {loading_percent}")
-    if loading_percent < _EDGES[0]:
-        return BELOW_LABEL
-    for label, (low, high) in zip(BIN_LABELS[:3], zip(_EDGES, _EDGES[1:])):
-        if low <= loading_percent < high:
-            return label
-    return BIN_LABELS[3]
+    return _LABELS[bisect.bisect_right(_EDGES, loading_percent)]
 
 
 @dataclass(frozen=True)
@@ -57,21 +56,11 @@ class CongestionHistogram:
         unknown = set(counts) - set(BIN_LABELS)
         if unknown:
             raise ValueError(f"unknown bin label(s): {sorted(unknown)}")
-        return cls(
-            bin_40_80=counts.get("40-80", 0),
-            bin_80_100=counts.get("80-100", 0),
-            bin_100_150=counts.get("100-150", 0),
-            bin_gt_150=counts.get(">150", 0),
-            below_40=below_40,
-        )
+        return cls(*(counts.get(label, 0) for label in BIN_LABELS), below_40=below_40)
 
     def counts(self) -> dict[str, int]:
-        return {
-            "40-80": self.bin_40_80,
-            "80-100": self.bin_80_100,
-            "100-150": self.bin_100_150,
-            ">150": self.bin_gt_150,
-        }
+        return dict(zip(BIN_LABELS, (self.bin_40_80, self.bin_80_100, self.bin_100_150,
+                                     self.bin_gt_150)))
 
     def total_rated_branches(self) -> int:
         return self.below_40 + sum(self.counts().values())
@@ -94,17 +83,9 @@ def bin_loadings(loadings: Mapping[str, float] | Iterable[float]) -> CongestionH
     else:
         named = {f"branch-{i}": value for i, value in enumerate(loadings)}
     assignments = {branch: bin_label(value) for branch, value in named.items()}
-    tallies = {label: 0 for label in (BELOW_LABEL, *BIN_LABELS)}
-    for label in assignments.values():
-        tallies[label] += 1
-    return CongestionHistogram(
-        bin_40_80=tallies["40-80"],
-        bin_80_100=tallies["80-100"],
-        bin_100_150=tallies["100-150"],
-        bin_gt_150=tallies[">150"],
-        below_40=tallies[BELOW_LABEL],
-        branch_bins=assignments,
-    )
+    tallies = Counter(assignments.values())
+    return CongestionHistogram(*(tallies[label] for label in BIN_LABELS),
+                               below_40=tallies[BELOW_LABEL], branch_bins=assignments)
 
 
 def congested_elements(solution: PowerFlowSolution, threshold_percent: float) -> list[tuple[str, float]]:

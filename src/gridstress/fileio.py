@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import math
-import re
 from typing import Any, Callable, Iterable, Sequence
 
 from .congestion import BELOW_LABEL, BIN_LABELS, CongestionHistogram, bin_label
@@ -29,8 +28,9 @@ from .network import (
     reactive_kvar,
     validate_network,
 )
-from .powerflow import BranchFlow, PowerFlowSolution
+from .powerflow import PowerFlowSolution
 from .scenario import (
+    SLOTS_PER_DAY,
     LoadProfile,
     ParkingLot,
     ProfileBindings,
@@ -390,8 +390,17 @@ def _number(kind: Callable[[str], Any], cell: str, problem: str) -> Any:
         raise ValueError(problem) from None
 
 
+def _integer(cell: str, problem: str) -> int:
+    """ASCII digits with an optional '-' and blanks around, else ValueError(problem);
+    int() alone also takes '+', '_' and other scripts' digits."""
+    digits = cell.strip()
+    if not (digits.isascii() and digits.removeprefix("-").isdigit()):
+        raise ValueError(problem)
+    return int(digits)
+
+
 def _slot_coefficient(i: int, row: list[str]) -> float:
-    slot = _number(int, row[0], "non-numeric cell")
+    slot = _integer(row[0], "non-numeric cell")
     coeff = _number(float, row[1], "non-numeric cell")
     if slot != i:
         raise ValueError(f"expected slot {i}, got {slot}")
@@ -410,8 +419,8 @@ def parse_profile_csv(text: str, profile_id: str) -> LoadProfile:
         raise FileSchemaError([f"{what}: empty file"])
     header = [cell.strip() for cell in rows[0]]
     body = rows[1:]
-    if len(body) != 96:
-        raise FileSchemaError([f"{what}: expected 96 data rows, got {len(body)}"])
+    if len(body) != SLOTS_PER_DAY:
+        raise FileSchemaError([f"{what}: expected {SLOTS_PER_DAY} data rows, got {len(body)}"])
     try:
         if header == ["slot", "coefficient"]:
             return LoadProfile(profile_id, tuple(_convert_rows(body, what, 2, _slot_coefficient)))
@@ -434,16 +443,11 @@ REPORT_COLUMNS = ("scenario", "bin_40_80", "bin_80_100", "bin_100_150", "bin_gt_
 
 def emit_report_csv(rows: Sequence[tuple[str, CongestionHistogram]]) -> str:
     """Summary table: one row per scenario, the four loading bins."""
-    return _csv_text(REPORT_COLUMNS, ([name, hist.bin_40_80, hist.bin_80_100,
-                                       hist.bin_100_150, hist.bin_gt_150]
-                                      for name, hist in rows))
+    return _csv_text(REPORT_COLUMNS, ([name, *hist.counts().values()] for name, hist in rows))
 
 
 def _bin_count(cell: str) -> int:
-    """A bin count cell: decimal digits only, so no sign, point or '_'."""
-    if re.fullmatch(r"\s*-?[0-9]+\s*", cell) is None:
-        raise ValueError("non-integer bin count")
-    count = int(cell)
+    count = _integer(cell, "non-integer bin count")
     if count < 0:
         raise ValueError("negative bin count")
     return count
@@ -458,7 +462,7 @@ def parse_report_csv(text: str) -> list[tuple[str, CongestionHistogram]]:
 def emit_report_json(rows: Sequence[tuple[str, CongestionHistogram]]) -> str:
     doc = {
         "report": [
-            {"scenario": name, "bins": {label: hist.counts()[label] for label in BIN_LABELS}}
+            {"scenario": name, "bins": hist.counts()}
             for name, hist in rows
         ]
     }
@@ -496,28 +500,30 @@ def parse_report_json(text: str) -> list[tuple[str, CongestionHistogram]]:
 DETAIL_COLUMNS = ("branch", "kind", "loading_percent", "bin")
 
 
-def emit_branch_detail_csv(flows: Sequence[BranchFlow]) -> str:
+def detail_csv_for_solution(solution: PowerFlowSolution) -> str:
     """Per-branch loading detail. Percentages use repr so that re-parsing
     reproduces the exact float and therefore the exact bin."""
     return _csv_text(DETAIL_COLUMNS, ([flow.branch_id, flow.kind, repr(flow.loading_percent),
-                                       bin_label(flow.loading_percent)] for flow in flows))
-
-
-def detail_csv_for_solution(solution: PowerFlowSolution) -> str:
-    return emit_branch_detail_csv(solution.branch_flows)
-
-
-def _detail_row(i: int, row: list[str]) -> tuple[str, tuple[str, float, str]]:
-    branch, kind, loading_raw, label = row
-    loading = _number(float, loading_raw, "non-numeric loading")
-    if not math.isfinite(loading):
-        raise ValueError("non-finite loading")
-    if label not in (BELOW_LABEL, *BIN_LABELS):
-        raise ValueError(f"unknown bin {label!r}")
-    return branch, (kind, loading, label)
+                                       bin_label(flow.loading_percent)]
+                                      for flow in solution.branch_flows))
 
 
 def parse_branch_detail_csv(text: str) -> dict[str, tuple[str, float, str]]:
-    """Detail rows keyed by branch id: (kind, loading_percent, bin)."""
+    """Detail rows keyed by branch id: (kind, loading_percent, bin). A
+    branch id may appear in one row only."""
+    detail: dict[str, tuple[str, float, str]] = {}
+
+    def add_row(i: int, row: list[str]) -> None:
+        branch, kind, loading_raw, label = row
+        loading = _number(float, loading_raw, "non-numeric loading")
+        if not math.isfinite(loading):
+            raise ValueError("non-finite loading")
+        if label not in (BELOW_LABEL, *BIN_LABELS):
+            raise ValueError(f"unknown bin {label!r}")
+        if branch in detail:
+            raise ValueError(f"duplicate branch {branch!r}")
+        detail[branch] = (kind, loading, label)
+
     rows = _csv_rows(text, "detail", DETAIL_COLUMNS)
-    return dict(_convert_rows(rows[1:], "detail", 4, _detail_row))
+    _convert_rows(rows[1:], "detail", 4, add_row)
+    return detail

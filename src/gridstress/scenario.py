@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .network import Generator, Network
-from .powerflow import PowerFlowSolution, SolverOptions, solve_newton_raphson
+from .powerflow import PowerFlowSolution, solve_newton_raphson
 
 SLOTS_PER_DAY = 96
 HOURS_PER_SLOT = 0.25
@@ -205,23 +205,13 @@ def pv_injection_kw(site: Generator, profile: LoadProfile, slot: int) -> float:
     return site.capacity_kw * profile.coefficient(slot)
 
 
-def _resolve_load_profile(bus_id: str, bindings: ProfileBindings,
-                          profiles: Mapping[str, LoadProfile]) -> LoadProfile:
-    profile_id = bindings.load.get(bus_id, bindings.load_default)
+def _bound_profile(profiles: Mapping[str, LoadProfile], profile_id: str | None,
+                   kind: str, place: str, bus_id: str) -> LoadProfile:
+    """profiles[profile_id] for a load or PV binding at a bus; unbound or missing is an error."""
     if profile_id is None:
-        raise ScenarioConfigError(f"no load profile bound for bus {bus_id!r}")
+        raise ScenarioConfigError(f"no {kind} profile bound for {place} {bus_id!r}")
     if profile_id not in profiles:
-        raise ScenarioConfigError(f"load profile {profile_id!r} for bus {bus_id!r} not found")
-    return profiles[profile_id]
-
-
-def _resolve_pv_profile(site: Generator, bindings: ProfileBindings,
-                        profiles: Mapping[str, LoadProfile]) -> LoadProfile:
-    profile_id = bindings.pv.get(site.bus) or site.profile or bindings.pv_default
-    if profile_id is None:
-        raise ScenarioConfigError(f"no PV profile bound for site at {site.bus!r}")
-    if profile_id not in profiles:
-        raise ScenarioConfigError(f"PV profile {profile_id!r} for site at {site.bus!r} not found")
+        raise ScenarioConfigError(f"{kind} profile {profile_id!r} for {place} {bus_id!r} not found")
     return profiles[profile_id]
 
 
@@ -237,6 +227,15 @@ def _resolve_ev_profile(ev_nominal: Mapping[str, float], bindings: ProfileBindin
     return profiles[bindings.ev]
 
 
+def _ev_draw(ev_nominal: Mapping[str, float], ev_profile: LoadProfile | None,
+             interval: int) -> dict[str, float]:
+    """Demanded EV kW per bus at an interval; empty when no bus draws EV power."""
+    if ev_profile is None:
+        return {}
+    coeff = ev_profile.coefficient(interval)
+    return {bus: kw * coeff for bus, kw in ev_nominal.items()}
+
+
 def build_injections(
     net: Network,
     scenario: Scenario,
@@ -249,11 +248,14 @@ def build_injections(
     injection = -(building load * coefficient) - active EV kW + PV kW,
     divided by the system base. Building reactive load scales with the
     same coefficient; EV and PV are unity power factor.
-    ev_kw_override replaces the scenario's nominal EV draw per bus
-    (used by controllers); omitted buses fall back to nominal.
+    ev_kw_override, when given, is the whole EV draw in kW per bus (a
+    controller's settled draw) in place of the scenario's nominal one.
     """
-    ev_nominal = scenario.ev_connected_kw_by_bus()
-    ev_profile = _resolve_ev_profile(ev_nominal, scenario.bindings, profiles)
+    bindings = scenario.bindings
+    ev_kw = ev_kw_override
+    if ev_kw is None:
+        ev_nominal = scenario.ev_connected_kw_by_bus()
+        ev_kw = _ev_draw(ev_nominal, _resolve_ev_profile(ev_nominal, bindings, profiles), interval)
 
     bus_ids = set(net.bus_ids())
     for lot in scenario.parking_lots:
@@ -265,7 +267,8 @@ def build_injections(
     pv_kw: dict[str, float] = {}
     if scenario.pv_enabled:
         for site in net.pv_sites():
-            profile = _resolve_pv_profile(site, scenario.bindings, profiles)
+            profile_id = bindings.pv.get(site.bus) or site.profile or bindings.pv_default
+            profile = _bound_profile(profiles, profile_id, "PV", "site at", site.bus)
             pv_kw[site.bus] = pv_kw.get(site.bus, 0.0) + pv_injection_kw(site, profile, interval)
 
     kva_base = 1000.0 * net.s_base_mva
@@ -277,14 +280,12 @@ def build_injections(
         p_kw = 0.0
         q_kvar = 0.0
         if bus.nominal_load.kw != 0.0 or bus.nominal_load.kvar != 0.0:
-            coeff = _resolve_load_profile(bus.id, scenario.bindings, profiles).coefficient(interval)
+            profile_id = bindings.load.get(bus.id, bindings.load_default)
+            coeff = _bound_profile(profiles, profile_id, "load", "bus", bus.id).coefficient(interval)
             p_kw -= bus.nominal_load.kw * coeff
             q_kvar -= bus.nominal_load.kvar * coeff
-        if bus.id in ev_nominal and ev_profile is not None:
-            if ev_kw_override is not None and bus.id in ev_kw_override:
-                p_kw -= ev_kw_override[bus.id]
-            else:
-                p_kw -= ev_nominal[bus.id] * ev_profile.coefficient(interval)
+        if bus.id in ev_kw:
+            p_kw -= ev_kw[bus.id]
         if bus.id in pv_kw:
             p_kw += pv_kw[bus.id]
         injections[bus.id] = complex(p_kw / kva_base, q_kvar / kva_base)
@@ -339,8 +340,9 @@ def one_third_stagger(
     Group (interval mod 3) serves its queued deferrals first (FIFO),
     then the current demand, capped at the bus's nominal connected
     power; the excess joins the queue tail. Buses outside the active
-    group defer their entire demand. Demand at unknown buses is an
-    error; state is mutated in place.
+    group defer their entire demand. A bus with demand, service or a
+    queue records an action. Demand at unknown buses is an error; state
+    is mutated in place.
     """
     unknown = sorted(set(ev_demands) - set(state.buses))
     if unknown:
@@ -355,17 +357,8 @@ def one_third_stagger(
             raise ScenarioConfigError(f"negative EV demand at {bus!r}")
         state.demanded += demand
         queue = state.queues[bus]
-
-        if state.group[bus] != active_group:
-            if demand > 0:
-                queue.append(demand)
-            served_kw[bus] = 0.0
-            if demand > 0 or queue:
-                actions.append(StaggerAction(bus, float(demand), 0.0, float(demand), 0.0))
-            continue
-
-        room = state.cap[bus]
-        drained = Fraction(0)
+        room = state.cap[bus] if state.group[bus] == active_group else 0
+        drained = 0
         while queue and room > 0:
             take = min(queue[0], room)
             drained += take
@@ -381,7 +374,7 @@ def one_third_stagger(
         served = drained + direct
         state.served += served
         served_kw[bus] = float(served)
-        if demand > 0 or served > 0 or leftover > 0:
+        if demand > 0 or served > 0 or queue:
             actions.append(StaggerAction(bus, float(demand), float(served),
                                          float(leftover), float(drained)))
     return served_kw, tuple(actions)
@@ -391,8 +384,8 @@ def one_third_stagger(
 class IntervalRecord:
     """One sweep step: the solved interval plus any controller actions.
 
-    resolved is True when the controller changed the EV loads, so the
-    interval was solved with them instead of the nominal draw.
+    resolved is True when the controller's settled EV draw differs from
+    the demanded one, so the interval was solved with the settled draw.
     """
 
     interval: int
@@ -428,20 +421,18 @@ def run_sweep(
     scenario: Scenario,
     profiles: Mapping[str, LoadProfile],
     intervals: Iterable[int] = range(SLOTS_PER_DAY),
-    opts: SolverOptions = SolverOptions(),
 ) -> SweepResult:
     """Run the controller over each interval, then solve it, and record.
 
     For every interval the controller first settles the EV draw: the
     deferral ledger runs serially in sweep order, and deferred EV energy
     carries across intervals. The interval's injections are then built
-    once, with the controller's EV loads when it changed them. Each
-    distinct operating point is solved once: an interval whose injection
-    values equal an earlier interval's bit for bit (so +0.0 and -0.0
-    differ) reuses that interval's solution, which is immutable and
-    exactly what solving again would return. The reuse lasts only for
-    this call. Solver divergence is recorded on the interval and the
-    sweep continues.
+    once, with the settled draw. Each distinct operating point is solved
+    once: an interval whose injection values equal an earlier interval's
+    bit for bit (so +0.0 and -0.0 differ) reuses that interval's
+    solution, which is immutable and exactly what solving again would
+    return. The reuse lasts only for this call. Solver divergence is
+    recorded on the interval and the sweep continues.
     """
     ev_nominal = scenario.ev_connected_kw_by_bus()
     state = StaggerState(ev_nominal) if scenario.controller == "one_third_stagger" else None
@@ -449,39 +440,28 @@ def run_sweep(
 
     records: list[IntervalRecord] = []
     solved: dict[bytes, PowerFlowSolution] = {}
-    demanded_without_controller = Fraction(0)
+    demanded_kw = Fraction(0)
     for interval in intervals:
-        actions: tuple[StaggerAction, ...] = ()
-        override = None
-        if ev_profile is not None:
-            coeff = ev_profile.coefficient(interval)
-            demands = {bus: kw * coeff for bus, kw in ev_nominal.items()}
-            if state is not None:
-                active, actions = one_third_stagger(demands, interval, state)
-                if any(abs(active[bus] - demands[bus]) > 0.0 for bus in demands):
-                    override = active
-            else:
-                demanded_without_controller += sum(
-                    (Fraction(kw) for kw in demands.values()), Fraction(0))
+        demanded = _ev_draw(ev_nominal, ev_profile, interval)
+        settled, actions = demanded, ()
+        if state is not None and demanded:
+            settled, actions = one_third_stagger(demanded, interval, state)
+        demanded_kw += sum(map(Fraction, demanded.values()), Fraction(0))
 
         injections = build_injections(net, scenario, profiles, interval,
-                                      ev_kw_override=override)
+                                      ev_kw_override=settled)
         # build_injections emits every non-slack bus in net.buses order,
         # so the values alone identify the operating point.
         key = np.array(list(injections.values()), dtype=complex).tobytes()
         solution = solved.get(key)
         if solution is None:
-            solution = solved[key] = solve_newton_raphson(net, injections, opts)
-        records.append(IntervalRecord(interval, solution, actions, override is not None))
+            solution = solved[key] = solve_newton_raphson(net, injections)
+        records.append(IntervalRecord(interval, solution, actions, settled != demanded))
 
+    # Whatever is still queued at the horizon is unserved; the rest was served.
+    unserved_kw = state.unserved() if state is not None else Fraction(0)
     per_slot_hours = Fraction(1, 4)
-    if state is not None:
-        ledger = EnergyLedger(
-            demanded_kwh=state.demanded * per_slot_hours,
-            served_kwh=state.served * per_slot_hours,
-            unserved_kwh=state.unserved() * per_slot_hours,
-        )
-    else:
-        served = demanded_without_controller * per_slot_hours
-        ledger = EnergyLedger(served, served, Fraction(0))
+    ledger = EnergyLedger(demanded_kwh=demanded_kw * per_slot_hours,
+                          served_kwh=(demanded_kw - unserved_kw) * per_slot_hours,
+                          unserved_kwh=unserved_kw * per_slot_hours)
     return SweepResult(scenario.name, tuple(records), ledger)

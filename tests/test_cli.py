@@ -7,6 +7,7 @@ import json
 import pytest
 
 from gridstress import Bus, Network, Scenario
+from gridstress.benchmark import PARKING_LOTS
 from gridstress.cli import cli_main
 from gridstress.fileio import (
     emit_network_file,
@@ -110,6 +111,40 @@ class TestSolve:
         assert doc["report"][0]["scenario"] == "ev10"
 
 
+class TestUnresolvedBindings:
+    """A scenario whose bindings name a missing profile or bus is a
+    diagnostic (exit 1), not a traceback."""
+
+    @staticmethod
+    def _argv(command, fixture_dir, tmp_path, edit):
+        doc = json.loads((fixture_dir / "scenarios" / "ev25.json").read_text())
+        edit(doc)
+        scenario = tmp_path / "broken.json"
+        scenario.write_text(json.dumps(doc))
+        return [command, "--network", str(fixture_dir / "network.json"),
+                "--scenario", str(scenario), "--profiles", str(fixture_dir / "profiles"),
+                "--out", str(tmp_path / "out")]
+
+    def test_solve_with_missing_ev_profile(self, fixture_dir, tmp_path, capsys):
+        argv = self._argv("solve", fixture_dir, tmp_path,
+                          lambda doc: doc["bindings"].update(ev="missing"))
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "EV profile 'missing' not found\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_with_lot_on_unknown_bus(self, fixture_dir, tmp_path, capsys):
+        argv = self._argv("sweep", fixture_dir, tmp_path,
+                          lambda doc: doc["parking_lots"][0].update(bus="Nowhere"))
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        lot = PARKING_LOTS[0].name
+        assert captured.err == f"parking lot {lot!r} references unknown bus 'Nowhere'\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+
 class TestIntervalOption:
     """solve and benchmark share one --interval check."""
 
@@ -190,6 +225,16 @@ class TestReport:
         rows = dict(parse_report_csv((out / "report.csv").read_text()))
         fixture_rows = dict(parse_report_csv((fixture_dir / "report.csv").read_text()))
         assert rows["ev25_slot36"].counts() == fixture_rows["ev25"].counts()
+
+    def test_repeated_branch_is_diagnostic(self, tmp_path, capsys):
+        detail = tmp_path / "twice.csv"
+        detail.write_text("branch,kind,loading_percent,bin\n"
+                          "a,cable,50.0,40-80\na,cable,10.0,<40\n")
+        assert cli_main(["report", str(detail), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "detail row 2: duplicate branch 'a'\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_multiple_details_one_row_each(self, fixture_dir, capsys):
         details = sorted((fixture_dir / "details").glob("*.csv"))

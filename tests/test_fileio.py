@@ -152,6 +152,12 @@ class TestProfileCsv:
         with pytest.raises(FileSchemaError, match="slot 0"):
             parse_profile_csv("\n".join(rows) + "\n", "bad")
 
+    def test_slot_cells_accept_padded_digits(self):
+        rows = ["slot,coefficient"] + [f"{i},1.0" for i in range(96)]
+        rows[4], rows[8] = " 3 ,0.5", "007,1.0"
+        profile = parse_profile_csv("\n".join(rows) + "\n", "padded")
+        assert profile.coefficients[3] == 0.5
+
     def test_unknown_header_rejected(self):
         rows = ["time,value"] + ["0,1.0"] * 96
         with pytest.raises(FileSchemaError, match="header"):
@@ -367,6 +373,12 @@ CSV_ERROR_CASES = [
     ("profile-misnumbered", _parse_profile,
      _profile_text(_SLOT_HEADER, _slots({0: "5,1.0"})), FileSchemaError,
      ["profile 'p' row 1: expected slot 0, got 5"]),
+    ("profile-slot-underscore", _parse_profile,
+     _profile_text(_SLOT_HEADER, _slots({10: "1_0,1.0"})), FileSchemaError,
+     ["profile 'p' row 11: non-numeric cell"]),
+    ("profile-slot-plus-sign", _parse_profile,
+     _profile_text(_SLOT_HEADER, _slots({11: " +11 ,1.0"})), FileSchemaError,
+     ["profile 'p' row 12: non-numeric cell"]),
     ("profile-errors-in-row-order", _parse_profile,
      _profile_text(_SLOT_HEADER, _slots({9: "99,1.0", 1: "1", 5: "5,?"})),
      FileSchemaError,
@@ -411,6 +423,9 @@ CSV_ERROR_CASES = [
     ("detail-unknown-bin", parse_branch_detail_csv,
      f"{_DETAIL_HEADER}\na -> b,cable,50.0,30-40\n", FileSchemaError,
      ["detail row 1: unknown bin '30-40'"]),
+    ("detail-duplicate-branch", parse_branch_detail_csv,
+     f"{_DETAIL_HEADER}\na,cable,50.0,40-80\na,cable,10.0,<40\n", FileSchemaError,
+     ["detail row 2: duplicate branch 'a'"]),
     ("detail-errors-in-row-order", parse_branch_detail_csv,
      f"{_DETAIL_HEADER}\na,cable,1e400,>150\nb,cable\nc,cable,x,<40\nd,cable,1.0,??\n",
      FileSchemaError,

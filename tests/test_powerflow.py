@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,6 +321,17 @@ class TestSolverOptions:
                                         SolverOptions(tol=1e-12, max_iter=1))
         assert not solution.converged
         assert solution.iterations == 1
+
+    def test_benchmark_reference_stops_like_the_default_solver(self):
+        """perfbench/feeder.py checks the sweep, which solves with the
+        defaults, against its own NR run with NR_TOL and NR_MAX_ITER."""
+        perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+        if perfbench not in sys.path:
+            sys.path.insert(0, perfbench)
+        import feeder
+
+        defaults = SolverOptions()
+        assert (feeder.NR_TOL, feeder.NR_MAX_ITER) == (defaults.tol, defaults.max_iter)
 
     def test_voltage_helpers(self):
         net = two_bus_network(TWO_BUS_Z)

@@ -36,6 +36,7 @@ from gridstress.scenario import (
     ProfileError,
     Scenario,
     ScenarioConfigError,
+    StaggerAction,
     StaggerState,
     ev_workday_profile,
     pv_clear_day_profile,
@@ -232,6 +233,46 @@ class TestBuildInjections:
         with pytest.raises(ScenarioConfigError, match="unknown bus"):
             build_injections(net, scenario, {"flat": _flat_profile()}, 0)
 
+    @pytest.mark.parametrize("run", ["build_injections", "run_sweep"])
+    @pytest.mark.parametrize("load_kw, pv_kw, scenario, message", [
+        (500.0, 0.0, Scenario("s", 0.0),
+         "no load profile bound for bus 'town'"),
+        (500.0, 0.0, Scenario("s", 0.0, bindings=ProfileBindings(load_default="gone")),
+         "load profile 'gone' for bus 'town' not found"),
+        (0.0, 100.0, Scenario("s", 0.0, pv_enabled=True),
+         "no PV profile bound for site at 'town'"),
+        (0.0, 100.0, Scenario("s", 0.0, pv_enabled=True,
+                              bindings=ProfileBindings(pv_default="gone")),
+         "PV profile 'gone' for site at 'town' not found"),
+        (0.0, 0.0, Scenario("s", 0.5, parking_lots=(ParkingLot("L", 10, "town"),)),
+         "scenario has EV load but no EV profile binding"),
+        (0.0, 0.0, Scenario("s", 0.5, parking_lots=(ParkingLot("L", 10, "town"),),
+                            bindings=ProfileBindings(ev="gone")),
+         "EV profile 'gone' not found"),
+        (0.0, 0.0, Scenario("s", 0.5, parking_lots=(ParkingLot("L", 10, "nowhere"),),
+                            bindings=ProfileBindings(ev="flat")),
+         "parking lot 'L' references unknown bus 'nowhere'"),
+    ])
+    def test_binding_diagnostics_full_text(self, run, load_kw, pv_kw, scenario, message):
+        net = _mini_grid(load_kw=load_kw, pv_kw=pv_kw)
+        with pytest.raises(ScenarioConfigError) as info:
+            if run == "build_injections":
+                build_injections(net, scenario, {"flat": _flat_profile()}, 0)
+            else:
+                run_sweep(net, scenario, {"flat": _flat_profile()}, intervals=[0])
+        assert str(info.value) == message
+
+    def test_override_is_the_whole_ev_draw(self):
+        net = _mini_grid()
+        scenario = Scenario("s", penetration=0.5, parking_lots=(ParkingLot("L", 10, "town"),),
+                            bindings=ProfileBindings(ev="flat"))
+        profiles = {"flat": _flat_profile()}
+        assert build_injections(net, scenario, profiles, 0) == {"town": complex(-0.005, 0.0)}
+        # A bus the override leaves out draws nothing; it does not fall back to nominal.
+        assert build_injections(net, scenario, profiles, 0, ev_kw_override={}) == {"town": 0j}
+        assert build_injections(net, scenario, profiles, 0,
+                                ev_kw_override={"town": 20.0}) == {"town": complex(-0.002, 0.0)}
+
     def test_pv_enters_as_negative_load(self):
         net = _mini_grid(load_kw=0.0, pv_kw=500.0)
         scenario = Scenario("s", penetration=0.0, pv_enabled=True,
@@ -315,6 +356,22 @@ class TestOneThirdStagger:
         assert action.deferred_kw == 30.0          # current demand re-queued
         assert state.unserved() == Fraction(80)    # 50 old + 30 new
 
+    def test_idle_bus_with_queue_records_all_zero_action(self):
+        state = StaggerState({"x": 100.0})
+        one_third_stagger({"x": 80.0}, 1, state)   # group 0 idle: 80 queued
+        active, actions = one_third_stagger({"x": 0.0}, 2, state)   # still idle
+        assert active == {"x": 0.0}
+        assert actions == (StaggerAction("x", 0.0, 0.0, 0.0, 0.0),)
+        assert state.unserved() == Fraction(80)
+
+    def test_active_bus_without_room_acts_like_an_idle_one(self):
+        state = StaggerState({"x": 0.0})
+        _, actions = one_third_stagger({"x": 80.0}, 0, state)   # active, no room
+        assert actions == (StaggerAction("x", 80.0, 0.0, 80.0, 0.0),)
+        active, actions = one_third_stagger({"x": 0.0}, 3, state)
+        assert active == {"x": 0.0}
+        assert actions == (StaggerAction("x", 0.0, 0.0, 0.0, 0.0),)
+
     def test_conservation_is_exact(self, rng):
         buses = {f"b{i}": rng.uniform(10.0, 300.0) for i in range(5)}
         state = StaggerState(buses)
@@ -350,9 +407,9 @@ def _count_solves(monkeypatch) -> list[tuple[complex, ...]]:
     """Count run_sweep's Newton-Raphson calls; returns each call's injection values."""
     calls = []
 
-    def counted(net, injections, opts):
+    def counted(net, injections):
         calls.append(tuple(injections.values()))
-        return solve_newton_raphson(net, injections, opts)
+        return solve_newton_raphson(net, injections)
 
     monkeypatch.setattr(scenario_module, "solve_newton_raphson", counted)
     return calls
