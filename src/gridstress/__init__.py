@@ -8,9 +8,7 @@ and load management on top, and reports branch-loading congestion.
 from .benchmark import BenchmarkBundle, build_benchmark
 from .congestion import (
     CongestionHistogram,
-    ScenarioComparison,
     bin_loadings,
-    compare_scenarios,
     congested_elements,
 )
 from .network import (
@@ -68,7 +66,6 @@ __all__ = [
     "PowerFlowSolution",
     "ProfileBindings",
     "Scenario",
-    "ScenarioComparison",
     "SolverOptions",
     "StaggerState",
     "SweepResult",
@@ -79,7 +76,6 @@ __all__ = [
     "build_injections",
     "build_ybus",
     "cable_resistance",
-    "compare_scenarios",
     "congested_elements",
     "derive_impedances",
     "ev_load_kw",

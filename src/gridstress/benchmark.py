@@ -195,8 +195,6 @@ PARKING_LOTS = (
     ParkingLot("B3", 500, "Parking B3"),
 )
 
-PARKING_CAPACITIES: Mapping[str, int] = {lot.name: lot.capacity for lot in PARKING_LOTS}
-
 
 def campus_building_profile() -> LoadProfile:
     """Weekday building-demand shape: overnight floor, morning ramp,

@@ -275,3 +275,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

@@ -62,8 +62,10 @@ class FileValidationError(GridFileError):
 
 
 def _load_json(text: str, what: str) -> Any:
+    def non_finite(literal: str) -> float:
+        raise FileSyntaxError([f"{what}: non-finite number {literal} is not allowed"])
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=non_finite)
     except json.JSONDecodeError as exc:
         raise FileSyntaxError(
             [f"{what}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"]

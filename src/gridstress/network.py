@@ -124,12 +124,6 @@ class Network:
         return (type(self), (self.s_base_mva, self.buses, self.branches, self.generators,
                              dict(self.cable_catalog)))
 
-    def bus(self, bus_id: str) -> Bus:
-        for bus in self.buses:
-            if bus.id == bus_id:
-                return bus
-        raise KeyError(bus_id)
-
     def bus_ids(self) -> tuple[str, ...]:
         return tuple(bus.id for bus in self.buses)
 
@@ -138,9 +132,6 @@ class Network:
         if len(slacks) != 1:
             raise ValueError(f"expected exactly one slack bus, found {len(slacks)}")
         return slacks[0]
-
-    def non_slack_ids(self) -> tuple[str, ...]:
-        return tuple(bus.id for bus in self.buses if bus.kind != "slack")
 
     def pv_sites(self) -> tuple[Generator, ...]:
         return tuple(g for g in self.generators if g.kind == "pv_site")

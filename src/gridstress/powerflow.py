@@ -70,13 +70,6 @@ class PowerFlowSolution:
     converged: bool
     max_mismatch: float
 
-    def voltage(self, bus_id: str) -> complex:
-        i = self.bus_ids.index(bus_id)
-        return cmath.rect(self.v_mag[i], self.v_ang[i])
-
-    def voltages(self) -> dict[str, complex]:
-        return {bus_id: self.voltage(bus_id) for bus_id in self.bus_ids}
-
     def loading_by_branch(self) -> dict[str, float]:
         return {f.branch_id: f.loading_percent for f in self.branch_flows}
 

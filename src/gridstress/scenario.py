@@ -169,6 +169,10 @@ class Scenario:
                 f"per_charger_kw {self.per_charger_kw} outside [{low}, {high}] "
                 "(set allow_nonstandard_charger to override)"
             )
+        if not 0.0 <= self.per_charger_kw < math.inf:
+            raise ScenarioConfigError(
+                f"per_charger_kw must be finite and >= 0, got {self.per_charger_kw}"
+            )
         if self.controller not in CONTROLLERS:
             raise ScenarioConfigError(
                 f"controller must be one of {CONTROLLERS}, got {self.controller!r}"
@@ -316,18 +320,10 @@ class StaggerState:
         self.group = {bus: i % 3 for i, bus in enumerate(self.buses)}
         self.cap = {bus: Fraction(connected_kw_by_bus[bus]) for bus in self.buses}
         self.queues: dict[str, deque[Fraction]] = {bus: deque() for bus in self.buses}
-        self.demanded = Fraction(0)
-        self.served = Fraction(0)
 
     def unserved(self) -> Fraction:
         """Energy still queued; at horizon end this is reported as unserved."""
         return sum((sum(q, Fraction(0)) for q in self.queues.values()), Fraction(0))
-
-    def group_cap_kw(self, interval: int) -> float:
-        """Documented per-interval cap: total connected power of the active group."""
-        active = interval % 3
-        return float(sum((self.cap[b] for b in self.buses if self.group[b] == active),
-                         Fraction(0)))
 
 
 def one_third_stagger(
@@ -355,7 +351,6 @@ def one_third_stagger(
         demand = Fraction(ev_demands.get(bus, 0.0))
         if demand < 0:
             raise ScenarioConfigError(f"negative EV demand at {bus!r}")
-        state.demanded += demand
         queue = state.queues[bus]
         room = state.cap[bus] if state.group[bus] == active_group else 0
         drained = 0
@@ -372,7 +367,6 @@ def one_third_stagger(
         if leftover > 0:
             queue.append(leftover)
         served = drained + direct
-        state.served += served
         served_kw[bus] = float(served)
         if demand > 0 or served > 0 or queue:
             actions.append(StaggerAction(bus, float(demand), float(served),

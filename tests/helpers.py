@@ -1,17 +1,24 @@
-"""Shared builders for solver tests: tiny and randomly generated networks."""
+"""Shared builders and checks for tests: tiny and randomly generated
+networks, a small network document, no-load injections, overload
+counts and stagger service."""
 
 from __future__ import annotations
 
+import json
 import os
 import random
+from fractions import Fraction
 
 from gridstress import (
     Branch,
     Bus,
     CableType,
+    CongestionHistogram,
     Network,
     NominalLoad,
+    StaggerState,
     derive_impedances,
+    one_third_stagger,
 )
 
 # Fixes the property/equivalence generators only; the simulator itself
@@ -21,6 +28,19 @@ SEED = int(os.environ.get("GRIDSTRESS_SEED", "20250810"))
 S_BASE = 10.0
 MV_KV = 4.16
 Z_BASE_OHM = MV_KV * MV_KV / S_BASE
+
+# A valid network document with a load, a cable and a tapped transformer.
+NETWORK_TEXT = json.dumps({
+    "s_base_mva": 10.0,
+    "cable_catalog": {"c": {"ohms_per_mile": 0.1, "reactance_per_mile": 0.2}},
+    "buses": [{"id": "s", "kind": "slack", "base_voltage": 4.16},
+              {"id": "a", "kind": "load", "base_voltage": 4.16, "nominal_load": {"kw": 100.0}},
+              {"id": "b", "kind": "load", "base_voltage": 0.48}],
+    "branches": [{"from": "s", "to": "a", "kind": "cable", "rating": 1000.0,
+                  "cable_type": "c", "length_miles": 0.5},
+                 {"from": "a", "to": "b", "kind": "transformer", "rating": 500.0,
+                  "impedance_percent": 5.0, "tap": 1.0}],
+})
 
 
 def two_bus_network(z_pu: complex, rating_kva: float = 10000.0) -> Network:
@@ -36,11 +56,15 @@ def two_bus_network(z_pu: complex, rating_kva: float = 10000.0) -> Network:
     return derive_impedances(net)
 
 
-def make_radial_network(rng: random.Random, n_buses: int) -> tuple[Network, dict[str, complex]]:
+def make_radial_network(rng: random.Random, n_buses: int,
+                        ties: int = 0) -> tuple[Network, dict[str, complex]]:
     """Random connected radial network plus a matching injection set.
 
     Branch resistance and reactance are each uniform in [0.005, 0.1] pu;
-    bus active loads are uniform in [0, 0.5] pu with Q = 0.3 P.
+    bus active loads are uniform in [0, 0.5] pu with Q = 0.3 P. ties
+    adds up to that many tie branches, drawn the same way, between buses
+    not yet connected, which makes the network meshed. With ties=0 the
+    draws from rng are those of a radial network only.
     """
     catalog: dict[str, CableType] = {}
     buses = [Bus("bus-0", "slack", MV_KV)]
@@ -58,5 +82,46 @@ def make_radial_network(rng: random.Random, n_buses: int) -> tuple[Network, dict
         catalog[name] = CableType(name, r * Z_BASE_OHM, x * Z_BASE_OHM)
         branches.append(Branch(f"bus-{parent}", f"bus-{i}", "cable", 10000.0,
                                cable_type=name, length_miles=1.0))
+    for k in range(min(ties, (n_buses - 1) * (n_buses - 2) // 2)):
+        linked = {(b.from_bus, b.to_bus) for b in branches}
+        while True:
+            ends = tuple(f"bus-{i}" for i in sorted(rng.sample(range(n_buses), 2)))
+            if ends not in linked:
+                break
+        name = f"tie-{k}"
+        catalog[name] = CableType(name, rng.uniform(0.005, 0.1) * Z_BASE_OHM,
+                                  rng.uniform(0.005, 0.1) * Z_BASE_OHM)
+        branches.append(Branch(*ends, "cable", 10000.0, cable_type=name, length_miles=1.0))
     net = Network(S_BASE, tuple(buses), tuple(branches), (), catalog)
     return derive_impedances(net), injections
+
+
+def no_load_injections(net: Network) -> dict[str, complex]:
+    """Zero injection at every non-slack bus."""
+    return {bus.id: 0j for bus in net.buses if bus.kind != "slack"}
+
+
+def at_or_above_100(hist: CongestionHistogram) -> int:
+    """Branches loaded at 100% or more."""
+    return hist.bin_100_150 + hist.bin_gt_150
+
+
+def stagger_served(demands: dict[str, float], interval: int,
+                   state: StaggerState) -> dict[str, Fraction]:
+    """Run one_third_stagger for one slot and return each bus's served kW.
+
+    The served kW of a bus is exact: its demand plus its queue before
+    the slot minus its queue after. Asserts that the controller returned
+    that kW, that a bus outside the active group served nothing and that
+    a bus inside it served no more than its cap.
+    """
+    before = {bus: sum(queue, Fraction(0)) for bus, queue in state.queues.items()}
+    returned, _ = one_third_stagger(demands, interval, state)
+    served = {}
+    for bus in state.buses:
+        kw = Fraction(demands.get(bus, 0.0)) + before[bus] - sum(state.queues[bus], Fraction(0))
+        assert float(kw) == returned[bus], bus
+        room = state.cap[bus] if state.group[bus] == interval % 3 else 0
+        assert 0 <= kw <= room, bus
+        served[bus] = kw
+    return served

@@ -9,8 +9,10 @@ from gridstress import (
     solve_newton_raphson,
     validate_network,
 )
-from gridstress.benchmark import PARKING_CAPACITIES, PARKING_LOTS, PV_SITES
+from gridstress.benchmark import PARKING_LOTS, PV_SITES
 from gridstress.fileio import emit_network_file
+
+from helpers import at_or_above_100
 
 # Published parking capacities for the modeled campus.
 PUBLISHED_CAPACITIES = {
@@ -19,14 +21,16 @@ PUBLISHED_CAPACITIES = {
     "F2": 50, "G1": 90, "G3 Structure": 1370, "G3": 450,
     "B3 Structure": 1760, "B4": 300, "G4": 170, "B3": 500,
 }
+# The fixture's capacities by lot name.
+CAPACITIES = {lot.name: lot.capacity for lot in PARKING_LOTS}
 
 
 class TestFixtureData:
     def test_capacity_lookup(self):
-        assert PARKING_CAPACITIES["B3 Structure"] == 1760
+        assert CAPACITIES["B3 Structure"] == 1760
 
     def test_all_capacities_match_published_table(self):
-        assert dict(PARKING_CAPACITIES) == PUBLISHED_CAPACITIES
+        assert CAPACITIES == PUBLISHED_CAPACITIES
         assert len(PARKING_LOTS) == 18
 
     def test_three_pv_sites_with_published_capacities(self, bench):
@@ -66,7 +70,7 @@ class TestCalibrationAnchor:
         hist = bin_loadings(solution.loading_by_branch())
         assert hist.bin_40_80 == 2
         assert hist.bin_80_100 == 0
-        assert hist.count_at_or_above_100() == 0
+        assert at_or_above_100(hist) == 0
 
 
 class TestDeterminism:

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gridstress
 from gridstress import Bus, Network, Scenario
 from gridstress.benchmark import PARKING_LOTS
 from gridstress.cli import cli_main
@@ -15,6 +20,8 @@ from gridstress.fileio import (
     parse_branch_detail_csv,
     parse_report_csv,
 )
+
+from helpers import NETWORK_TEXT, at_or_above_100
 
 
 @pytest.fixture(scope="module")
@@ -47,12 +54,14 @@ class TestBenchmarkCommand:
 
     def test_report_shows_expected_trend(self, fixture_dir):
         rows = dict(parse_report_csv((fixture_dir / "report.csv").read_text()))
-        assert rows["base"].count_at_or_above_100() == 0
+        over = {name: at_or_above_100(hist) for name, hist in rows.items()}
+        assert over["base"] == 0
         assert rows["base"].bin_40_80 == 2
-        assert (rows["ev10"].count_at_or_above_100()
-                < rows["ev25"].count_at_or_above_100())
-        assert (rows["ev25_pv"].count_at_or_above_100()
-                < rows["ev25"].count_at_or_above_100())
+        assert over["ev10"] < over["ev25"]
+        assert over["ev25_pv"] < over["ev25"]
+        # PV raises neither overload bin.
+        assert rows["ev25_pv"].bin_100_150 <= rows["ev25"].bin_100_150
+        assert rows["ev25_pv"].bin_gt_150 <= rows["ev25"].bin_gt_150
         assert rows["ev25_pv_lm"].bin_100_150 == 0
 
     def test_output_is_reproducible(self, fixture_dir, tmp_path):
@@ -77,6 +86,25 @@ class TestValidate:
     def test_missing_file_is_diagnostic(self, tmp_path, capsys):
         assert cli_main(["validate", "--network", str(tmp_path / "nope.json")]) == 1
         assert "error" in capsys.readouterr().err.lower()
+
+    def test_non_finite_literal_is_diagnostic(self, tmp_path, capsys):
+        bad = tmp_path / "nan.json"
+        bad.write_text(NETWORK_TEXT.replace('"kw": 100.0', '"kw": NaN'))
+        assert cli_main(["validate", "--network", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            "network file: non-finite number NaN is not allowed\n")
+
+    def test_runs_as_a_module(self, tmp_path):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(NETWORK_TEXT)
+        bad.write_text('{"s_base_mva": 10.0}')
+        env = {**os.environ, "PYTHONPATH": str(Path(gridstress.__file__).parents[1])}
+        for path, code, out in ((good, 0, f"{good}: OK\n"), (bad, 1, "")):
+            done = subprocess.run(
+                [sys.executable, "-m", "gridstress.cli", "validate", "--network", str(path)],
+                capture_output=True, text=True, env=env, timeout=60)
+            assert (done.returncode, done.stdout) == (code, out), done.stderr
+        assert "buses" in done.stderr
 
 
 class TestSolve:

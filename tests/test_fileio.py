@@ -28,6 +28,8 @@ from gridstress.fileio import (
     parse_scenario_file,
 )
 
+from helpers import NETWORK_TEXT
+
 
 class TestNetworkFile:
     def test_benchmark_round_trip_is_identity(self, bench):
@@ -78,7 +80,8 @@ class TestNetworkFile:
         }
         """
         net = parse_network_file(text)
-        assert net.bus("a").nominal_load.kvar == pytest.approx(32.86841051788632)
+        assert net.buses[1].id == "a"
+        assert net.buses[1].nominal_load.kvar == pytest.approx(32.86841051788632)
 
     def test_explicit_kvar_preserved(self):
         text = """
@@ -96,7 +99,8 @@ class TestNetworkFile:
           ]
         }
         """
-        assert parse_network_file(text).bus("a").nominal_load.kvar == 5.0
+        bus = parse_network_file(text).buses[1]
+        assert (bus.id, bus.nominal_load.kvar) == ("a", 5.0)
 
     def test_branch_kind_specific_keys_enforced(self, bench):
         text = emit_network_file(bench.network).replace(
@@ -118,6 +122,15 @@ class TestScenarioFile:
             '"penetration": 0.25', '"penetration": 2.5')
         with pytest.raises(FileValidationError, match="penetration"):
             parse_scenario_file(text)
+
+    def test_negative_nonstandard_charger_is_validation_error(self, bench):
+        text = emit_scenario_file(bench.scenario("ev25")).replace(
+            '"per_charger_kw": 10.0', '"per_charger_kw": -5').replace(
+            '"allow_nonstandard_charger": false', '"allow_nonstandard_charger": true')
+        with pytest.raises(FileValidationError) as info:
+            parse_scenario_file(text)
+        assert info.value.diagnostics == [
+            "scenario: per_charger_kw must be finite and >= 0, got -5.0"]
 
     def test_unknown_key_rejected(self, bench):
         text = emit_scenario_file(bench.scenario("base")).replace(
@@ -274,8 +287,7 @@ class TestBranchDetail:
         detail = parse_branch_detail_csv(detail_csv_for_solution(solution))
         reparsed = bin_loadings({branch: loading
                                  for branch, (_, loading, _) in detail.items()})
-        assert reparsed.same_counts(in_memory)
-        assert reparsed.branch_bins == in_memory.branch_bins
+        assert reparsed == in_memory
 
     def test_detail_preserves_kind_and_bin(self, bench):
         from gridstress import build_injections
@@ -300,7 +312,7 @@ class TestBranchDetail:
             parse_branch_detail_csv(text)
 
 
-# ------------------------------------------------- pinned CSV diagnostics
+# ------------------------------------------- pinned CSV and JSON diagnostics
 
 def _profile_text(header: str, cells: list[str]) -> str:
     return "\n".join([header, *cells]) + "\n"
@@ -339,13 +351,20 @@ def _csv_error(text: str) -> str:
 
 _BAD_CSV_ERROR = _csv_error(_BAD_CSV)
 
+_SCENARIO_TEXT = json.dumps({"name": "s", "penetration": 0.1, "per_charger_kw": 10.0})
+_REPORT_TEXT = json.dumps({"report": [{"scenario": "s", "bins": {"40-80": 1}}]})
+
+
+def _non_finite(what: str, literal: str) -> list[str]:
+    return [f"{what}: non-finite number {literal} is not allowed"]
+
 
 def _parse_profile(text):
     return parse_profile_csv(text, "p")
 
 
 # (id, parser, text, exception class, full diagnostics list).
-CSV_ERROR_CASES = [
+ERROR_CASES = [
     ("profile-malformed", _parse_profile, _BAD_CSV, FileSyntaxError,
      [f"profile 'p': malformed CSV: {_BAD_CSV_ERROR}"]),
     ("profile-empty", _parse_profile, "", FileSchemaError, ["profile 'p': empty file"]),
@@ -431,15 +450,39 @@ CSV_ERROR_CASES = [
      FileSchemaError,
      ["detail row 1: non-finite loading", "detail row 2: expected 4 columns",
       "detail row 3: non-numeric loading", "detail row 4: unknown bin '??'"]),
+    ("network-nan-load", parse_network_file,
+     NETWORK_TEXT.replace('"kw": 100.0', '"kw": NaN'), FileSyntaxError,
+     _non_finite("network file", "NaN")),
+    ("network-nan-tap", parse_network_file,
+     NETWORK_TEXT.replace('"tap": 1.0', '"tap": NaN'), FileSyntaxError,
+     _non_finite("network file", "NaN")),
+    ("network-infinite-rating", parse_network_file,
+     NETWORK_TEXT.replace('"rating": 500.0', '"rating": Infinity'), FileSyntaxError,
+     _non_finite("network file", "Infinity")),
+    ("network-nan-system-base", parse_network_file,
+     NETWORK_TEXT.replace('"s_base_mva": 10.0', '"s_base_mva": NaN'), FileSyntaxError,
+     _non_finite("network file", "NaN")),
+    ("scenario-infinite-charger", parse_scenario_file,
+     _SCENARIO_TEXT.replace("10.0", "Infinity"), FileSyntaxError,
+     _non_finite("scenario file", "Infinity")),
+    ("report-json-negative-infinity", parse_report_json,
+     _REPORT_TEXT.replace(": 1}", ": -Infinity}"), FileSyntaxError,
+     _non_finite("report file", "-Infinity")),
 ]
 
 
 class TestCsvDiagnostics:
-    """Every CSV error path: the exact exception class and diagnostics."""
+    """Every CSV error path and the non-finite JSON literals: the exact
+    exception class and diagnostics."""
+
+    def test_json_documents_without_the_literals_parse(self):
+        parse_network_file(NETWORK_TEXT)
+        parse_scenario_file(_SCENARIO_TEXT)
+        parse_report_json(_REPORT_TEXT)
 
     @pytest.mark.parametrize("parse, text, error, expected",
-                             [case[1:] for case in CSV_ERROR_CASES],
-                             ids=[case[0] for case in CSV_ERROR_CASES])
+                             [case[1:] for case in ERROR_CASES],
+                             ids=[case[0] for case in ERROR_CASES])
     def test_error_path(self, parse, text, error, expected):
         with pytest.raises(GridFileError) as info:
             parse(text)

@@ -213,7 +213,7 @@ class TestNetworkContainer:
         assert len(net.buses) == 46
         assert len(net.branches) == 45
         assert net.slack_id() == "DWP Pole"
-        assert len(net.non_slack_ids()) == 45
+        assert sum(1 for bus in net.buses if bus.kind != "slack") == 45
         assert len(net.pv_sites()) == 3
 
     def test_slack_lookup_requires_exactly_one(self):

@@ -25,7 +25,7 @@ from gridstress import (
 from gridstress import powerflow as powerflow_module
 from gridstress.powerflow import BranchFlow, SolverOptions
 
-from helpers import make_radial_network, two_bus_network
+from helpers import make_radial_network, no_load_injections, two_bus_network
 
 # Reference solution of the two-bus case (slack 1.0 at angle 0, series
 # z = 0.01+0.05j pu, load 0.5+0.2j pu), computed beforehand by iterating
@@ -82,13 +82,9 @@ class TestBuildYbus:
             build_ybus(bad)
 
 
-def _no_load_injections(net):
-    return {bus_id: 0j for bus_id in net.non_slack_ids()}
-
-
 class TestNewtonRaphson:
     def test_no_load_flat(self, bench):
-        solution = solve_newton_raphson(bench.network, _no_load_injections(bench.network))
+        solution = solve_newton_raphson(bench.network, no_load_injections(bench.network))
         assert solution.converged
         assert solution.iterations == 0
         assert max(abs(v - 1.0) for v in solution.v_mag) <= 1e-10
@@ -161,7 +157,7 @@ class TestNewtonRaphson:
 
 class TestGaussSeidel:
     def test_no_load_flat(self, bench):
-        solution = solve_gauss_seidel(bench.network, _no_load_injections(bench.network))
+        solution = solve_gauss_seidel(bench.network, no_load_injections(bench.network))
         assert solution.converged
         assert max(abs(v - 1.0) for v in solution.v_mag) <= 1e-10
 
@@ -173,14 +169,30 @@ class TestGaussSeidel:
         assert solution.v_ang[1] == pytest.approx(TWO_BUS_VANG, abs=1e-9)
 
     def test_agrees_with_newton_on_random_radial(self, rng):
-        net, injections = make_radial_network(rng, 5)
-        nr = solve_newton_raphson(net, injections)
-        gs = solve_gauss_seidel(net, injections)
-        assert nr.converged and gs.converged
-        for vn, vg in zip(nr.v_mag, gs.v_mag):
-            assert vn == pytest.approx(vg, abs=1e-6)
-        for an, ag in zip(nr.v_ang, gs.v_ang):
-            assert an == pytest.approx(ag, abs=1e-6)
+        """A radial network, then tapped and meshed ones: every draw that NR
+        solves, Gauss-Seidel solves to the same voltages, and both balance
+        the slack against loads plus losses. Draws past the nose curve are
+        skipped, as a diverging Gauss-Seidel run takes seconds."""
+        cases = [make_radial_network(rng, 5), *_tapped_radial_networks(rng),
+                 *_tapped_radial_networks(rng, ties=2)]
+        kinds = set()
+        for k, (net, injections) in enumerate(cases):
+            nr = solve_newton_raphson(net, injections)
+            if k and not nr.converged:
+                continue
+            gs = solve_gauss_seidel(net, injections)
+            assert nr.converged and gs.converged
+            for vn, vg in zip(nr.v_mag, gs.v_mag):
+                assert vn == pytest.approx(vg, abs=1e-6)
+            for an, ag in zip(nr.v_ang, gs.v_ang):
+                assert an == pytest.approx(ag, abs=1e-6)
+            for solution in (nr, gs):
+                losses_pu = total_losses(net, solution) / net.s_base_mva
+                assert abs(solution.slack_injection + sum(injections.values())
+                           - losses_pu) <= 1e-6
+            kinds.add((any(b.tap != 1.0 for b in net.branches),
+                       len(net.branches) >= len(net.buses)))
+        assert kinds == {(False, False), (True, False), (False, True), (True, True)}
 
 
 class TestBranchFlows:
@@ -226,11 +238,12 @@ def _scalar_branch_flows(net, voltages):
     return tuple(flows)
 
 
-def _tapped_radial_networks(rng, count=12):
-    """Random radial networks, every other one with off-nominal taps."""
+def _tapped_radial_networks(rng, count=12, ties=0):
+    """Random networks with up to ties tie branches each (radial when 0),
+    every other one with off-nominal taps."""
     cases = []
     for k in range(count):
-        net, injections = make_radial_network(rng, rng.randrange(2, 25))
+        net, injections = make_radial_network(rng, rng.randrange(2, 25), ties)
         if k % 2:
             net = dataclasses.replace(net, branches=tuple(
                 dataclasses.replace(b, tap=rng.uniform(0.9, 1.1)) for b in net.branches))
@@ -250,7 +263,8 @@ class TestBitExactVectorisation:
     def test_branch_flows_equal_scalar_loop(self, bench, rng):
         for net, injections in _solved_cases(bench, rng):
             solution = solve_newton_raphson(net, injections)
-            for voltages in (solution.voltages(),
+            for voltages in ({b: cmath.rect(m, a) for b, m, a in
+                              zip(solution.bus_ids, solution.v_mag, solution.v_ang)},
                              {b: complex(rng.uniform(0.8, 1.1), rng.uniform(-0.2, 0.2))
                               for b in solution.bus_ids}):
                 assert branch_flows(net, voltages) == _scalar_branch_flows(net, voltages)
@@ -282,7 +296,7 @@ class TestBitExactVectorisation:
 
 class TestLosses:
     def test_no_load_zero(self, bench):
-        solution = solve_newton_raphson(bench.network, _no_load_injections(bench.network))
+        solution = solve_newton_raphson(bench.network, no_load_injections(bench.network))
         assert abs(total_losses(bench.network, solution)) <= 1e-9
 
     def test_lossless_network_has_zero_active_losses(self):
@@ -336,9 +350,9 @@ class TestSolverOptions:
     def test_voltage_helpers(self):
         net = two_bus_network(TWO_BUS_Z)
         solution = solve_newton_raphson(net, {"load": -TWO_BUS_LOAD})
-        assert solution.voltage("source") == pytest.approx(1.0 + 0j)
+        assert solution.bus_ids == ("source", "load")
+        assert cmath.rect(solution.v_mag[0], solution.v_ang[0]) == pytest.approx(1.0 + 0j)
         vmin, vmax = solution.voltage_range()
         assert vmin == pytest.approx(TWO_BUS_VMAG, abs=1e-6)
         assert vmax == pytest.approx(1.0)
-        assert set(solution.voltages()) == {"source", "load"}
         assert set(solution.loading_by_branch()) == {"source -> load"}

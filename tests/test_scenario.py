@@ -42,6 +42,8 @@ from gridstress.scenario import (
     pv_clear_day_profile,
 )
 
+from helpers import stagger_served
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -154,6 +156,15 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioConfigError, match="per_charger_kw"):
             Scenario("bad", penetration=0.1, per_charger_kw=50.0)
         Scenario("ok", penetration=0.1, per_charger_kw=50.0,
+                 allow_nonstandard_charger=True)
+
+    @pytest.mark.parametrize("kw", [-5.0, float("nan"), float("inf"), float("-inf")])
+    def test_nonstandard_charger_is_finite_and_non_negative(self, kw):
+        with pytest.raises(ScenarioConfigError,
+                           match=f"per_charger_kw must be finite and >= 0, got {kw}"):
+            Scenario("bad", penetration=0.1, per_charger_kw=kw,
+                     allow_nonstandard_charger=True)
+        Scenario("idle", penetration=0.1, per_charger_kw=0.0,
                  allow_nonstandard_charger=True)
 
     def test_controller_name(self):
@@ -316,24 +327,17 @@ class TestOneThirdStagger:
         total_active = []
         for interval in range(3):
             demands = {"a": 100.0, "b": 100.0, "c": 100.0}
-            active, actions = one_third_stagger(demands, interval, state)
-            total_active.append(sum(active.values()))
-            assert sum(active.values()) == 100.0
-        assert total_active == [100.0, 100.0, 100.0]
-        assert state.served == Fraction(300)
-        assert state.demanded == Fraction(900)
-        assert state.unserved() == Fraction(600)
+            total_active.append(sum(stagger_served(demands, interval, state).values()))
+        assert total_active == [100, 100, 100]
+        assert state.unserved() == Fraction(600)     # 900 demanded - 300 served
 
     def test_single_bus_serves_every_third_interval(self):
         state = StaggerState({"solo": 100.0})
         served = []
         for interval in range(6):
-            active, _ = one_third_stagger({"solo": 100.0}, interval, state)
-            served.append(active["solo"])
-        assert served == [100.0, 0.0, 0.0, 100.0, 0.0, 0.0]
-        # two-thirds of demand deferred and reported unserved at horizon
-        assert state.served == Fraction(200)
-        assert state.demanded == Fraction(600)
+            served.append(stagger_served({"solo": 100.0}, interval, state)["solo"])
+        assert served == [100, 0, 0, 100, 0, 0]
+        # two-thirds of the 600 demanded deferred and reported unserved at horizon
         assert state.unserved() == Fraction(400)
 
     def test_zero_demand_no_actions(self):
@@ -341,7 +345,7 @@ class TestOneThirdStagger:
         active, actions = one_third_stagger({"a": 0.0, "b": 0.0}, 0, state)
         assert active == {"a": 0.0, "b": 0.0}
         assert actions == ()
-        assert state.demanded == 0
+        assert state.unserved() == 0
 
     def test_queue_drains_fifo_with_headroom(self):
         # Low current demand leaves room to drain the oldest deferral.
@@ -375,12 +379,12 @@ class TestOneThirdStagger:
     def test_conservation_is_exact(self, rng):
         buses = {f"b{i}": rng.uniform(10.0, 300.0) for i in range(5)}
         state = StaggerState(buses)
+        demanded = served = Fraction(0)
         for interval in range(30):
             demands = {bus: rng.uniform(0.0, cap) for bus, cap in buses.items()}
-            active, _ = one_third_stagger(demands, interval, state)
-            cap = state.group_cap_kw(interval)
-            assert sum(active.values()) <= cap + 1e-9
-        assert state.served + state.unserved() == state.demanded
+            served += sum(stagger_served(demands, interval, state).values())
+            demanded += sum(map(Fraction, demands.values()))
+        assert served + state.unserved() == demanded
 
     def test_unknown_bus_rejected(self):
         state = StaggerState({"a": 100.0})
