@@ -48,11 +48,11 @@ class CongestionHistogram:
     branch_bins: Mapping[str, str] | None = None
 
     @classmethod
-    def from_counts(cls, counts: Mapping[str, int], below_40: int = 0) -> CongestionHistogram:
+    def from_counts(cls, counts: Mapping[str, int]) -> CongestionHistogram:
         unknown = set(counts) - set(BIN_LABELS)
         if unknown:
             raise ValueError(f"unknown bin label(s): {sorted(unknown)}")
-        return cls(*(counts.get(label, 0) for label in BIN_LABELS), below_40=below_40)
+        return cls(*(counts.get(label, 0) for label in BIN_LABELS))
 
     def counts(self) -> dict[str, int]:
         return dict(zip(BIN_LABELS, (self.bin_40_80, self.bin_80_100, self.bin_100_150,

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import sys
 from typing import Any, Callable, Iterable, Sequence
 
 from .congestion import BELOW_LABEL, BIN_LABELS, CongestionHistogram, bin_label
@@ -62,14 +63,20 @@ class FileValidationError(GridFileError):
 
 
 def _load_json(text: str, what: str) -> Any:
-    def non_finite(literal: str) -> float:
-        raise FileSyntaxError([f"{what}: non-finite number {literal} is not allowed"])
+    def finite(literal: str) -> float:
+        value = float(literal)      # NaN and Infinity arrive here too; 1e400 overflows
+        if not math.isfinite(value):
+            raise FileSyntaxError([f"{what}: non-finite number {literal} is not allowed"])
+        return value
     try:
-        return json.loads(text, parse_constant=non_finite)
+        return json.loads(text, parse_float=finite, parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise FileSyntaxError(
             [f"{what}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         ) from exc
+    except ValueError as exc:       # int() refuses literals past the digit limit
+        raise FileSyntaxError([f"{what}: integer literal has more than "
+                               f"{sys.get_int_max_str_digits()} digits"]) from exc
 
 
 class _Record:
@@ -96,7 +103,11 @@ class _Record:
         if value is None and not required:
             return default
         if kind is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                self.errors.append(f"{self.path}.{key}: integer is too large for a float")
+                return default
         if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
             expected = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
             self.errors.append(

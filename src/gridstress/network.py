@@ -23,11 +23,9 @@ GENERATOR_KINDS = ("grid_supply", "pv_site")
 DEFAULT_LOAD_POWER_FACTOR = 0.95
 
 
-def reactive_kvar(kw: float, power_factor: float = DEFAULT_LOAD_POWER_FACTOR) -> float:
-    """Reactive power in kvar for an active power at a lagging power factor."""
-    if not 0.0 < power_factor <= 1.0:
-        raise ValueError(f"power factor must be in (0, 1], got {power_factor}")
-    return kw * math.tan(math.acos(power_factor))
+def reactive_kvar(kw: float) -> float:
+    """Reactive power in kvar for an active power at the default lagging power factor."""
+    return kw * math.tan(math.acos(DEFAULT_LOAD_POWER_FACTOR))
 
 
 @dataclass(frozen=True)

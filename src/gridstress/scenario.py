@@ -13,8 +13,9 @@ bit for bit, shares that interval's (immutable) solution.
 
 Sweeps with the null controller have independent intervals and may be
 evaluated concurrently by callers. The one-third stagger controller
-carries a deferral queue across intervals, so its ledger runs serially
-in sweep order; it never reads a solution, so each interval is solved
+connects one of three fixed bus groups per interval and carries each
+bus's deferred energy across intervals as one exact backlog, so its
+ledger runs serially in sweep order; it never reads a solution, so each interval is solved
 after the controller. run_sweep itself is always single-threaded and
 never shares the mutable ledger.
 """
@@ -22,7 +23,6 @@ never shares the mutable ledger.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -296,96 +296,57 @@ def build_injections(
     return injections
 
 
-@dataclass(frozen=True)
-class StaggerAction:
-    """What the stagger controller did at one bus for one interval (kW)."""
-
-    bus: str
-    demanded_kw: float
-    served_kw: float
-    deferred_kw: float
-    drained_kw: float
-
-
 class StaggerState:
     """Deferral ledger for the one-third stagger controller.
 
-    Buses are partitioned into three fixed groups, round-robin over the
-    sorted bus ids. Queued energy is tracked as exact rationals so that
-    served + unserved always equals demanded to the last bit.
+    A bus's group is its position in the sorted bus ids mod 3. Its
+    deferred energy is one exact rational backlog, so that served +
+    unserved always equals demanded to the last bit.
     """
 
     def __init__(self, connected_kw_by_bus: Mapping[str, float]):
         self.buses = tuple(sorted(connected_kw_by_bus))
-        self.group = {bus: i % 3 for i, bus in enumerate(self.buses)}
         self.cap = {bus: Fraction(connected_kw_by_bus[bus]) for bus in self.buses}
-        self.queues: dict[str, deque[Fraction]] = {bus: deque() for bus in self.buses}
+        self.backlog = {bus: Fraction(0) for bus in self.buses}
 
     def unserved(self) -> Fraction:
-        """Energy still queued; at horizon end this is reported as unserved."""
-        return sum((sum(q, Fraction(0)) for q in self.queues.values()), Fraction(0))
+        """Energy still deferred; at horizon end this is reported as unserved."""
+        return sum(self.backlog.values(), Fraction(0))
 
 
-def one_third_stagger(
-    ev_demands: Mapping[str, float],
-    interval: int,
-    state: StaggerState,
-) -> tuple[dict[str, float], tuple[StaggerAction, ...]]:
-    """Connect one-third of EV buses; queue the rest for later intervals.
+def one_third_stagger(ev_demands: Mapping[str, float], interval: int,
+                      state: StaggerState) -> dict[str, float]:
+    """Connect one-third of EV buses; defer the rest to later intervals.
 
-    Group (interval mod 3) serves its queued deferrals first (FIFO),
-    then the current demand, capped at the bus's nominal connected
-    power; the excess joins the queue tail. Buses outside the active
-    group defer their entire demand. A bus with demand, service or a
-    queue records an action. Demand at unknown buses is an error; state
-    is mutated in place.
+    Returns the served kW of every bus. A bus in group (interval mod 3)
+    has room up to its nominal connected power: it serves its backlog
+    first, then the current demand, and the excess joins its backlog.
+    Buses outside the active group defer their entire demand. Demand at
+    unknown buses is an error; state is mutated in place.
     """
     unknown = sorted(set(ev_demands) - set(state.buses))
     if unknown:
         raise ScenarioConfigError(f"stagger state has no group for bus(es): {', '.join(unknown)}")
 
-    active_group = interval % 3
     served_kw: dict[str, float] = {}
-    actions: list[StaggerAction] = []
-    for bus in state.buses:
+    for i, bus in enumerate(state.buses):
         demand = Fraction(ev_demands.get(bus, 0.0))
         if demand < 0:
             raise ScenarioConfigError(f"negative EV demand at {bus!r}")
-        queue = state.queues[bus]
-        room = state.cap[bus] if state.group[bus] == active_group else 0
-        drained = 0
-        while queue and room > 0:
-            take = min(queue[0], room)
-            drained += take
-            room -= take
-            if take == queue[0]:
-                queue.popleft()
-            else:
-                queue[0] -= take
-        direct = min(demand, room)
-        leftover = demand - direct
-        if leftover > 0:
-            queue.append(leftover)
-        served = drained + direct
+        room = state.cap[bus] if i % 3 == interval % 3 else 0
+        drained = min(state.backlog[bus], room)
+        served = drained + min(demand, room - drained)
+        state.backlog[bus] += demand - served
         served_kw[bus] = float(served)
-        if demand > 0 or served > 0 or queue:
-            actions.append(StaggerAction(bus, float(demand), float(served),
-                                         float(leftover), float(drained)))
-    return served_kw, tuple(actions)
+    return served_kw
 
 
 @dataclass(frozen=True)
 class IntervalRecord:
-    """One sweep step: the solved interval plus any controller actions.
-
-    resolved is True when the controller's settled EV draw differs from
-    the demanded one, so the interval was solved with the settled draw.
-    """
+    """One sweep step: the interval and its solution under the settled EV draw."""
 
     interval: int
     solution: PowerFlowSolution
-    actions: tuple[StaggerAction, ...]
-    resolved: bool
 
 
 @dataclass(frozen=True)
@@ -437,9 +398,9 @@ def run_sweep(
     demanded_kw = Fraction(0)
     for interval in intervals:
         demanded = _ev_draw(ev_nominal, ev_profile, interval)
-        settled, actions = demanded, ()
+        settled = demanded
         if state is not None and demanded:
-            settled, actions = one_third_stagger(demanded, interval, state)
+            settled = one_third_stagger(demanded, interval, state)
         demanded_kw += sum(map(Fraction, demanded.values()), Fraction(0))
 
         injections = build_injections(net, scenario, profiles, interval,
@@ -450,9 +411,9 @@ def run_sweep(
         solution = solved.get(key)
         if solution is None:
             solution = solved[key] = solve_newton_raphson(net, injections)
-        records.append(IntervalRecord(interval, solution, actions, settled != demanded))
+        records.append(IntervalRecord(interval, solution))
 
-    # Whatever is still queued at the horizon is unserved; the rest was served.
+    # Whatever is still deferred at the horizon is unserved; the rest was served.
     unserved_kw = state.unserved() if state is not None else Fraction(0)
     per_slot_hours = Fraction(1, 4)
     ledger = EnergyLedger(demanded_kwh=demanded_kw * per_slot_hours,

@@ -1,13 +1,15 @@
 """Shared builders and checks for tests: tiny and randomly generated
 networks, a small network document, no-load injections, overload
-counts and stagger service."""
+counts, stagger service and a reference model of the stagger controller."""
 
 from __future__ import annotations
 
 import json
 import os
 import random
+from collections import deque
 from fractions import Fraction
+from typing import Mapping
 
 from gridstress import (
     Branch,
@@ -110,18 +112,64 @@ def stagger_served(demands: dict[str, float], interval: int,
                    state: StaggerState) -> dict[str, Fraction]:
     """Run one_third_stagger for one slot and return each bus's served kW.
 
-    The served kW of a bus is exact: its demand plus its queue before
-    the slot minus its queue after. Asserts that the controller returned
-    that kW, that a bus outside the active group served nothing and that
-    a bus inside it served no more than its cap.
+    The served kW of a bus is exact: its demand plus its backlog before
+    the slot minus its backlog after. Asserts that the controller
+    returned that kW, that a bus outside the active group (position in
+    the sorted bus ids mod 3) served nothing and that a bus inside it
+    served no more than its cap.
     """
-    before = {bus: sum(queue, Fraction(0)) for bus, queue in state.queues.items()}
-    returned, _ = one_third_stagger(demands, interval, state)
+    before = dict(state.backlog)
+    returned = one_third_stagger(demands, interval, state)
     served = {}
-    for bus in state.buses:
-        kw = Fraction(demands.get(bus, 0.0)) + before[bus] - sum(state.queues[bus], Fraction(0))
+    for i, bus in enumerate(state.buses):
+        kw = Fraction(demands.get(bus, 0.0)) + before[bus] - state.backlog[bus]
         assert float(kw) == returned[bus], bus
-        room = state.cap[bus] if state.group[bus] == interval % 3 else 0
+        room = state.cap[bus] if i % 3 == interval % 3 else 0
         assert 0 <= kw <= room, bus
         served[bus] = kw
     return served
+
+
+class FifoStagger:
+    """Reference model of the one-third stagger controller.
+
+    Each bus keeps a FIFO queue of exact deferral entries. The active
+    group (interval mod 3, groups round-robin over the sorted bus ids)
+    drains its queue oldest entry first, up to the bus's connected
+    power, then serves current demand from the room left; the excess
+    joins the queue tail.
+    """
+
+    def __init__(self, connected_kw_by_bus: Mapping[str, float]):
+        self.buses = tuple(sorted(connected_kw_by_bus))
+        self.group = {bus: i % 3 for i, bus in enumerate(self.buses)}
+        self.cap = {bus: Fraction(connected_kw_by_bus[bus]) for bus in self.buses}
+        self.queues: dict[str, deque[Fraction]] = {bus: deque() for bus in self.buses}
+
+    def step(self, demands: Mapping[str, float], interval: int) -> dict[str, float]:
+        """Settle one slot; the served kW of every bus."""
+        served_kw = {}
+        for bus in self.buses:
+            demand = Fraction(demands.get(bus, 0.0))
+            queue = self.queues[bus]
+            room = self.cap[bus] if self.group[bus] == interval % 3 else 0
+            drained = 0
+            while queue and room > 0:
+                take = min(queue[0], room)
+                drained += take
+                room -= take
+                if take == queue[0]:
+                    queue.popleft()
+                else:
+                    queue[0] -= take
+            direct = min(demand, room)
+            if demand > direct:
+                queue.append(demand - direct)
+            served_kw[bus] = float(drained + direct)
+        return served_kw
+
+    def queued(self, bus: str) -> Fraction:
+        return sum(self.queues[bus], Fraction(0))
+
+    def unserved(self) -> Fraction:
+        return sum((self.queued(bus) for bus in self.buses), Fraction(0))

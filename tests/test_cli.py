@@ -87,12 +87,18 @@ class TestValidate:
         assert cli_main(["validate", "--network", str(tmp_path / "nope.json")]) == 1
         assert "error" in capsys.readouterr().err.lower()
 
-    def test_non_finite_literal_is_diagnostic(self, tmp_path, capsys):
-        bad = tmp_path / "nan.json"
-        bad.write_text(NETWORK_TEXT.replace('"kw": 100.0', '"kw": NaN'))
+    @pytest.mark.parametrize("old, new, diagnostic", [
+        ('"kw": 100.0', '"kw": NaN', "network file: non-finite number NaN is not allowed"),
+        ('"rating": 1000.0', '"rating": 1e400',
+         "network file: non-finite number 1e400 is not allowed"),
+        ('"rating": 1000.0', '"rating": 1' + "0" * 400,
+         "branches[0].rating: integer is too large for a float"),
+    ])
+    def test_non_finite_literal_is_diagnostic(self, tmp_path, capsys, old, new, diagnostic):
+        bad = tmp_path / "bad.json"
+        bad.write_text(NETWORK_TEXT.replace(old, new))
         assert cli_main(["validate", "--network", str(bad)]) == 1
-        assert capsys.readouterr().err == (
-            "network file: non-finite number NaN is not allowed\n")
+        assert capsys.readouterr().err == diagnostic + "\n"
 
     def test_runs_as_a_module(self, tmp_path):
         good, bad = tmp_path / "good.json", tmp_path / "bad.json"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 
 import pytest
 
@@ -468,6 +469,25 @@ ERROR_CASES = [
     ("report-json-negative-infinity", parse_report_json,
      _REPORT_TEXT.replace(": 1}", ": -Infinity}"), FileSyntaxError,
      _non_finite("report file", "-Infinity")),
+    # Literals that overflow a float are as non-finite as Infinity.
+    ("network-overflowing-rating", parse_network_file,
+     NETWORK_TEXT.replace('"rating": 1000.0', '"rating": 1e400'), FileSyntaxError,
+     _non_finite("network file", "1e400")),
+    ("network-overflowing-load", parse_network_file,
+     NETWORK_TEXT.replace('"kw": 100.0', '"kw": -1e400'), FileSyntaxError,
+     _non_finite("network file", "-1e400")),
+    ("scenario-overflowing-charger", parse_scenario_file,
+     _SCENARIO_TEXT.replace("10.0", "1e400"), FileSyntaxError,
+     _non_finite("scenario file", "1e400")),
+    ("network-huge-integer-rating", parse_network_file,
+     NETWORK_TEXT.replace('"rating": 1000.0', '"rating": 1' + "0" * 400), FileSchemaError,
+     ["branches[0].rating: integer is too large for a float"]),
+    ("scenario-huge-integer-penetration", parse_scenario_file,
+     _SCENARIO_TEXT.replace("0.1", "1" + "0" * 400), FileSchemaError,
+     ["scenario.penetration: integer is too large for a float"]),
+    ("network-integer-past-digit-limit", parse_network_file,
+     NETWORK_TEXT.replace('"rating": 1000.0', '"rating": 1' + "0" * 5000), FileSyntaxError,
+     [f"network file: integer literal has more than {sys.get_int_max_str_digits()} digits"]),
 ]
 
 

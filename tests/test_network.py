@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
 import pickle
 
 import pytest
@@ -22,7 +23,7 @@ from gridstress import (
 )
 from gridstress.benchmark import CABLE_CATALOG
 from gridstress.fileio import emit_network_file, parse_network_file
-from gridstress.network import reactive_kvar
+from gridstress.network import DEFAULT_LOAD_POWER_FACTOR, reactive_kvar
 
 
 class TestCableResistance:
@@ -199,12 +200,10 @@ class TestReactiveDefaults:
         # 420 kW at 0.95 lagging -> 138.047... kvar (hand calculation).
         assert reactive_kvar(420.0) == pytest.approx(138.04732417512255)
 
-    def test_unity_power_factor(self):
-        assert reactive_kvar(500.0, 1.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_bad_power_factor(self):
-        with pytest.raises(ValueError):
-            reactive_kvar(100.0, 0.0)
+    def test_apparent_power_is_at_the_default_power_factor(self):
+        for kw in (0.5, 500.0, 12000.0):
+            assert kw / math.hypot(kw, reactive_kvar(kw)) == pytest.approx(
+                DEFAULT_LOAD_POWER_FACTOR, rel=1e-12)
 
 
 class TestNetworkContainer:

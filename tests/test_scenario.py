@@ -36,13 +36,12 @@ from gridstress.scenario import (
     ProfileError,
     Scenario,
     ScenarioConfigError,
-    StaggerAction,
     StaggerState,
     ev_workday_profile,
     pv_clear_day_profile,
 )
 
-from helpers import stagger_served
+from helpers import FifoStagger, stagger_served
 
 DATA = Path(__file__).parent / "data"
 
@@ -340,41 +339,52 @@ class TestOneThirdStagger:
         # two-thirds of the 600 demanded deferred and reported unserved at horizon
         assert state.unserved() == Fraction(400)
 
-    def test_zero_demand_no_actions(self):
+    def test_zero_demand_serves_and_defers_nothing(self):
         state = StaggerState({"a": 100.0, "b": 50.0})
-        active, actions = one_third_stagger({"a": 0.0, "b": 0.0}, 0, state)
-        assert active == {"a": 0.0, "b": 0.0}
-        assert actions == ()
-        assert state.unserved() == 0
+        assert one_third_stagger({"a": 0.0, "b": 0.0}, 0, state) == {"a": 0.0, "b": 0.0}
+        assert state.backlog == {"a": 0, "b": 0}
 
-    def test_queue_drains_fifo_with_headroom(self):
-        # Low current demand leaves room to drain the oldest deferral.
+    def test_backlog_drains_with_headroom(self):
         state = StaggerState({"x": 100.0})
-        one_third_stagger({"x": 80.0}, 1, state)   # group 0 inactive; 80 queued
-        one_third_stagger({"x": 70.0}, 2, state)   # 70 queued behind it
-        active, actions = one_third_stagger({"x": 30.0}, 3, state)  # active
-        assert active["x"] == 100.0
-        action = actions[0]
-        assert action.drained_kw == 100.0          # 80 then 20 of the 70
-        assert action.served_kw == 100.0
-        assert action.deferred_kw == 30.0          # current demand re-queued
-        assert state.unserved() == Fraction(80)    # 50 old + 30 new
+        one_third_stagger({"x": 80.0}, 1, state)   # group 0 inactive; 80 deferred
+        one_third_stagger({"x": 70.0}, 2, state)   # backlog 150
+        served = one_third_stagger({"x": 30.0}, 3, state)  # active
+        assert served == {"x": 100.0}              # 100 of the 150 drained
+        assert state.backlog == {"x": Fraction(80)}    # 50 old + 30 new
 
-    def test_idle_bus_with_queue_records_all_zero_action(self):
+    def test_idle_bus_keeps_its_backlog(self):
         state = StaggerState({"x": 100.0})
-        one_third_stagger({"x": 80.0}, 1, state)   # group 0 idle: 80 queued
-        active, actions = one_third_stagger({"x": 0.0}, 2, state)   # still idle
-        assert active == {"x": 0.0}
-        assert actions == (StaggerAction("x", 0.0, 0.0, 0.0, 0.0),)
-        assert state.unserved() == Fraction(80)
+        one_third_stagger({"x": 80.0}, 1, state)   # group 0 idle: 80 deferred
+        assert one_third_stagger({"x": 0.0}, 2, state) == {"x": 0.0}   # still idle
+        assert state.backlog == {"x": Fraction(80)}
 
     def test_active_bus_without_room_acts_like_an_idle_one(self):
         state = StaggerState({"x": 0.0})
-        _, actions = one_third_stagger({"x": 80.0}, 0, state)   # active, no room
-        assert actions == (StaggerAction("x", 80.0, 0.0, 80.0, 0.0),)
-        active, actions = one_third_stagger({"x": 0.0}, 3, state)
-        assert active == {"x": 0.0}
-        assert actions == (StaggerAction("x", 0.0, 0.0, 0.0, 0.0),)
+        assert one_third_stagger({"x": 80.0}, 0, state) == {"x": 0.0}   # active, no room
+        assert state.backlog == {"x": Fraction(80)}
+        assert one_third_stagger({"x": 0.0}, 3, state) == {"x": 0.0}
+        assert state.backlog == {"x": Fraction(80)}
+
+    def test_negative_demand_rejected(self):
+        state = StaggerState({"a": 100.0})
+        with pytest.raises(ScenarioConfigError, match="negative EV demand"):
+            one_third_stagger({"a": -1.0}, 0, state)
+
+    def test_matches_the_fifo_reference_model(self, rng):
+        # Random bus sets, caps (some zero) and demand runs past three
+        # slots, so groups wrap; demand may be zero, partial or above cap
+        # and may leave buses out.
+        for _ in range(300):
+            caps = {f"bus-{i}": rng.choice((0.0, rng.uniform(1.0, 300.0)))
+                    for i in rng.sample(range(20), rng.randrange(1, 8))}
+            state, oracle = StaggerState(caps), FifoStagger(caps)
+            for interval in range(rng.randrange(4, 25)):
+                demands = {bus: rng.choice((0.0, rng.uniform(0.0, 1.5 * cap + 1.0)))
+                           for bus, cap in caps.items() if rng.random() < 0.9}
+                assert one_third_stagger(demands, interval, state) == oracle.step(
+                    demands, interval)
+                assert state.backlog == {bus: oracle.queued(bus) for bus in oracle.buses}
+            assert state.unserved() == oracle.unserved()
 
     def test_conservation_is_exact(self, rng):
         buses = {f"b{i}": rng.uniform(10.0, 300.0) for i in range(5)}
@@ -393,7 +403,10 @@ class TestOneThirdStagger:
 
     def test_groups_round_robin_over_sorted_ids(self):
         state = StaggerState({"d": 1.0, "a": 1.0, "c": 1.0, "b": 1.0})
-        assert state.group == {"a": 0, "b": 1, "c": 2, "d": 0}
+        demands = {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0}
+        serving = [{bus for bus, kw in one_third_stagger(demands, interval, state).items() if kw}
+                   for interval in range(3)]
+        assert serving == [{"a", "d"}, {"b"}, {"c"}]
 
 
 def _stagger_demo_network() -> Network:
@@ -431,6 +444,11 @@ def _record_injections(monkeypatch) -> dict[int, dict[str, complex]]:
     return built
 
 
+def _nominal_solution(net, scenario, profiles, interval):
+    """A direct solve of the interval's injections with the nominal EV draw."""
+    return solve_newton_raphson(net, build_injections(net, scenario, profiles, interval))
+
+
 class TestRunSweep:
     def test_zero_load_day_is_flat(self):
         net = _mini_grid(load_kw=0.0)
@@ -440,7 +458,6 @@ class TestRunSweep:
         for record in result.records:
             assert record.solution.converged
             assert record.solution.v_mag == (1.0, 1.0)
-            assert record.actions == ()
         assert result.ledger.demanded_kwh == 0
 
     def test_single_interval_equals_direct_solve(self, bench):
@@ -452,7 +469,7 @@ class TestRunSweep:
         record = result.records[0]
         assert record.solution.v_mag == direct.v_mag
         assert record.solution.v_ang == direct.v_ang
-        assert not record.resolved
+        assert record.solution == direct
 
     def test_null_controller_zero_penetration_matches_base_grid(self, bench):
         base = bench.scenario("base")
@@ -479,12 +496,18 @@ class TestRunSweep:
         assert result.ledger.unserved_kwh == Fraction(600) * Fraction(1, 4)
         assert (result.ledger.served_kwh + result.ledger.unserved_kwh
                 == result.ledger.demanded_kwh)
-        for record in result.records:
-            assert record.resolved
-            served = sum(a.served_kw for a in record.actions)
-            assert served == 100.0
+        # Each slot is solved with the settled draw: 100 kW at the one
+        # active lot, nothing at the others, not the nominal 300 kW.
+        for record, active in zip(result.records, ("lot-a", "lot-b", "lot-c")):
+            settled = {bus: 100.0 if bus == active else 0.0
+                       for bus in ("lot-a", "lot-b", "lot-c")}
+            injections = build_injections(net, scenario, profiles, record.interval,
+                                          ev_kw_override=settled)
+            assert record.solution == solve_newton_raphson(net, injections)
+            assert record.solution != _nominal_solution(net, scenario, profiles,
+                                                        record.interval)
 
-    def test_stagger_does_not_resolve_when_nothing_changes(self):
+    def test_stagger_without_demand_solves_the_nominal_injections(self):
         net = _stagger_demo_network()
         lots = (ParkingLot("a", 10, "lot-a"),)
         coeffs = [0.0] * 96
@@ -494,7 +517,7 @@ class TestRunSweep:
                             bindings=ProfileBindings(ev="night"))
         profiles = {"night": LoadProfile("night", tuple(coeffs))}
         result = run_sweep(net, scenario, profiles, intervals=[0])
-        assert not result.records[0].resolved
+        assert result.records[0].solution == _nominal_solution(net, scenario, profiles, 0)
 
     def test_divergence_recorded_and_sweep_continues(self):
         net = _mini_grid(load_kw=400000.0)  # far beyond deliverable power
@@ -514,8 +537,11 @@ class TestRunSweep:
     def test_stagger_day_solves_each_interval_once(self, bench, monkeypatch):
         calls = _count_solves(monkeypatch)
         built = _record_injections(monkeypatch)
-        result = run_sweep(bench.network, bench.scenario("ev25_pv_lm"), bench.profiles)
-        assert any(record.resolved for record in result.records)
+        scenario = bench.scenario("ev25_pv_lm")
+        result = run_sweep(bench.network, scenario, bench.profiles)
+        assert any(record.solution != _nominal_solution(bench.network, scenario,
+                                                        bench.profiles, record.interval)
+                   for record in result.records)
         assert len(result.records) == len(built) == 96
         distinct = {tuple(injections.values()) for injections in built.values()}
         # One solve per distinct injection set, and no set solved twice.
@@ -533,8 +559,11 @@ class TestRunSweep:
 
     def test_every_record_equals_a_direct_solve_of_its_injections(self, bench, monkeypatch):
         built = _record_injections(monkeypatch)
-        result = run_sweep(bench.network, bench.scenario("ev25_pv_lm"), bench.profiles)
-        assert any(record.resolved for record in result.records)
+        scenario = bench.scenario("ev25_pv_lm")
+        result = run_sweep(bench.network, scenario, bench.profiles)
+        assert any(record.solution != _nominal_solution(bench.network, scenario,
+                                                        bench.profiles, record.interval)
+                   for record in result.records)
         for record in result.records:
             direct = solve_newton_raphson(bench.network, built[record.interval])
             assert record.solution == direct
