@@ -32,6 +32,7 @@ from .fileio import (
     emit_report_csv,
     emit_report_json,
     emit_scenario_file,
+    emit_sweep_csv,
     parse_branch_detail_csv,
     parse_network_file,
     parse_profile_csv,
@@ -185,15 +186,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     net, scenario, profiles = _load_inputs(args)
     result = run_sweep(net, scenario, profiles)
-
-    status_lines = ["interval,converged,iterations,max_loading_percent,branches_ge_100"]
-    for record in result.records:
-        loadings = record.solution.loading_by_branch().values()
-        over = sum(1 for v in loadings if v >= 100.0)
-        status_lines.append(f"{record.interval},{int(record.solution.converged)},"
-                            f"{record.solution.iterations},{max(loadings, default=0.0):.6f},{over}")
-    status_csv = "\n".join(status_lines) + "\n"
-
     diverged = result.diverged_intervals()
     print(f"{scenario.name}: {len(result.records)} intervals, "
           f"{len(diverged)} diverged")
@@ -202,7 +194,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
           f"served {float(ledger.served_kwh):.1f}, unserved {float(ledger.unserved_kwh):.1f}")
 
     if args.out:
-        _write(Path(args.out) / f"sweep_{scenario.name}.csv", status_csv)
+        _write(Path(args.out) / f"sweep_{scenario.name}.csv", emit_sweep_csv(result.records))
         for record in result.records:
             _write(Path(args.out) / "details"
                    / f"{scenario.name}_slot{record.interval:02d}.csv",

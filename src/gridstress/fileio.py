@@ -1,11 +1,13 @@
 """Parsing and emission of the on-disk document formats.
 
-Four document kinds: the network file and scenario file (JSON), profile
+Five document kinds: the network file and scenario file (JSON), profile
 files (CSV, either normalized coefficients or raw kW to be normalized
-on ingest), and reports (summary CSV/JSON plus the per-branch detail
-CSV). Parsing is strict: unknown keys are rejected and every diagnostic
-names its location. Emission is canonical, so parse-emit-parse is the
-identity and output bytes are deterministic.
+on ingest), reports (summary CSV/JSON plus the per-branch detail CSV)
+and the sweep status CSV, which is only written. Parsing is strict:
+unknown keys and non-finite numbers are rejected, and a bad document
+raises one GridFileError whose diagnostics each name their location.
+Emission is canonical, so parse-emit-parse is the identity and output
+bytes are deterministic.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .network import (
 from .powerflow import PowerFlowSolution
 from .scenario import (
     SLOTS_PER_DAY,
+    IntervalRecord,
     LoadProfile,
     ParkingLot,
     ProfileBindings,
@@ -43,40 +46,23 @@ from .scenario import (
 
 
 class GridFileError(Exception):
-    """Base for document errors; carries one diagnostic per problem."""
+    """A bad document; carries one diagnostic per problem."""
 
     def __init__(self, diagnostics: Sequence[str]):
         self.diagnostics = list(diagnostics)
         super().__init__("; ".join(self.diagnostics))
 
 
-class FileSyntaxError(GridFileError):
-    """The document is not well-formed JSON/CSV."""
-
-
-class FileSchemaError(GridFileError):
-    """The document is well-formed but violates the schema."""
-
-
-class FileValidationError(GridFileError):
-    """The document parsed but the resulting model breaks an invariant."""
-
-
 def _load_json(text: str, what: str) -> Any:
-    def finite(literal: str) -> float:
-        value = float(literal)      # NaN and Infinity arrive here too; 1e400 overflows
-        if not math.isfinite(value):
-            raise FileSyntaxError([f"{what}: non-finite number {literal} is not allowed"])
-        return value
     try:
-        return json.loads(text, parse_float=finite, parse_constant=finite)
+        return json.loads(text)     # NaN, Infinity and 1e400 are floats for take to reject
     except json.JSONDecodeError as exc:
-        raise FileSyntaxError(
+        raise GridFileError(
             [f"{what}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         ) from exc
     except ValueError as exc:       # int() refuses literals past the digit limit
-        raise FileSyntaxError([f"{what}: integer literal has more than "
-                               f"{sys.get_int_max_str_digits()} digits"]) from exc
+        raise GridFileError([f"{what}: integer literal has more than "
+                             f"{sys.get_int_max_str_digits()} digits"]) from exc
 
 
 class _Record:
@@ -92,8 +78,7 @@ class _Record:
             errors.append(f"{path}: expected an object, got {type(raw).__name__}")
         self._consumed: set[str] = set()
 
-    def take(self, key: str, kind: type | tuple[type, ...], required: bool = True,
-             default: Any = None) -> Any:
+    def take(self, key: str, kind: type, required: bool = True, default: Any = None) -> Any:
         self._consumed.add(key)
         if key not in self.raw:
             if required:
@@ -102,16 +87,17 @@ class _Record:
         value = self.raw[key]
         if value is None and not required:
             return default
-        if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        if kind is float and type(value) is int:
             try:
                 value = float(value)
             except OverflowError:
-                self.errors.append(f"{self.path}.{key}: integer is too large for a float")
-                return default
+                value = math.inf
         if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-            expected = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
             self.errors.append(
-                f"{self.path}.{key}: expected {expected}, got {type(value).__name__}")
+                f"{self.path}.{key}: expected {kind.__name__}, got {type(value).__name__}")
+            return default
+        if kind is float and not math.isfinite(value):
+            self.errors.append(f"{self.path}.{key}: not a finite number")
             return default
         return value
 
@@ -204,7 +190,7 @@ def parse_network_file(text: str) -> Network:
             generators.append(Generator(bus, kind, capacity, profile))
 
     if errors:
-        raise FileSchemaError(errors)
+        raise GridFileError(errors)
 
     net = derive_impedances(Network(
         s_base_mva=s_base,
@@ -215,7 +201,7 @@ def parse_network_file(text: str) -> Network:
     ))
     violations = validate_network(net)
     if violations:
-        raise FileValidationError([str(v) for v in violations])
+        raise GridFileError([str(v) for v in violations])
     return net
 
 
@@ -306,6 +292,11 @@ def parse_scenario_file(text: str) -> Scenario:
         pv_default = rec.take("pv_default", str, required=False)
         pv_map = rec.take("pv", dict, required=False, default={})
         rec.finish()
+        for map_name, mapping in (("load", load_map), ("pv", pv_map)):
+            for key, value in (mapping or {}).items():
+                if not isinstance(value, str):
+                    errors.append(f"bindings.{map_name}[{key!r}]: expected str, "
+                                  f"got {type(value).__name__}")
         bindings = ProfileBindings(
             load_default=load_default,
             load=dict(load_map or {}),
@@ -315,7 +306,7 @@ def parse_scenario_file(text: str) -> Scenario:
         )
 
     if errors:
-        raise FileSchemaError(errors)
+        raise GridFileError(errors)
     try:
         return Scenario(
             name=name,
@@ -328,7 +319,7 @@ def parse_scenario_file(text: str) -> Scenario:
             allow_nonstandard_charger=allow_nonstandard,
         )
     except ScenarioConfigError as exc:
-        raise FileValidationError([f"scenario: {exc}"]) from exc
+        raise GridFileError([f"scenario: {exc}"]) from exc
 
 
 def emit_scenario_file(scenario: Scenario) -> str:
@@ -368,10 +359,10 @@ def _csv_rows(text: str, what: str, header: Sequence[str] | None = None) -> list
     try:
         rows = list(csv.reader(io.StringIO(text)))
     except csv.Error as exc:
-        raise FileSyntaxError([f"{what}: malformed CSV: {exc}"]) from exc
+        raise GridFileError([f"{what}: malformed CSV: {exc}"]) from exc
     rows = [row for row in rows if row]
     if header is not None and (not rows or tuple(rows[0]) != tuple(header)):
-        raise FileSchemaError([f"{what}: header must be {','.join(header)}"])
+        raise GridFileError([f"{what}: header must be {','.join(header)}"])
     return rows
 
 
@@ -391,16 +382,19 @@ def _convert_rows(body: Sequence[list[str]], what: str, width: int,
         except ValueError as exc:
             errors.append(f"{what} row {i + 1}: {exc}")
     if errors:
-        raise FileSchemaError(errors)
+        raise GridFileError(errors)
     return converted
 
 
-def _number(kind: Callable[[str], Any], cell: str, problem: str) -> Any:
-    """kind(cell), or ValueError(problem) when the cell does not parse."""
+def _number(cell: str, problem: str) -> float:
+    """The finite float in cell; ValueError(problem) when the cell does not parse."""
     try:
-        return kind(cell)
+        value = float(cell)
     except ValueError:
         raise ValueError(problem) from None
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {cell}")
+    return value
 
 
 def _integer(cell: str, problem: str) -> int:
@@ -414,7 +408,7 @@ def _integer(cell: str, problem: str) -> int:
 
 def _slot_coefficient(i: int, row: list[str]) -> float:
     slot = _integer(row[0], "non-numeric cell")
-    coeff = _number(float, row[1], "non-numeric cell")
+    coeff = _number(row[1], "non-numeric cell")
     if slot != i:
         raise ValueError(f"expected slot {i}, got {slot}")
     return coeff
@@ -429,21 +423,21 @@ def parse_profile_csv(text: str, profile_id: str) -> LoadProfile:
     what = f"profile {profile_id!r}"
     rows = _csv_rows(text, what)
     if not rows:
-        raise FileSchemaError([f"{what}: empty file"])
+        raise GridFileError([f"{what}: empty file"])
     header = [cell.strip() for cell in rows[0]]
     body = rows[1:]
     if len(body) != SLOTS_PER_DAY:
-        raise FileSchemaError([f"{what}: expected {SLOTS_PER_DAY} data rows, got {len(body)}"])
+        raise GridFileError([f"{what}: expected {SLOTS_PER_DAY} data rows, got {len(body)}"])
     try:
         if header == ["slot", "coefficient"]:
             return LoadProfile(profile_id, tuple(_convert_rows(body, what, 2, _slot_coefficient)))
         if header == ["timestamp", "kw"]:
             kws = _convert_rows(body, what, 2,
-                                lambda i, row: _number(float, row[1], "non-numeric kw"))
+                                lambda i, row: _number(row[1], "non-numeric kw"))
             return normalize_profile(kws, profile_id)
     except ProfileError as exc:
-        raise FileValidationError([str(exc)]) from exc
-    raise FileSchemaError([f"{what}: header must be slot,coefficient or timestamp,kw"])
+        raise GridFileError([str(exc)]) from exc
+    raise GridFileError([f"{what}: header must be slot,coefficient or timestamp,kw"])
 
 
 def emit_profile_csv(profile: LoadProfile) -> str:
@@ -506,7 +500,7 @@ def parse_report_json(text: str) -> list[tuple[str, CongestionHistogram]]:
                               f"integer >= 0, got {count!r}")
         parsed.append((name, CongestionHistogram.from_counts(bins)))
     if errors:
-        raise FileSchemaError(errors)
+        raise GridFileError(errors)
     return parsed
 
 
@@ -523,16 +517,16 @@ def detail_csv_for_solution(solution: PowerFlowSolution) -> str:
 
 def parse_branch_detail_csv(text: str) -> dict[str, tuple[str, float, str]]:
     """Detail rows keyed by branch id: (kind, loading_percent, bin). A
-    branch id may appear in one row only."""
+    branch id may appear in one row only, and its bin must be its loading's."""
     detail: dict[str, tuple[str, float, str]] = {}
 
     def add_row(i: int, row: list[str]) -> None:
         branch, kind, loading_raw, label = row
-        loading = _number(float, loading_raw, "non-numeric loading")
-        if not math.isfinite(loading):
-            raise ValueError("non-finite loading")
-        if label not in (BELOW_LABEL, *BIN_LABELS):
-            raise ValueError(f"unknown bin {label!r}")
+        loading = _number(loading_raw, "non-numeric loading")
+        expected = bin_label(loading)       # ValueError for a negative loading
+        if label != expected:
+            raise ValueError(f"unknown bin {label!r}" if label not in (BELOW_LABEL, *BIN_LABELS)
+                             else f"loading {loading_raw} is in bin {expected!r}, not {label!r}")
         if branch in detail:
             raise ValueError(f"duplicate branch {branch!r}")
         detail[branch] = (kind, loading, label)
@@ -540,3 +534,14 @@ def parse_branch_detail_csv(text: str) -> dict[str, tuple[str, float, str]]:
     rows = _csv_rows(text, "detail", DETAIL_COLUMNS)
     _convert_rows(rows[1:], "detail", 4, add_row)
     return detail
+
+
+def emit_sweep_csv(records: Iterable[IntervalRecord]) -> str:
+    """Sweep status: one row per slot, with its peak loading at six decimals."""
+    def row(record: IntervalRecord) -> list[Any]:
+        solution = record.solution
+        loadings = solution.loading_by_branch().values()
+        return [record.interval, int(solution.converged), solution.iterations,
+                f"{max(loadings, default=0.0):.6f}", sum(1 for v in loadings if v >= 100.0)]
+    return _csv_text(("interval", "converged", "iterations", "max_loading_percent",
+                      "branches_ge_100"), map(row, records))

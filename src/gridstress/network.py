@@ -275,7 +275,12 @@ def validate_network(net: Network) -> list[Violation]:
                                     f"{len(slack_ids)} slack buses; exactly one allowed"))
 
     bus_kv = {bus.id: bus.base_voltage for bus in net.buses}
+    seen_branch_ids: set[str] = set()
     for branch in net.branches:
+        if branch.id in seen_branch_ids:
+            violations.append(Violation("duplicate-branch", branch.id,
+                                        "branch id is not unique"))
+        seen_branch_ids.add(branch.id)
         missing = [end for end in (branch.from_bus, branch.to_bus) if end not in bus_kv]
         if missing:
             violations.append(Violation("dangling-endpoint", branch.id,

@@ -68,7 +68,7 @@ class LoadProfile:
             if not (0.0 <= c <= 1.0) or math.isnan(c):
                 raise ProfileError(f"profile {self.id!r} slot {i}: {c} outside [0, 1]")
         if max(self.coefficients) != 1.0:
-            raise ProfileError(f"profile {self.id!r} max must be exactly 1")
+            raise ProfileError(f"profile {self.id!r}: max must be exactly 1")
 
     def __len__(self) -> int:
         return len(self.coefficients)
@@ -87,11 +87,12 @@ def normalize_profile(series: Sequence[float], profile_id: str = "profile") -> L
     """
     if len(series) == 0:
         raise ProfileError("cannot normalize an empty series")
-    if any(v < 0 or math.isnan(v) for v in series):
-        raise ProfileError("series values must be >= 0")
+    for i, v in enumerate(series):
+        if v < 0 or math.isnan(v):
+            raise ProfileError(f"profile {profile_id!r} slot {i}: {v} must be >= 0")
     peak = max(series)
     if peak <= 0:
-        raise ProfileError("series maximum must be > 0")
+        raise ProfileError(f"profile {profile_id!r}: series maximum must be > 0")
     return LoadProfile(profile_id, tuple(v / peak for v in series))
 
 

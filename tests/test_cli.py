@@ -88,17 +88,32 @@ class TestValidate:
         assert "error" in capsys.readouterr().err.lower()
 
     @pytest.mark.parametrize("old, new, diagnostic", [
-        ('"kw": 100.0', '"kw": NaN', "network file: non-finite number NaN is not allowed"),
-        ('"rating": 1000.0', '"rating": 1e400',
-         "network file: non-finite number 1e400 is not allowed"),
+        ('"kw": 100.0', '"kw": NaN', "buses[1].nominal_load.kw: not a finite number"),
+        ('"rating": 1000.0', '"rating": 1e400', "branches[0].rating: not a finite number"),
         ('"rating": 1000.0', '"rating": 1' + "0" * 400,
-         "branches[0].rating: integer is too large for a float"),
+         "branches[0].rating: not a finite number"),
     ])
     def test_non_finite_literal_is_diagnostic(self, tmp_path, capsys, old, new, diagnostic):
         bad = tmp_path / "bad.json"
         bad.write_text(NETWORK_TEXT.replace(old, new))
         assert cli_main(["validate", "--network", str(bad)]) == 1
         assert capsys.readouterr().err == diagnostic + "\n"
+
+    def test_every_bad_number_is_reported(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(NETWORK_TEXT.replace('"rating": 1000.0', '"rating": NaN')
+                       .replace('"rating": 500.0', '"rating": 1e400'))
+        assert cli_main(["validate", "--network", str(bad)]) == 1
+        assert capsys.readouterr().err == ("branches[0].rating: not a finite number\n"
+                                           "branches[1].rating: not a finite number\n")
+
+    def test_parallel_branches_are_rejected(self, tmp_path, capsys):
+        doc = json.loads(NETWORK_TEXT)
+        doc["branches"].append(dict(doc["branches"][0]))
+        bad = tmp_path / "parallel.json"
+        bad.write_text(json.dumps(doc))
+        assert cli_main(["validate", "--network", str(bad)]) == 1
+        assert capsys.readouterr().err == "duplicate-branch: s -> a: branch id is not unique\n"
 
     def test_runs_as_a_module(self, tmp_path):
         good, bad = tmp_path / "good.json", tmp_path / "bad.json"

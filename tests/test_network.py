@@ -130,6 +130,21 @@ class TestValidateNetwork:
         assert len(report) == 1
         assert report[0].code == "multiple-slack"
 
+    def test_duplicate_bus(self):
+        net = _tiny_net(buses=(
+            Bus("s", "slack", 4.16),
+            Bus("a", "load", 4.16),
+            Bus("a", "load", 4.16),
+        ))
+        assert [str(v) for v in validate_network(net)] == [
+            "duplicate-bus: a: bus id is not unique"]
+
+    def test_parallel_branches_share_an_id(self):
+        cable = Branch("s", "a", "cable", 1000.0, cable_type="c", length_miles=0.5)
+        net = _tiny_net(branches=(cable, cable))
+        assert [str(v) for v in validate_network(net)] == [
+            "duplicate-branch: s -> a: branch id is not unique"]
+
     def test_dangling_endpoint(self):
         net = _tiny_net(branches=(
             Branch("s", "ghost", "cable", 1000.0, cable_type="c", length_miles=0.5),
