@@ -206,9 +206,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
     rows: list[tuple[str, CongestionHistogram]] = []
     for path_text in args.details:
         path = Path(path_text)
-        detail = parse_branch_detail_csv(path.read_text())
-        hist = bin_loadings({branch: loading for branch, (_, loading, _) in detail.items()})
-        rows.append((path.stem, hist))
+        try:
+            detail = parse_branch_detail_csv(path.read_text())
+        except GridFileError as exc:
+            raise GridFileError([f"{path}: {d}" for d in exc.diagnostics]) from exc
+        # The parser has checked every row's bin against its loading.
+        rows.append((path.stem, CongestionHistogram.from_labels(
+            {branch: label for branch, (_, _, label) in detail.items()})))
     _summary(rows, args.format, args.out, echo=True)
     return EXIT_OK
 

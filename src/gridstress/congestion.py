@@ -48,6 +48,16 @@ class CongestionHistogram:
     branch_bins: Mapping[str, str] | None = None
 
     @classmethod
+    def from_labels(cls, branch_bins: Mapping[str, str]) -> CongestionHistogram:
+        """Count branch-id-to-label assignments (labels as bin_label gives them)."""
+        tallies = Counter(branch_bins.values())
+        unknown = set(tallies) - set(_LABELS)
+        if unknown:
+            raise ValueError(f"unknown bin label(s): {sorted(unknown)}")
+        return cls(*(tallies[label] for label in BIN_LABELS), below_40=tallies[BELOW_LABEL],
+                   branch_bins=branch_bins)
+
+    @classmethod
     def from_counts(cls, counts: Mapping[str, int]) -> CongestionHistogram:
         unknown = set(counts) - set(BIN_LABELS)
         if unknown:
@@ -61,10 +71,11 @@ class CongestionHistogram:
 
 def bin_loadings(loadings: Mapping[str, float]) -> CongestionHistogram:
     """Classify branch-id-to-percent loadings into the report bins."""
-    assignments = {branch: bin_label(value) for branch, value in loadings.items()}
-    tallies = Counter(assignments.values())
-    return CongestionHistogram(*(tallies[label] for label in BIN_LABELS),
-                               below_40=tallies[BELOW_LABEL], branch_bins=assignments)
+    if not all(0.0 <= value < math.inf for value in loadings.values()):
+        for value in loadings.values():
+            bin_label(value)        # raises for the first bad value
+    return CongestionHistogram.from_labels(
+        {branch: _LABELS[bisect.bisect_right(_EDGES, value)] for branch, value in loadings.items()})
 
 
 def congested_elements(solution: PowerFlowSolution, threshold_percent: float) -> list[tuple[str, float]]:

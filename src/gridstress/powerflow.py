@@ -7,13 +7,14 @@ polar form (the production path) and Gauss-Seidel per-bus fixed-point
 iteration (slower, used as a cross-check). Every non-slack bus is a PQ
 node; PV generation enters as negative load upstream of this module.
 
-Each Network is compiled into arrays (Ybus, bus and branch indices) on
-its first solve, and the compiled form is kept on the instance, so a
-single solve and every slot of a sweep run the same code. Solves are
-pure and deterministic: the same network and injections give
-bit-identical solutions. Non-convergence is a reportable outcome, not
-an exception, because overload studies intentionally push past
-feasibility.
+Each Network is compiled into arrays on its first solve: Ybus, bus and
+branch indices, and the Newton-Raphson Jacobian at the flat start, which
+depends on the network alone and serves every solve's first step. The
+compiled form is kept on the instance, so a single solve and every slot
+of a sweep run the same code. Solves are pure and deterministic: the
+same network and injections give bit-identical solutions.
+Non-convergence is a reportable outcome, not an exception, because
+overload studies intentionally push past feasibility.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ class SolverOptions:
 GAUSS_SEIDEL_DEFAULTS = SolverOptions(tol=1e-10, max_iter=50_000)
 
 
-@dataclass(frozen=True)
-class BranchFlow:
+class BranchFlow(NamedTuple):
     """Complex power entering a branch at each end, in pu, plus loading."""
 
     branch_id: str
@@ -106,7 +106,9 @@ class _Compiled(NamedTuple):
     """A Network's solver inputs as index arrays, built once per instance.
 
     The branch admittance terms y/tap**2, y/tap and y are computed with
-    the same scalar expressions as build_ybus uses.
+    the same scalar expressions as build_ybus uses. flat_jacobian is the
+    Jacobian at the flat start, assembled by the same code as every
+    later Newton-Raphson step's.
     """
 
     ybus: np.ndarray
@@ -124,6 +126,7 @@ class _Compiled(NamedTuple):
     y_ft: np.ndarray
     y_tt: np.ndarray
     rating_pu: np.ndarray
+    flat_jacobian: np.ndarray
 
     def injection_vector(self, injections: InjectionSet) -> np.ndarray:
         """Injections ordered like the buses, with the slack entry zero."""
@@ -163,9 +166,14 @@ def _compile(net: Network) -> _Compiled:
     ybus = build_ybus(net)
     ybus.setflags(write=False)
     bus_ids = net.bus_ids()
+    n = len(bus_ids)
     slack = bus_ids.index(net.slack_id())
-    pq = np.array([i for i in range(len(bus_ids)) if i != slack], dtype=int)
+    pq = np.array([i for i in range(n) if i != slack], dtype=int)
     pq_ids = tuple(bus_ids[i] for i in pq)
+    pq_grid = np.ix_(pq, pq)
+    flat_jacobian = _jacobian(ybus, pq_grid, _polar(np.ones(n), np.zeros(n)),
+                              np.empty((2 * len(pq), 2 * len(pq))))
+    flat_jacobian.setflags(write=False)
     y_ff, y_ft, y_tt = [], [], []
     for branch in net.branches:
         y = 1.0 / branch.series_impedance_pu
@@ -177,7 +185,7 @@ def _compile(net: Network) -> _Compiled:
         bus_ids=bus_ids,
         slack=slack,
         pq=pq,
-        pq_grid=np.ix_(pq, pq),
+        pq_grid=pq_grid,
         pq_ids=pq_ids,
         non_slack=frozenset(pq_ids),
         branch_ids=tuple(b.id for b in net.branches),
@@ -189,7 +197,37 @@ def _compile(net: Network) -> _Compiled:
         y_tt=np.array(y_tt, dtype=complex),
         rating_pu=np.array([b.rating_kva / (1000.0 * net.s_base_mva) for b in net.branches],
                            dtype=float),
+        flat_jacobian=flat_jacobian,
     )
+
+
+def _polar(v_mag: np.ndarray, v_ang: np.ndarray) -> np.ndarray:
+    """Complex bus voltages from per-unit magnitudes and radian angles."""
+    return v_mag * np.exp(1j * v_ang)
+
+
+def _jacobian(ybus: np.ndarray, pq_grid: tuple[np.ndarray, np.ndarray],
+              voltages: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill out with the polar Newton-Raphson Jacobian at voltages; returns out.
+
+    The blocks are the real and imaginary parts of the complex power's
+    derivatives with respect to voltage angle and magnitude, restricted
+    to the PQ buses. The dense diagonal products stay: an elementwise
+    O(n^2) form is faster but rounds differently, which moves the last
+    bits of the loadings written to reports.
+    """
+    npq = len(pq_grid[0])
+    i_bus = ybus @ voltages
+    diag_v = np.diag(voltages)
+    diag_i = np.diag(i_bus)
+    diag_vnorm = np.diag(voltages / np.abs(voltages))
+    ds_dva = (1j * diag_v @ np.conj(diag_i - ybus @ diag_v))[pq_grid]
+    ds_dvm = (diag_v @ np.conj(ybus @ diag_vnorm) + np.conj(diag_i) @ diag_vnorm)[pq_grid]
+    out[:npq, :npq] = ds_dva.real
+    out[:npq, npq:] = ds_dvm.real
+    out[npq:, :npq] = ds_dva.imag
+    out[npq:, npq:] = ds_dvm.imag
+    return out
 
 
 def _cmul(a_re: np.ndarray, a_im: np.ndarray, b_re: np.ndarray,
@@ -226,12 +264,17 @@ def branch_flows(net: Network, voltages: Mapping[str, complex]) -> tuple[BranchF
     abs_t = np.hypot(st_re, st_im)
     # np.where(t > f, t, f) is Python's max(f, t), NaN order included.
     loading = 100.0 * np.where(abs_t > abs_f, abs_t, abs_f) / c.rating_pu
-    return tuple(
-        BranchFlow(branch_id, kind, complex(fr, fi), complex(tr, ti), load)
-        for branch_id, kind, fr, fi, tr, ti, load in zip(
-            c.branch_ids, c.branch_kinds, sf_re.tolist(), sf_im.tolist(),
-            st_re.tolist(), st_im.tolist(), loading.tolist())
-    )
+    return tuple(map(BranchFlow._make, zip(
+        c.branch_ids, c.branch_kinds, _complex_list(sf_re, sf_im),
+        _complex_list(st_re, st_im), loading.tolist())))
+
+
+def _complex_list(re: np.ndarray, im: np.ndarray) -> list[complex]:
+    """complex(re[k], im[k]) for each k, signed zeros kept."""
+    z = np.empty(len(re), dtype=complex)
+    z.real = re
+    z.imag = im
+    return z.tolist()
 
 
 def total_losses(net: Network, solution: PowerFlowSolution) -> complex:
@@ -287,10 +330,11 @@ def solve_newton_raphson(
     s_spec = c.injection_vector(injections)
     n, npq = len(c.bus_ids), len(pq)
 
-    # Flat start: 1.0 per unit, zero angle.
+    # Flat start: 1.0 per unit, zero angle. The Jacobian there is the
+    # compiled one; each later step assembles its own into work.
     v_mag = np.ones(n)
     v_ang = np.zeros(n)
-    jacobian = np.empty((2 * npq, 2 * npq))
+    work = np.empty((2 * npq, 2 * npq))
 
     best_voltages = np.ones(n, dtype=complex)
     best_mismatch = np.inf
@@ -298,7 +342,7 @@ def solve_newton_raphson(
     converged = False
 
     for _ in range(opts.max_iter + 1):
-        voltages = v_mag * np.exp(1j * v_ang)
+        voltages = _polar(v_mag, v_ang)
         mis, max_mis = _mismatch(ybus, voltages, s_spec, pq)
         if max_mis < best_mismatch:
             best_mismatch = max_mis
@@ -309,22 +353,8 @@ def solve_newton_raphson(
         if iterations >= opts.max_iter:
             break
 
-        # Complex power derivatives with respect to voltage angle and
-        # magnitude; the Jacobian blocks are their real/imag parts. The
-        # dense diagonal products stay: an elementwise O(n^2) form is
-        # faster but rounds differently, which moves the last bits of
-        # the loadings written to reports.
-        i_bus = ybus @ voltages
-        diag_v = np.diag(voltages)
-        diag_i = np.diag(i_bus)
-        diag_vnorm = np.diag(voltages / np.abs(voltages))
-        ds_dva = (1j * diag_v @ np.conj(diag_i - ybus @ diag_v))[c.pq_grid]
-        ds_dvm = (diag_v @ np.conj(ybus @ diag_vnorm) + np.conj(diag_i) @ diag_vnorm)[c.pq_grid]
-        jacobian[:npq, :npq] = ds_dva.real
-        jacobian[:npq, npq:] = ds_dvm.real
-        jacobian[npq:, :npq] = ds_dva.imag
-        jacobian[npq:, npq:] = ds_dvm.imag
-
+        jacobian = (c.flat_jacobian if iterations == 0
+                    else _jacobian(ybus, c.pq_grid, voltages, work))
         try:
             dx = np.linalg.solve(jacobian, mis)
         except np.linalg.LinAlgError:

@@ -5,19 +5,21 @@ A day is 96 slots of 15 minutes. Building loads scale their nominal kW
 by a normalized profile coefficient; EV charging load is penetration
 times parking capacity times per-charger kW, shaped by an EV profile;
 PV sites inject capacity times their profile coefficient as negative
-load at unity power factor. For each interval the sweep lets the
-controller settle the EV draw, builds the injections once, and records
-the solution. A sweep solves each distinct operating point once: an
-interval whose injections repeat an earlier interval of the same sweep,
-bit for bit, shares that interval's (immutable) solution.
+load at unity power factor. Each sweep resolves the scenario's bindings
+(lot buses, PV sites' and loaded buses' profiles) into one injection
+plan. For each interval the sweep lets the controller settle the EV
+draw, evaluates the plan once, and records the solution. A sweep solves
+each distinct operating point once: an interval whose injections repeat
+an earlier interval of the same sweep, bit for bit, shares that
+interval's (immutable) solution.
 
 Sweeps with the null controller have independent intervals and may be
 evaluated concurrently by callers. The one-third stagger controller
 connects one of three fixed bus groups per interval and carries each
 bus's deferred energy across intervals as one exact backlog, so its
-ledger runs serially in sweep order; it never reads a solution, so each interval is solved
-after the controller. run_sweep itself is always single-threaded and
-never shares the mutable ledger.
+ledger runs serially in sweep order; it never reads a solution, so each
+interval is solved after the controller. run_sweep itself is always
+single-threaded and never shares the mutable ledger.
 """
 
 from __future__ import annotations
@@ -256,45 +258,75 @@ def build_injections(
     ev_kw_override, when given, is the whole EV draw in kW per bus (a
     controller's settled draw) in place of the scenario's nominal one.
     """
-    bindings = scenario.bindings
     ev_kw = ev_kw_override
     if ev_kw is None:
         ev_nominal = scenario.ev_connected_kw_by_bus()
-        ev_kw = _ev_draw(ev_nominal, _resolve_ev_profile(ev_nominal, bindings, profiles), interval)
+        ev_kw = _ev_draw(ev_nominal, _resolve_ev_profile(ev_nominal, scenario.bindings, profiles),
+                         interval)
+    return _InjectionPlan(net, scenario, profiles).injections(interval, ev_kw)
 
-    bus_ids = set(net.bus_ids())
-    for lot in scenario.parking_lots:
-        if lot.bus not in bus_ids:
-            raise ScenarioConfigError(
-                f"parking lot {lot.name!r} references unknown bus {lot.bus!r}"
-            )
 
-    pv_kw: dict[str, float] = {}
-    if scenario.pv_enabled:
-        for site in net.pv_sites():
-            profile_id = bindings.pv.get(site.bus) or site.profile or bindings.pv_default
-            profile = _bound_profile(profiles, profile_id, "PV", "site at", site.bus)
+class _InjectionPlan:
+    """A scenario's injections on one network with every binding resolved.
+
+    Built once per sweep (and once per build_injections call): the
+    parking-lot buses are checked and each PV site's and each loaded
+    bus's profile is looked up. Per interval only the coefficients are
+    read and each bus's injection computed: load, then EV, then PV, each
+    term applied only where the bus has it, so +0.0 and -0.0 stay apart.
+    """
+
+    def __init__(self, net: Network, scenario: Scenario, profiles: Mapping[str, LoadProfile]):
+        bindings = scenario.bindings
+        bus_ids = set(net.bus_ids())
+        for lot in scenario.parking_lots:
+            if lot.bus not in bus_ids:
+                raise ScenarioConfigError(
+                    f"parking lot {lot.name!r} references unknown bus {lot.bus!r}"
+                )
+
+        self.pv: list[tuple[Generator, LoadProfile]] = []
+        if scenario.pv_enabled:
+            for site in net.pv_sites():
+                profile_id = bindings.pv.get(site.bus) or site.profile or bindings.pv_default
+                self.pv.append((site, _bound_profile(profiles, profile_id, "PV", "site at",
+                                                     site.bus)))
+
+        slack = net.slack_id()
+        # (bus id, kW, kvar, the load profile, or None for an unloaded bus)
+        self.buses: list[tuple[str, float, float, LoadProfile | None]] = []
+        for bus in net.buses:
+            if bus.id == slack:
+                continue
+            load = bus.nominal_load
+            profile = None
+            if load.kw != 0.0 or load.kvar != 0.0:
+                profile_id = bindings.load.get(bus.id, bindings.load_default)
+                profile = _bound_profile(profiles, profile_id, "load", "bus", bus.id)
+            self.buses.append((bus.id, load.kw, load.kvar, profile))
+        self.kva_base = 1000.0 * net.s_base_mva
+
+    def injections(self, interval: int, ev_kw: Mapping[str, float]) -> dict[str, complex]:
+        """build_injections at interval with ev_kw as the whole EV draw."""
+        pv_kw: dict[str, float] = {}
+        for site, profile in self.pv:
             pv_kw[site.bus] = pv_kw.get(site.bus, 0.0) + pv_injection_kw(site, profile, interval)
 
-    kva_base = 1000.0 * net.s_base_mva
-    slack = net.slack_id()
-    injections: dict[str, complex] = {}
-    for bus in net.buses:
-        if bus.id == slack:
-            continue
-        p_kw = 0.0
-        q_kvar = 0.0
-        if bus.nominal_load.kw != 0.0 or bus.nominal_load.kvar != 0.0:
-            profile_id = bindings.load.get(bus.id, bindings.load_default)
-            coeff = _bound_profile(profiles, profile_id, "load", "bus", bus.id).coefficient(interval)
-            p_kw -= bus.nominal_load.kw * coeff
-            q_kvar -= bus.nominal_load.kvar * coeff
-        if bus.id in ev_kw:
-            p_kw -= ev_kw[bus.id]
-        if bus.id in pv_kw:
-            p_kw += pv_kw[bus.id]
-        injections[bus.id] = complex(p_kw / kva_base, q_kvar / kva_base)
-    return injections
+        kva_base = self.kva_base
+        injections: dict[str, complex] = {}
+        for bus_id, kw, kvar, profile in self.buses:
+            p_kw = 0.0
+            q_kvar = 0.0
+            if profile is not None:
+                coeff = profile.coefficient(interval)
+                p_kw -= kw * coeff
+                q_kvar -= kvar * coeff
+            if bus_id in ev_kw:
+                p_kw -= ev_kw[bus_id]
+            if bus_id in pv_kw:
+                p_kw += pv_kw[bus_id]
+            injections[bus_id] = complex(p_kw / kva_base, q_kvar / kva_base)
+        return injections
 
 
 class StaggerState:
@@ -330,11 +362,19 @@ def one_third_stagger(ev_demands: Mapping[str, float], interval: int,
         raise ScenarioConfigError(f"stagger state has no group for bus(es): {', '.join(unknown)}")
 
     served_kw: dict[str, float] = {}
+    active = interval % 3
     for i, bus in enumerate(state.buses):
-        demand = Fraction(ev_demands.get(bus, 0.0))
-        if demand < 0:
+        kw = ev_demands.get(bus, 0.0)
+        if kw < 0:
             raise ScenarioConfigError(f"negative EV demand at {bus!r}")
-        room = state.cap[bus] if i % 3 == interval % 3 else 0
+        if i % 3 != active:
+            # No room: nothing drains and nothing is served.
+            if kw:
+                state.backlog[bus] += Fraction(kw)
+            served_kw[bus] = 0.0
+            continue
+        demand = Fraction(kw)
+        room = state.cap[bus]
         drained = min(state.backlog[bus], room)
         served = drained + min(demand, room - drained)
         state.backlog[bus] += demand - served
@@ -372,6 +412,17 @@ class SweepResult:
         return tuple(r.interval for r in self.records if not r.solution.converged)
 
 
+# Every finite float is an integer multiple of 2**-1074, the smallest
+# subnormal, so a sum of floats is exact as an integer count of that unit.
+_DYADIC_UNIT = 1 << 1074
+
+
+def _dyadic_units(x: float) -> int:
+    """x as an exact integer multiple of 2**-1074."""
+    numerator, denominator = x.as_integer_ratio()    # denominator is a power of 2
+    return numerator << (1075 - denominator.bit_length())
+
+
 def run_sweep(
     net: Network,
     scenario: Scenario,
@@ -393,27 +444,28 @@ def run_sweep(
     ev_nominal = scenario.ev_connected_kw_by_bus()
     state = StaggerState(ev_nominal) if scenario.controller == "one_third_stagger" else None
     ev_profile = _resolve_ev_profile(ev_nominal, scenario.bindings, profiles)
+    plan = _InjectionPlan(net, scenario, profiles)
 
     records: list[IntervalRecord] = []
     solved: dict[bytes, PowerFlowSolution] = {}
-    demanded_kw = Fraction(0)
+    demanded_units = 0
     for interval in intervals:
         demanded = _ev_draw(ev_nominal, ev_profile, interval)
         settled = demanded
         if state is not None and demanded:
             settled = one_third_stagger(demanded, interval, state)
-        demanded_kw += sum(map(Fraction, demanded.values()), Fraction(0))
+        demanded_units += sum(map(_dyadic_units, demanded.values()))
 
-        injections = build_injections(net, scenario, profiles, interval,
-                                      ev_kw_override=settled)
-        # build_injections emits every non-slack bus in net.buses order,
-        # so the values alone identify the operating point.
+        injections = plan.injections(interval, settled)
+        # The plan emits every non-slack bus in net.buses order, so the
+        # values alone identify the operating point.
         key = np.array(list(injections.values()), dtype=complex).tobytes()
         solution = solved.get(key)
         if solution is None:
             solution = solved[key] = solve_newton_raphson(net, injections)
         records.append(IntervalRecord(interval, solution))
 
+    demanded_kw = Fraction(demanded_units, _DYADIC_UNIT)
     # Whatever is still deferred at the horizon is unserved; the rest was served.
     unserved_kw = state.unserved() if state is not None else Fraction(0)
     per_slot_hours = Fraction(1, 4)

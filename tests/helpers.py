@@ -1,6 +1,7 @@
 """Shared builders and checks for tests: tiny and randomly generated
 networks, a small network document, no-load injections, overload
-counts, stagger service and a reference model of the stagger controller."""
+counts, stagger service, and reference models of one slot's injections
+and of the stagger controller."""
 
 from __future__ import annotations
 
@@ -16,8 +17,10 @@ from gridstress import (
     Bus,
     CableType,
     CongestionHistogram,
+    LoadProfile,
     Network,
     NominalLoad,
+    Scenario,
     StaggerState,
     derive_impedances,
     one_third_stagger,
@@ -101,6 +104,41 @@ def make_radial_network(rng: random.Random, n_buses: int,
 def no_load_injections(net: Network) -> dict[str, complex]:
     """Zero injection at every non-slack bus."""
     return {bus.id: 0j for bus in net.buses if bus.kind != "slack"}
+
+
+def slot_injections(net: Network, scenario: Scenario, profiles: Mapping[str, LoadProfile],
+                    interval: int, ev_kw: Mapping[str, float] | None = None) -> dict[str, complex]:
+    """Reference model of build_injections that resolves every binding
+    for the one slot, in the program's float operation order. ev_kw is
+    the whole EV draw; None draws each lot's nominal kW times the EV
+    coefficient."""
+    bindings = scenario.bindings
+    if ev_kw is None:
+        ev_kw = {}
+        for bus, kw in scenario.ev_connected_kw_by_bus().items():
+            ev_kw[bus] = kw * profiles[bindings.ev].coefficient(interval)
+    pv_kw: dict[str, float] = {}
+    if scenario.pv_enabled:
+        for site in net.pv_sites():
+            profile = profiles[bindings.pv.get(site.bus) or site.profile or bindings.pv_default]
+            pv_kw[site.bus] = pv_kw.get(site.bus, 0.0) + site.capacity_kw * profile.coefficient(interval)
+    kva_base = 1000.0 * net.s_base_mva
+    injections = {}
+    for bus in net.buses:
+        if bus.kind == "slack":
+            continue
+        p_kw = 0.0
+        q_kvar = 0.0
+        if bus.nominal_load.kw != 0.0 or bus.nominal_load.kvar != 0.0:
+            coeff = profiles[bindings.load.get(bus.id, bindings.load_default)].coefficient(interval)
+            p_kw -= bus.nominal_load.kw * coeff
+            q_kvar -= bus.nominal_load.kvar * coeff
+        if bus.id in ev_kw:
+            p_kw -= ev_kw[bus.id]
+        if bus.id in pv_kw:
+            p_kw += pv_kw[bus.id]
+        injections[bus.id] = complex(p_kw / kva_base, q_kvar / kva_base)
+    return injections
 
 
 def at_or_above_100(hist: CongestionHistogram) -> int:

@@ -281,9 +281,18 @@ class TestReport:
                           "a,cable,50.0,40-80\na,cable,10.0,<40\n")
         assert cli_main(["report", str(detail), "--out", str(tmp_path / "out")]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "detail row 2: duplicate branch 'a'\n"
+        assert captured.err == f"{detail}: detail row 2: duplicate branch 'a'\n"
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
+
+    def test_diagnostic_names_the_bad_file(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("branch,kind,loading_percent,bin\na,cable,50.0,40-80\n")
+        bad.write_text("branch,kind,loading_percent,bin\na,cable,nan,<40\n")
+        assert cli_main(["report", str(good), str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"{bad}: detail row 1: not a finite number: nan\n"
+        assert captured.out == ""
 
     def test_multiple_details_one_row_each(self, fixture_dir, capsys):
         details = sorted((fixture_dir / "details").glob("*.csv"))

@@ -45,6 +45,28 @@ class TestBinLoadings:
         with pytest.raises(ValueError, match="finite"):
             bin_loadings({"a": value})
 
+    def test_first_bad_value_is_reported(self):
+        loadings = {"a": 50.0, "b": -0.5, "c": float("nan"), "d": -0.0}
+        with pytest.raises(ValueError) as info:
+            bin_loadings(loadings)
+        with pytest.raises(ValueError) as first:
+            bin_label(-0.5)
+        assert str(info.value) == str(first.value)
+        assert bin_loadings({"d": -0.0}).branch_bins == {"d": "<40"}
+
+    def test_bins_each_value_as_bin_label_does(self, rng):
+        edges = [0.0, 40.0, 80.0, 100.0, 150.0]
+        values = {f"b{i}": v for i, v in enumerate(
+            edges + [e - 1e-12 for e in edges[1:]] + [rng.uniform(0.0, 300.0) for _ in range(50)])}
+        assert bin_loadings(values).branch_bins == {b: bin_label(v) for b, v in values.items()}
+
+    def test_from_labels_counts_what_bin_loadings_assigns(self, rng):
+        values = {f"b{i}": rng.uniform(0.0, 300.0) for i in range(100)}
+        hist = bin_loadings(values)
+        assert CongestionHistogram.from_labels(hist.branch_bins) == hist
+        with pytest.raises(ValueError, match="unknown bin"):
+            CongestionHistogram.from_labels({"a": "0-40"})
+
     def test_named_input_preserves_assignments(self):
         hist = bin_loadings({"tx": 120.0, "line": 12.0})
         assert hist.branch_bins == {"tx": "100-150", "line": "<40"}

@@ -293,6 +293,43 @@ class TestBitExactVectorisation:
             ybus[0, 0] = 0j
         assert np.array_equal(ybus, build_ybus(net))
 
+    def test_compiled_flat_jacobian_is_the_flat_start_assembly(self, bench, rng):
+        for net, _ in _solved_cases(bench, rng):
+            c = powerflow_module._compiled(net)
+            n, npq = len(c.bus_ids), len(c.pq)
+            assembled = powerflow_module._jacobian(
+                c.ybus, c.pq_grid, powerflow_module._polar(np.ones(n), np.zeros(n)),
+                np.empty((2 * npq, 2 * npq)))
+            assert c.flat_jacobian.tobytes() == assembled.tobytes()
+            assert not c.flat_jacobian.flags.writeable
+
+    def test_sweep_assembles_one_jacobian_per_step_after_the_first(self, bench, monkeypatch):
+        from gridstress import run_sweep
+        from gridstress import scenario as scenario_module
+        net = dataclasses.replace(bench.network)    # a fresh, never-compiled instance
+        assembled = []
+        jacobian = powerflow_module._jacobian
+
+        def counted(*args):
+            assembled.append(1)
+            return jacobian(*args)
+
+        iterations = []
+
+        def solve(net, injections):
+            solution = solve_newton_raphson(net, injections)
+            iterations.append(solution.iterations)
+            return solution
+
+        monkeypatch.setattr(powerflow_module, "_jacobian", counted)
+        monkeypatch.setattr(scenario_module, "solve_newton_raphson", solve)
+        for name in ("ev25", "ev25_pv_lm"):
+            run_sweep(net, bench.scenario(name), bench.profiles)
+        # One flat-start Jacobian at compile time, then one per step after
+        # a solve's first.
+        assert sum(iterations) > len(iterations) > 0
+        assert len(assembled) == 1 + sum(its - 1 for its in iterations if its >= 1)
+
 
 class TestLosses:
     def test_no_load_zero(self, bench):

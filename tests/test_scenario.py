@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
+import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import gridstress
 from gridstress import (
     Branch,
     Bus,
@@ -41,9 +47,10 @@ from gridstress.scenario import (
     pv_clear_day_profile,
 )
 
-from helpers import FifoStagger, stagger_served
+from helpers import FifoStagger, slot_injections, stagger_served
 
 DATA = Path(__file__).parent / "data"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 class TestNormalizeProfile:
@@ -432,16 +439,21 @@ def _count_solves(monkeypatch) -> list[tuple[complex, ...]]:
     return calls
 
 
-def _record_injections(monkeypatch) -> dict[int, dict[str, complex]]:
-    """Capture the injections run_sweep builds for each interval."""
-    built = {}
+def _sweep_recording_injections(monkeypatch, net, scenario, profiles):
+    """run_sweep, and the injections its plan built for each interval.
 
-    def recorded(net, scenario, profiles, interval, ev_kw_override=None):
-        built[interval] = build_injections(net, scenario, profiles, interval, ev_kw_override)
+    build_injections evaluates a plan too, so the record is copied as
+    soon as the sweep returns.
+    """
+    built = {}
+    plan_injections = scenario_module._InjectionPlan.injections
+
+    def recorded(plan, interval, ev_kw):
+        built[interval] = plan_injections(plan, interval, ev_kw)
         return built[interval]
 
-    monkeypatch.setattr(scenario_module, "build_injections", recorded)
-    return built
+    monkeypatch.setattr(scenario_module._InjectionPlan, "injections", recorded)
+    return run_sweep(net, scenario, profiles), dict(built)
 
 
 def _nominal_solution(net, scenario, profiles, interval):
@@ -536,9 +548,9 @@ class TestRunSweep:
 
     def test_stagger_day_solves_each_interval_once(self, bench, monkeypatch):
         calls = _count_solves(monkeypatch)
-        built = _record_injections(monkeypatch)
         scenario = bench.scenario("ev25_pv_lm")
-        result = run_sweep(bench.network, scenario, bench.profiles)
+        result, built = _sweep_recording_injections(monkeypatch, bench.network, scenario,
+                                                    bench.profiles)
         assert any(record.solution != _nominal_solution(bench.network, scenario,
                                                         bench.profiles, record.interval)
                    for record in result.records)
@@ -558,9 +570,9 @@ class TestRunSweep:
         assert len(calls) == solves
 
     def test_every_record_equals_a_direct_solve_of_its_injections(self, bench, monkeypatch):
-        built = _record_injections(monkeypatch)
         scenario = bench.scenario("ev25_pv_lm")
-        result = run_sweep(bench.network, scenario, bench.profiles)
+        result, built = _sweep_recording_injections(monkeypatch, bench.network, scenario,
+                                                    bench.profiles)
         assert any(record.solution != _nominal_solution(bench.network, scenario,
                                                         bench.profiles, record.interval)
                    for record in result.records)
@@ -590,9 +602,8 @@ class TestRunSweep:
         net = _mini_grid(load_kw=0.0)
         sets = [{"town": complex(0.0, 0.0)}, {"town": complex(-0.0, 0.0)},
                 {"town": complex(0.0, -0.0)}]
-        monkeypatch.setattr(scenario_module, "build_injections",
-                            lambda net, scenario, profiles, interval, ev_kw_override=None:
-                            dict(sets[interval % 3]))
+        monkeypatch.setattr(scenario_module._InjectionPlan, "injections",
+                            lambda plan, interval, ev_kw: dict(sets[interval % 3]))
         calls = _count_solves(monkeypatch)
         result = run_sweep(net, Scenario("zeros", penetration=0.0), {}, intervals=range(6))
         assert len(calls) == 3
@@ -613,3 +624,108 @@ class TestRunSweep:
             for _ in range(2):
                 run_sweep(net, bench.scenario(name), bench.profiles, intervals=[35, 36, 37])
         assert builds == [net]
+
+
+def _feeder_cases(seed: int):
+    """(network, scenario, profiles) of each perfbench feeder ramp day."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import feeder
+
+    net, scenarios, profiles = feeder.to_program_inputs(feeder.generate(seed), gridstress)
+    return [(net, scenario, profiles) for scenario in scenarios]
+
+
+class TestInjectionPlan:
+    """run_sweep resolves the bindings once; every slot keeps its bits."""
+
+    def _check_day(self, monkeypatch, net, scenario, profiles):
+        result, built = _sweep_recording_injections(monkeypatch, net, scenario, profiles)
+        ev_nominal = scenario.ev_connected_kw_by_bus()
+        fifo = FifoStagger(ev_nominal) if scenario.controller == "one_third_stagger" else None
+        plan = scenario_module._InjectionPlan(net, scenario, profiles)
+        for record in result.records:
+            slot = record.interval
+            nominal = build_injections(net, scenario, profiles, slot)
+            assert repr(nominal) == repr(slot_injections(net, scenario, profiles, slot)), slot
+            demanded = {bus: kw * profiles[scenario.bindings.ev].coefficient(slot)
+                        for bus, kw in ev_nominal.items()}
+            settled = fifo.step(demanded, slot) if fifo is not None and demanded else demanded
+            expected = repr(slot_injections(net, scenario, profiles, slot, settled))
+            assert repr(built[slot]) == expected, slot
+            assert repr(plan.injections(slot, settled)) == expected, slot
+            assert repr(build_injections(net, scenario, profiles, slot,
+                                         ev_kw_override=settled)) == expected, slot
+
+    @pytest.mark.parametrize("name", ["base", "ev10", "ev25", "ev25_pv", "ev25_pv_lm"])
+    def test_campus_day_matches_the_per_slot_reference(self, bench, monkeypatch, name):
+        self._check_day(monkeypatch, bench.network, bench.scenario(name), bench.profiles)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_feeder_days_match_the_per_slot_reference(self, monkeypatch, seed):
+        for net, scenario, profiles in _feeder_cases(seed):
+            with monkeypatch.context() as patch:
+                self._check_day(patch, net, scenario, profiles)
+
+    def test_signed_zeros_are_kept(self):
+        """Tiny draws underflow to -0.0 on the system base; absent terms add nothing."""
+        tiny = 5e-324
+        profiles = {"flat": _flat_profile()}
+        signs = set()
+        for kw, kvar, pv_kw in itertools.product((0.0, -0.0, tiny), (0.0, -0.0, -tiny),
+                                                 (0.0, -0.0, tiny)):
+            catalog = {"c": CableType("c", 0.1, 0.2)}
+            generators = (Generator("town", "pv_site", pv_kw),)
+            net = derive_impedances(Network(10.0, (
+                Bus("grid", "slack", 4.16), Bus("town", "load", 4.16, NominalLoad(kw, kvar)),
+            ), (Branch("grid", "town", "cable", 10000.0, cable_type="c", length_miles=0.5),),
+                generators, catalog))
+            scenario = Scenario("s", penetration=0.0, pv_enabled=True,
+                                bindings=ProfileBindings(load_default="flat", pv_default="flat"))
+            plan = scenario_module._InjectionPlan(net, scenario, profiles)
+            for ev_kw in ({}, {"town": 0.0}, {"town": -0.0}, {"town": tiny}, {"town": -tiny}):
+                expected = repr(slot_injections(net, scenario, profiles, 0, ev_kw))
+                assert repr(plan.injections(0, ev_kw)) == expected, (kw, kvar, pv_kw, ev_kw)
+                assert repr(build_injections(net, scenario, profiles, 0,
+                                             ev_kw_override=ev_kw)) == expected
+                value = plan.injections(0, ev_kw)["town"]
+                signs.update((math.copysign(1.0, value.real), math.copysign(1.0, value.imag)))
+        assert signs == {1.0, -1.0}
+
+    def test_a_day_resolves_each_binding_once(self, bench, monkeypatch):
+        resolved = []
+        bound_profile = scenario_module._bound_profile
+
+        def counted(profiles, profile_id, kind, place, bus_id):
+            resolved.append((kind, bus_id))
+            return bound_profile(profiles, profile_id, kind, place, bus_id)
+
+        monkeypatch.setattr(scenario_module, "_bound_profile", counted)
+        net = bench.network
+        result = run_sweep(net, bench.scenario("ev25_pv"), bench.profiles)
+        assert len(result.records) == 96
+        loaded = [bus.id for bus in net.buses if bus.kind != "slack"
+                  and (bus.nominal_load.kw != 0.0 or bus.nominal_load.kvar != 0.0)]
+        pv_sites = [site.bus for site in net.pv_sites()]
+        assert pv_sites and loaded
+        assert sorted(resolved) == sorted([("load", bus) for bus in loaded]
+                                          + [("PV", bus) for bus in pv_sites])
+
+    def test_short_profile_names_itself_at_a_missing_slot(self):
+        net = _mini_grid(load_kw=500.0)
+        scenario = Scenario("s", penetration=0.0, bindings=ProfileBindings(load_default="short"))
+        profiles = {"short": _flat_profile("short", slots=4)}
+        assert run_sweep(net, scenario, profiles, intervals=range(4)).records[3].solution.converged
+        for slot in (4, -1):
+            with pytest.raises(ProfileError, match=f"profile 'short' has no slot {slot}"):
+                run_sweep(net, scenario, profiles, intervals=[slot])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+@example([5e-324, -5e-324, 2.225073858507201e-308, 0.0, -0.0, 1.7e308, 1.7e308, -1.7e308])
+@example([1.7e308, 5e-324])
+@example([-0.0])
+def test_dyadic_sum_is_the_exact_fraction_sum(values):
+    units = sum(map(scenario_module._dyadic_units, values))
+    assert Fraction(units, scenario_module._DYADIC_UNIT) == sum(map(Fraction, values), Fraction(0))
