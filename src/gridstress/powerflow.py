@@ -8,13 +8,23 @@ iteration (slower, used as a cross-check). Every non-slack bus is a PQ
 node; PV generation enters as negative load upstream of this module.
 
 Each Network is compiled into arrays on its first solve: Ybus, bus and
-branch indices, and the Newton-Raphson Jacobian at the flat start, which
-depends on the network alone and serves every solve's first step. The
+branch indices, and the bus powers and Newton-Raphson Jacobian at the
+flat start, which depend on the network alone and serve every solve's
+first step. The
 compiled form is kept on the instance, so a single solve and every slot
 of a sweep run the same code. Solves are pure and deterministic: the
 same network and injections give bit-identical solutions.
 Non-convergence is a reportable outcome, not an exception, because
 overload studies intentionally push past feasibility.
+
+Injections are one complex vector ordered like net.buses with the slack
+entry zero (what a sweep builds per slot), or a mapping by non-slack bus
+id, which becomes that vector on entry. Voltages keep the same bus order
+from the iteration to branch_flows. The mismatch and the Jacobian blocks
+are gathered from the float view of complex arrays at compiled indices.
+The Jacobian keeps its dense products with diagonal matrices: OpenBLAS
+zgemm rounds its last n mod 4 columns unlike the elementwise O(n^2) form,
+so that faster form would move the last bits of the reported loadings.
 """
 
 from __future__ import annotations
@@ -28,7 +38,9 @@ import numpy as np
 
 from .network import Network
 
-InjectionSet = Mapping[str, complex]
+# Injections in pu: by non-slack bus id, or one complex entry per bus in
+# the order of net.buses with the slack entry zero.
+InjectionSet = Mapping[str, complex] | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -106,30 +118,54 @@ class _Compiled(NamedTuple):
     """A Network's solver inputs as index arrays, built once per instance.
 
     The branch admittance terms y/tap**2, y/tap and y are computed with
-    the same scalar expressions as build_ybus uses. flat_jacobian is the
-    Jacobian at the flat start, assembled by the same code as every
-    later Newton-Raphson step's.
+    the same scalar expressions as build_ybus uses. mismatch_index and
+    jacobian_index are flat positions in the float view of complex bus
+    arrays: the first gathers the real then the imaginary parts of a
+    power mismatch at the PQ buses, the second the four Jacobian blocks
+    from the stacked angle and magnitude derivatives. flat_voltages,
+    flat_power and flat_jacobian are the voltages, bus powers and
+    Jacobian at the flat start, computed by the same code as every later
+    Newton-Raphson step's.
     """
 
     ybus: np.ndarray
     bus_ids: tuple[str, ...]
     slack: int
     pq: np.ndarray
-    pq_grid: tuple[np.ndarray, np.ndarray]
     pq_ids: tuple[str, ...]
     non_slack: frozenset[str]
+    mismatch_index: np.ndarray
+    jacobian_index: np.ndarray
     branch_ids: tuple[str, ...]
     branch_kinds: tuple[str, ...]
-    from_ids: tuple[str, ...]
-    to_ids: tuple[str, ...]
-    y_ff: np.ndarray
-    y_ft: np.ndarray
-    y_tt: np.ndarray
+    near_index: np.ndarray
+    far_index: np.ndarray
+    y_near: np.ndarray
+    y_far: np.ndarray
     rating_pu: np.ndarray
+    flat_voltages: np.ndarray
+    flat_power: np.ndarray
     flat_jacobian: np.ndarray
 
     def injection_vector(self, injections: InjectionSet) -> np.ndarray:
-        """Injections ordered like the buses, with the slack entry zero."""
+        """Injections ordered like the buses, with the slack entry zero.
+
+        A mapping is keyed by every non-slack bus id; an array is used
+        as given once its shape, slack entry and finiteness are checked.
+        """
+        if not isinstance(injections, Mapping):
+            s = np.asarray(injections, dtype=complex)
+            if s.shape != (len(self.bus_ids),):
+                raise ValueError(f"injection vector has shape {s.shape}, "
+                                 f"expected ({len(self.bus_ids)},), one entry per bus")
+            if s[self.slack] != 0:
+                raise ValueError(f"injection at slack bus {self.bus_ids[self.slack]} must be 0, "
+                                 f"got {complex(s[self.slack])}")
+            finite = np.isfinite(s)
+            if not finite.all():
+                k = int(np.argmin(finite))
+                raise ValueError(f"non-finite injection at {self.bus_ids[k]}: {complex(s[k])}")
+            return s
         given = set(injections)
         if given != self.non_slack:
             missing = sorted(self.non_slack - given)
@@ -170,33 +206,50 @@ def _compile(net: Network) -> _Compiled:
     slack = bus_ids.index(net.slack_id())
     pq = np.array([i for i in range(n) if i != slack], dtype=int)
     pq_ids = tuple(bus_ids[i] for i in pq)
-    pq_grid = np.ix_(pq, pq)
-    flat_jacobian = _jacobian(ybus, pq_grid, _polar(np.ones(n), np.zeros(n)),
+    # Float view of a complex (n,) array: Re z[i] at 2i, Im z[i] at 2i + 1.
+    # Of the stacked (2, n, n) derivatives: block b, row i, column j at
+    # 2n(n*b + i) + 2j, its imaginary part one further.
+    mismatch_index = np.concatenate([2 * pq, 2 * pq + 1])
+    rows = np.concatenate([2 * n * pq, 2 * n * pq + 1])
+    columns = np.concatenate([2 * pq, 2 * n * n + 2 * pq])
+    jacobian_index = rows[:, None] + columns[None, :]
+    flat_voltages = _polar(np.ones(n), np.zeros(n))
+    flat_power, flat_currents = _power(ybus, flat_voltages)
+    flat_jacobian = _jacobian(ybus, jacobian_index, flat_voltages, flat_currents,
+                              np.empty((2, n, n), dtype=complex),
                               np.empty((2 * len(pq), 2 * len(pq))))
-    flat_jacobian.setflags(write=False)
+    for array in (flat_voltages, flat_power, flat_jacobian):
+        array.setflags(write=False)
+    index = {bus_id: i for i, bus_id in enumerate(bus_ids)}
+    from_index = [index[b.from_bus] for b in net.branches]
+    to_index = [index[b.to_bus] for b in net.branches]
     y_ff, y_ft, y_tt = [], [], []
     for branch in net.branches:
         y = 1.0 / branch.series_impedance_pu
         y_ff.append(y / branch.tap ** 2)
         y_ft.append(y / branch.tap)
         y_tt.append(y)
+    y_near = np.array(y_ff + y_tt, dtype=complex)
+    y_far = np.array(y_ft + y_ft, dtype=complex)
     return _Compiled(
         ybus=ybus,
         bus_ids=bus_ids,
         slack=slack,
         pq=pq,
-        pq_grid=pq_grid,
         pq_ids=pq_ids,
         non_slack=frozenset(pq_ids),
+        mismatch_index=mismatch_index,
+        jacobian_index=jacobian_index,
         branch_ids=tuple(b.id for b in net.branches),
         branch_kinds=tuple(b.kind for b in net.branches),
-        from_ids=tuple(b.from_bus for b in net.branches),
-        to_ids=tuple(b.to_bus for b in net.branches),
-        y_ff=np.array(y_ff, dtype=complex),
-        y_ft=np.array(y_ft, dtype=complex),
-        y_tt=np.array(y_tt, dtype=complex),
+        near_index=np.array(from_index + to_index, dtype=int),
+        far_index=np.array(to_index + from_index, dtype=int),
+        y_near=np.array([y_near.real, y_near.imag]),
+        y_far=np.array([y_far.real, y_far.imag]),
         rating_pu=np.array([b.rating_kva / (1000.0 * net.s_base_mva) for b in net.branches],
                            dtype=float),
+        flat_voltages=flat_voltages,
+        flat_power=flat_power,
         flat_jacobian=flat_jacobian,
     )
 
@@ -206,28 +259,31 @@ def _polar(v_mag: np.ndarray, v_ang: np.ndarray) -> np.ndarray:
     return v_mag * np.exp(1j * v_ang)
 
 
-def _jacobian(ybus: np.ndarray, pq_grid: tuple[np.ndarray, np.ndarray],
-              voltages: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _power(ybus: np.ndarray, voltages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex power injected at each bus, and the bus currents."""
+    i_bus = ybus @ voltages
+    return voltages * np.conj(i_bus), i_bus
+
+
+def _jacobian(ybus: np.ndarray, index: np.ndarray, voltages: np.ndarray, i_bus: np.ndarray,
+              derivatives: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill out with the polar Newton-Raphson Jacobian at voltages; returns out.
 
-    The blocks are the real and imaginary parts of the complex power's
-    derivatives with respect to voltage angle and magnitude, restricted
-    to the PQ buses. The dense diagonal products stay: an elementwise
-    O(n^2) form is faster but rounds differently, which moves the last
-    bits of the loadings written to reports.
+    derivatives (2, n, n) receives the complex power's derivatives with
+    respect to voltage angle and magnitude; index gathers the real and
+    imaginary parts of their PQ rows and columns into the four blocks.
+    The dense diagonal products stay: an elementwise O(n^2) form is
+    faster but rounds differently, which moves the last bits of the
+    loadings written to reports.
     """
-    npq = len(pq_grid[0])
-    i_bus = ybus @ voltages
     diag_v = np.diag(voltages)
     diag_i = np.diag(i_bus)
     diag_vnorm = np.diag(voltages / np.abs(voltages))
-    ds_dva = (1j * diag_v @ np.conj(diag_i - ybus @ diag_v))[pq_grid]
-    ds_dvm = (diag_v @ np.conj(ybus @ diag_vnorm) + np.conj(diag_i) @ diag_vnorm)[pq_grid]
-    out[:npq, :npq] = ds_dva.real
-    out[:npq, npq:] = ds_dvm.real
-    out[npq:, :npq] = ds_dva.imag
-    out[npq:, npq:] = ds_dvm.imag
-    return out
+    np.matmul(1j * diag_v, np.conj(diag_i - ybus @ diag_v), out=derivatives[0])
+    np.add(diag_v @ np.conj(ybus @ diag_vnorm), np.conj(diag_i) @ diag_vnorm,
+           out=derivatives[1])
+    # Every index is in range; mode="clip" only spares take a buffered copy.
+    return np.take(derivatives.view(float), index, out=out, mode="clip")
 
 
 def _cmul(a_re: np.ndarray, a_im: np.ndarray, b_re: np.ndarray,
@@ -242,31 +298,37 @@ def _cmul(a_re: np.ndarray, a_im: np.ndarray, b_re: np.ndarray,
     return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
 
 
-def branch_flows(net: Network, voltages: Mapping[str, complex]) -> tuple[BranchFlow, ...]:
-    """Per-branch complex power at both ends and the loading percentage."""
-    c = _compiled(net)
-    vf = np.array([voltages[bus_id] for bus_id in c.from_ids], dtype=complex)
-    vt = np.array([voltages[bus_id] for bus_id in c.to_ids], dtype=complex)
-    vf_re, vf_im, vt_re, vt_im = vf.real, vf.imag, vt.real, vt.imag
+def branch_flows(net: Network, voltages: np.ndarray) -> tuple[BranchFlow, ...]:
+    """Per-branch complex power at both ends and the loading percentage.
 
-    # i_from = y_ff*vf - y_ft*vt and i_to = y_tt*vt - y_ft*vf
-    a_re, a_im = _cmul(c.y_ff.real, c.y_ff.imag, vf_re, vf_im)
-    b_re, b_im = _cmul(c.y_ft.real, c.y_ft.imag, vt_re, vt_im)
-    if_re, if_im = a_re - b_re, a_im - b_im
-    a_re, a_im = _cmul(c.y_tt.real, c.y_tt.imag, vt_re, vt_im)
-    b_re, b_im = _cmul(c.y_ft.real, c.y_ft.imag, vf_re, vf_im)
-    it_re, it_im = a_re - b_re, a_im - b_im
+    voltages holds one complex per-unit voltage per bus, ordered like
+    net.buses.
+    """
+    c = _compiled(net)
+    voltages = np.asarray(voltages, dtype=complex)
+    if voltages.shape != (len(c.bus_ids),):
+        raise ValueError(f"voltage vector has shape {voltages.shape}, "
+                         f"expected ({len(c.bus_ids)},), one entry per bus")
+    # Each branch end k (from ends, then to ends) carries the current
+    # y_near[k]*v[near] - y_far[k]*v[far]: i_from = y_ff*vf - y_ft*vt and
+    # i_to = y_tt*vt - y_ft*vf.
+    near = voltages[c.near_index]
+    far = voltages[c.far_index]
+    v_re, v_im = near.real, near.imag
+    a_re, a_im = _cmul(*c.y_near, v_re, v_im)
+    b_re, b_im = _cmul(*c.y_far, far.real, far.imag)
+    i_re, i_im = a_re - b_re, a_im - b_im
 
     # s = v * conj(i); np.hypot rounds like abs() of a Python complex.
-    sf_re, sf_im = _cmul(vf_re, vf_im, if_re, -if_im)
-    st_re, st_im = _cmul(vt_re, vt_im, it_re, -it_im)
-    abs_f = np.hypot(sf_re, sf_im)
-    abs_t = np.hypot(st_re, st_im)
+    s_re, s_im = _cmul(v_re, v_im, i_re, -i_im)
+    m = len(c.branch_ids)
+    abs_s = np.hypot(s_re, s_im)
+    abs_f, abs_t = abs_s[:m], abs_s[m:]
     # np.where(t > f, t, f) is Python's max(f, t), NaN order included.
     loading = 100.0 * np.where(abs_t > abs_f, abs_t, abs_f) / c.rating_pu
+    s = _complex_list(s_re, s_im)
     return tuple(map(BranchFlow._make, zip(
-        c.branch_ids, c.branch_kinds, _complex_list(sf_re, sf_im),
-        _complex_list(st_re, st_im), loading.tolist())))
+        c.branch_ids, c.branch_kinds, s[:m], s[m:], loading.tolist())))
 
 
 def _complex_list(re: np.ndarray, im: np.ndarray) -> list[complex]:
@@ -291,13 +353,12 @@ def _finish(
     converged: bool,
     max_mismatch: float,
 ) -> PowerFlowSolution:
-    by_id = dict(zip(c.bus_ids, voltages))
     s_slack = voltages[c.slack] * np.conj(c.ybus[c.slack, :] @ voltages)
     return PowerFlowSolution(
         bus_ids=c.bus_ids,
         v_mag=tuple(np.hypot(voltages.real, voltages.imag).tolist()),
-        v_ang=tuple(cmath.phase(v) for v in voltages.tolist()),
-        branch_flows=branch_flows(net, by_id),
+        v_ang=tuple(map(cmath.phase, voltages.tolist())),
+        branch_flows=branch_flows(net, voltages),
         slack_injection=complex(s_slack),
         iterations=iterations,
         converged=converged,
@@ -305,12 +366,12 @@ def _finish(
     )
 
 
-def _mismatch(ybus: np.ndarray, voltages: np.ndarray, s_spec: np.ndarray,
-              pq: np.ndarray) -> tuple[np.ndarray, float]:
-    s_calc = voltages * np.conj(ybus @ voltages)
+def _mismatch(s_spec: np.ndarray, s_calc: np.ndarray,
+              index: np.ndarray) -> tuple[np.ndarray, float]:
+    """The PQ buses' active then reactive power mismatch, and its largest magnitude."""
     ds = s_spec - s_calc
-    stacked = np.concatenate([ds[pq].real, ds[pq].imag])
-    max_mis = float(np.max(np.abs(stacked))) if stacked.size else 0.0
+    stacked = ds.view(float)[index]
+    max_mis = float(np.abs(stacked).max()) if stacked.size else 0.0
     return stacked, max_mis
 
 
@@ -321,29 +382,33 @@ def solve_newton_raphson(
 ) -> PowerFlowSolution:
     """Full-Jacobian Newton-Raphson power flow in polar form.
 
-    Converged means max(|dP|, |dQ|) <= opts.tol at every non-slack bus.
-    On non-convergence the best iterate seen (smallest mismatch) is
-    returned with converged=False so the caller can decide.
+    injections is the bus-ordered vector or the mapping by bus id (see
+    the module docstring). Converged means max(|dP|, |dQ|) <= opts.tol
+    at every non-slack bus. On non-convergence the best iterate seen
+    (smallest mismatch) is returned with converged=False so the caller
+    can decide.
     """
     c = _compiled(net)
     ybus, pq = c.ybus, c.pq
     s_spec = c.injection_vector(injections)
     n, npq = len(c.bus_ids), len(pq)
 
-    # Flat start: 1.0 per unit, zero angle. The Jacobian there is the
-    # compiled one; each later step assembles its own into work.
+    # Flat start: 1.0 per unit, zero angle. Its voltages, powers and
+    # Jacobian are compiled; each later step computes its own, assembling
+    # the Jacobian into work from the bus currents of its mismatch.
     v_mag = np.ones(n)
     v_ang = np.zeros(n)
+    derivatives = np.empty((2, n, n), dtype=complex)
     work = np.empty((2 * npq, 2 * npq))
 
-    best_voltages = np.ones(n, dtype=complex)
+    best_voltages = c.flat_voltages
     best_mismatch = np.inf
     iterations = 0
     converged = False
 
+    voltages, s_calc, i_bus = c.flat_voltages, c.flat_power, None
     for _ in range(opts.max_iter + 1):
-        voltages = _polar(v_mag, v_ang)
-        mis, max_mis = _mismatch(ybus, voltages, s_spec, pq)
+        mis, max_mis = _mismatch(s_spec, s_calc, c.mismatch_index)
         if max_mis < best_mismatch:
             best_mismatch = max_mis
             best_voltages = voltages
@@ -354,7 +419,7 @@ def solve_newton_raphson(
             break
 
         jacobian = (c.flat_jacobian if iterations == 0
-                    else _jacobian(ybus, c.pq_grid, voltages, work))
+                    else _jacobian(ybus, c.jacobian_index, voltages, i_bus, derivatives, work))
         try:
             dx = np.linalg.solve(jacobian, mis)
         except np.linalg.LinAlgError:
@@ -362,8 +427,10 @@ def solve_newton_raphson(
         v_ang[pq] += dx[:npq]
         v_mag[pq] += dx[npq:]
         iterations += 1
-        if not np.all(np.isfinite(v_mag)) or not np.all(np.isfinite(v_ang)):
+        if not (np.isfinite(v_mag).all() and np.isfinite(v_ang).all()):
             break
+        voltages = _polar(v_mag, v_ang)
+        s_calc, i_bus = _power(ybus, voltages)
 
     if converged:
         return _finish(net, c, voltages, iterations, True, max_mis)
@@ -403,5 +470,5 @@ def solve_gauss_seidel(
         if not np.all(np.isfinite(voltages)):
             break
 
-    _, max_mis = _mismatch(ybus, voltages, s_spec, c.pq)
+    _, max_mis = _mismatch(s_spec, _power(ybus, voltages)[0], c.mismatch_index)
     return _finish(net, c, voltages, iterations, converged, max_mis)

@@ -8,10 +8,11 @@ PV sites inject capacity times their profile coefficient as negative
 load at unity power factor. Each sweep resolves the scenario's bindings
 (lot buses, PV sites' and loaded buses' profiles) into one injection
 plan. For each interval the sweep lets the controller settle the EV
-draw, evaluates the plan once, and records the solution. A sweep solves
-each distinct operating point once: an interval whose injections repeat
-an earlier interval of the same sweep, bit for bit, shares that
-interval's (immutable) solution.
+draw, evaluates the plan once into a complex injection vector ordered
+like net.buses (slack entry zero), hands that vector to the solver and
+records the solution. A sweep solves each distinct operating point once:
+an interval whose injection vector repeats an earlier interval's of the
+same sweep, bit for bit, shares that interval's (immutable) solution.
 
 Sweeps with the null controller have independent intervals and may be
 evaluated concurrently by callers. The one-third stagger controller
@@ -263,88 +264,114 @@ def build_injections(
         ev_nominal = scenario.ev_connected_kw_by_bus()
         ev_kw = _ev_draw(ev_nominal, _resolve_ev_profile(ev_nominal, scenario.bindings, profiles),
                          interval)
-    return _InjectionPlan(net, scenario, profiles).injections(interval, ev_kw)
+    plan = _InjectionPlan(net, scenario, profiles)
+    vector = plan.vector(interval, ev_kw).tolist()
+    return {bus_id: vector[i] for bus_id, i in plan.position.items()}
 
 
 class _InjectionPlan:
     """A scenario's injections on one network with every binding resolved.
 
     Built once per sweep (and once per build_injections call): the
-    parking-lot buses are checked and each PV site's and each loaded
-    bus's profile is looked up. Per interval only the coefficients are
-    read and each bus's injection computed: load, then EV, then PV, each
-    term applied only where the bus has it, so +0.0 and -0.0 stay apart.
+    parking-lot buses are checked, each PV site's and each loaded bus's
+    profile is looked up and every bus's position in net.buses is fixed.
+    Per interval only the coefficients are read and the injection vector
+    computed: load, then EV, then PV, each term applied only where the
+    bus has it, so +0.0 and -0.0 stay apart.
     """
 
     def __init__(self, net: Network, scenario: Scenario, profiles: Mapping[str, LoadProfile]):
         bindings = scenario.bindings
-        bus_ids = set(net.bus_ids())
+        bus_ids = net.bus_ids()
         for lot in scenario.parking_lots:
             if lot.bus not in bus_ids:
                 raise ScenarioConfigError(
                     f"parking lot {lot.name!r} references unknown bus {lot.bus!r}"
                 )
 
-        self.pv: list[tuple[Generator, LoadProfile]] = []
+        slack = net.slack_id()
+        # Position in net.buses of every non-slack bus, the only ones injected at.
+        self.position = {bus_id: i for i, bus_id in enumerate(bus_ids) if bus_id != slack}
+        self.n = len(bus_ids)
+
+        # (bus position, or None at the slack bus; site; its profile) per PV site
+        self.pv: list[tuple[int | None, Generator, LoadProfile]] = []
         if scenario.pv_enabled:
             for site in net.pv_sites():
                 profile_id = bindings.pv.get(site.bus) or site.profile or bindings.pv_default
-                self.pv.append((site, _bound_profile(profiles, profile_id, "PV", "site at",
-                                                     site.bus)))
+                self.pv.append((self.position.get(site.bus), site,
+                                _bound_profile(profiles, profile_id, "PV", "site at", site.bus)))
 
-        slack = net.slack_id()
-        # (bus id, kW, kvar, the load profile, or None for an unloaded bus)
-        self.buses: list[tuple[str, float, float, LoadProfile | None]] = []
+        # Loaded buses grouped by profile, in order of first appearance:
+        # profile id -> (profile, positions, kW, kvar)
+        groups: dict[str, tuple[LoadProfile, list[int], list[float], list[float]]] = {}
         for bus in net.buses:
-            if bus.id == slack:
-                continue
             load = bus.nominal_load
-            profile = None
-            if load.kw != 0.0 or load.kvar != 0.0:
-                profile_id = bindings.load.get(bus.id, bindings.load_default)
-                profile = _bound_profile(profiles, profile_id, "load", "bus", bus.id)
-            self.buses.append((bus.id, load.kw, load.kvar, profile))
+            if bus.id == slack or (load.kw == 0.0 and load.kvar == 0.0):
+                continue
+            profile_id = bindings.load.get(bus.id, bindings.load_default)
+            profile = _bound_profile(profiles, profile_id, "load", "bus", bus.id)
+            group = groups.setdefault(profile_id, (profile, [], [], []))
+            group[1].append(self.position[bus.id])
+            group[2].append(load.kw)
+            group[3].append(load.kvar)
+        self.loads = [(profile, np.array(index), np.array(kw), np.array(kvar))
+                      for profile, index, kw, kvar in groups.values()]
         self.kva_base = 1000.0 * net.s_base_mva
 
-    def injections(self, interval: int, ev_kw: Mapping[str, float]) -> dict[str, complex]:
-        """build_injections at interval with ev_kw as the whole EV draw."""
-        pv_kw: dict[str, float] = {}
-        for site, profile in self.pv:
-            pv_kw[site.bus] = pv_kw.get(site.bus, 0.0) + pv_injection_kw(site, profile, interval)
+    def vector(self, interval: int, ev_kw: Mapping[str, float]) -> np.ndarray:
+        """Injections in pu at interval, ordered like net.buses with the slack
+        entry zero, with ev_kw as the whole EV draw."""
+        pv_kw: dict[int | None, float] = {}
+        for i, site, profile in self.pv:
+            pv_kw[i] = pv_kw.get(i, 0.0) + pv_injection_kw(site, profile, interval)
 
-        kva_base = self.kva_base
-        injections: dict[str, complex] = {}
-        for bus_id, kw, kvar, profile in self.buses:
-            p_kw = 0.0
-            q_kvar = 0.0
-            if profile is not None:
-                coeff = profile.coefficient(interval)
-                p_kw -= kw * coeff
-                q_kvar -= kvar * coeff
-            if bus_id in ev_kw:
-                p_kw -= ev_kw[bus_id]
-            if bus_id in pv_kw:
-                p_kw += pv_kw[bus_id]
-            injections[bus_id] = complex(p_kw / kva_base, q_kvar / kva_base)
-        return injections
+        p_kw = np.zeros(self.n)
+        q_kvar = np.zeros(self.n)
+        for profile, index, kw, kvar in self.loads:
+            coeff = profile.coefficient(interval)
+            p_kw[index] = 0.0 - kw * coeff
+            q_kvar[index] = 0.0 - kvar * coeff
+        for bus_id, kw in ev_kw.items():
+            i = self.position.get(bus_id)
+            if i is not None:
+                p_kw[i] -= kw
+        for i, kw in pv_kw.items():
+            if i is not None:
+                p_kw[i] += kw
+        s = np.empty(self.n, dtype=complex)
+        s.real = p_kw / self.kva_base
+        s.imag = q_kvar / self.kva_base
+        return s
+
+
+# Every finite float is an integer multiple of 2**-1074, the smallest
+# subnormal, so a sum of floats is exact as an integer count of that unit.
+_DYADIC_UNIT = 1 << 1074
+
+
+def _dyadic_units(x: float) -> int:
+    """x as an exact integer multiple of 2**-1074."""
+    numerator, denominator = x.as_integer_ratio()    # denominator is a power of 2
+    return numerator << (1075 - denominator.bit_length())
 
 
 class StaggerState:
     """Deferral ledger for the one-third stagger controller.
 
-    A bus's group is its position in the sorted bus ids mod 3. Its
-    deferred energy is one exact rational backlog, so that served +
-    unserved always equals demanded to the last bit.
+    A bus's group is its position in the sorted bus ids mod 3. Its cap
+    and its deferred energy are exact integer counts of 2**-1074 kW, so
+    that served + unserved always equals demanded to the last bit.
     """
 
     def __init__(self, connected_kw_by_bus: Mapping[str, float]):
         self.buses = tuple(sorted(connected_kw_by_bus))
-        self.cap = {bus: Fraction(connected_kw_by_bus[bus]) for bus in self.buses}
-        self.backlog = {bus: Fraction(0) for bus in self.buses}
+        self.cap = {bus: _dyadic_units(connected_kw_by_bus[bus]) for bus in self.buses}
+        self.backlog = {bus: 0 for bus in self.buses}
 
     def unserved(self) -> Fraction:
         """Energy still deferred; at horizon end this is reported as unserved."""
-        return sum(self.backlog.values(), Fraction(0))
+        return Fraction(sum(self.backlog.values()), _DYADIC_UNIT)
 
 
 def one_third_stagger(ev_demands: Mapping[str, float], interval: int,
@@ -370,15 +397,16 @@ def one_third_stagger(ev_demands: Mapping[str, float], interval: int,
         if i % 3 != active:
             # No room: nothing drains and nothing is served.
             if kw:
-                state.backlog[bus] += Fraction(kw)
+                state.backlog[bus] += _dyadic_units(kw)
             served_kw[bus] = 0.0
             continue
-        demand = Fraction(kw)
+        demand = _dyadic_units(kw)
         room = state.cap[bus]
         drained = min(state.backlog[bus], room)
         served = drained + min(demand, room - drained)
         state.backlog[bus] += demand - served
-        served_kw[bus] = float(served)
+        # int / int rounds once, to the nearest float, like float(Fraction).
+        served_kw[bus] = served / _DYADIC_UNIT
     return served_kw
 
 
@@ -410,17 +438,6 @@ class SweepResult:
 
     def diverged_intervals(self) -> tuple[int, ...]:
         return tuple(r.interval for r in self.records if not r.solution.converged)
-
-
-# Every finite float is an integer multiple of 2**-1074, the smallest
-# subnormal, so a sum of floats is exact as an integer count of that unit.
-_DYADIC_UNIT = 1 << 1074
-
-
-def _dyadic_units(x: float) -> int:
-    """x as an exact integer multiple of 2**-1074."""
-    numerator, denominator = x.as_integer_ratio()    # denominator is a power of 2
-    return numerator << (1075 - denominator.bit_length())
 
 
 def run_sweep(
@@ -456,10 +473,8 @@ def run_sweep(
             settled = one_third_stagger(demanded, interval, state)
         demanded_units += sum(map(_dyadic_units, demanded.values()))
 
-        injections = plan.injections(interval, settled)
-        # The plan emits every non-slack bus in net.buses order, so the
-        # values alone identify the operating point.
-        key = np.array(list(injections.values()), dtype=complex).tobytes()
+        injections = plan.vector(interval, settled)
+        key = injections.tobytes()
         solution = solved.get(key)
         if solution is None:
             solution = solved[key] = solve_newton_raphson(net, injections)

@@ -1,7 +1,7 @@
 """Shared builders and checks for tests: tiny and randomly generated
 networks, a small network document, no-load injections, overload
-counts, stagger service, and reference models of one slot's injections
-and of the stagger controller."""
+counts, stagger service and backlog in kW, and reference models of one
+slot's injections and of the stagger controller."""
 
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ from gridstress import (
     derive_impedances,
     one_third_stagger,
 )
+from gridstress.scenario import _DYADIC_UNIT
 
 # Fixes the property/equivalence generators only; the simulator itself
 # uses no randomness.
@@ -146,6 +147,11 @@ def at_or_above_100(hist: CongestionHistogram) -> int:
     return hist.bin_100_150 + hist.bin_gt_150
 
 
+def backlog_kw(state: StaggerState) -> dict[str, Fraction]:
+    """Each bus's exact deferred kW; the state counts it in units of 2**-1074 kW."""
+    return {bus: Fraction(units, _DYADIC_UNIT) for bus, units in state.backlog.items()}
+
+
 def stagger_served(demands: dict[str, float], interval: int,
                    state: StaggerState) -> dict[str, Fraction]:
     """Run one_third_stagger for one slot and return each bus's served kW.
@@ -156,13 +162,14 @@ def stagger_served(demands: dict[str, float], interval: int,
     the sorted bus ids mod 3) served nothing and that a bus inside it
     served no more than its cap.
     """
-    before = dict(state.backlog)
+    before = backlog_kw(state)
     returned = one_third_stagger(demands, interval, state)
+    after = backlog_kw(state)
     served = {}
     for i, bus in enumerate(state.buses):
-        kw = Fraction(demands.get(bus, 0.0)) + before[bus] - state.backlog[bus]
+        kw = Fraction(demands.get(bus, 0.0)) + before[bus] - after[bus]
         assert float(kw) == returned[bus], bus
-        room = state.cap[bus] if i % 3 == interval % 3 else 0
+        room = Fraction(state.cap[bus], _DYADIC_UNIT) if i % 3 == interval % 3 else 0
         assert 0 <= kw <= room, bus
         served[bus] = kw
     return served

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import re
 import sys
 from pathlib import Path
 
@@ -124,6 +125,30 @@ class TestNewtonRaphson:
         with pytest.raises(ValueError, match="non-finite"):
             solve_newton_raphson(net, {"load": complex(float("nan"), 0.0)})
 
+    def test_vector_needs_one_entry_per_bus(self):
+        net = two_bus_network(TWO_BUS_Z)
+        for vector in (np.zeros(1, dtype=complex), np.zeros(3, dtype=complex),
+                       np.zeros((2, 1), dtype=complex)):
+            with pytest.raises(ValueError, match=r"expected \(2,\), one entry per bus"):
+                solve_newton_raphson(net, vector)
+
+    def test_non_finite_vector_entry_names_its_bus(self, bench):
+        net = bench.network
+        bus_ids = net.bus_ids()
+        slack = bus_ids.index(net.slack_id())
+        for k, bad in ((len(bus_ids) - 1, complex(float("nan"), 0.0)),
+                       ((slack + 5) % len(bus_ids), complex(0.0, float("-inf")))):
+            vector = np.zeros(len(bus_ids), dtype=complex)
+            vector[k] = bad
+            with pytest.raises(ValueError,
+                               match=f"^non-finite injection at {re.escape(bus_ids[k])}: "):
+                solve_newton_raphson(net, vector)
+
+    def test_vector_slack_entry_must_be_zero(self):
+        net = two_bus_network(TWO_BUS_Z)
+        with pytest.raises(ValueError, match="injection at slack bus source must be 0"):
+            solve_newton_raphson(net, np.array([0.5 + 0j, -TWO_BUS_LOAD]))
+
     def test_infeasible_load_reports_divergence(self):
         # Far past the nose of the PV curve: no solution exists.
         net = two_bus_network(TWO_BUS_Z)
@@ -198,7 +223,7 @@ class TestGaussSeidel:
 class TestBranchFlows:
     def test_zero_flow(self):
         net = two_bus_network(TWO_BUS_Z)
-        flows = branch_flows(net, {"source": 1 + 0j, "load": 1 + 0j})
+        flows = branch_flows(net, np.array([1 + 0j, 1 + 0j]))
         assert flows[0].loading_percent == 0.0
 
     def test_loading_is_definitional_at_rating(self):
@@ -209,8 +234,13 @@ class TestBranchFlows:
         v_from = 1.0 + 0j
         i_line = 1.0 + 0j  # S_from = V * conj(I) = 1.0 pu
         v_to = v_from - 0.1 * i_line
-        flows = branch_flows(net, {"source": v_from, "load": v_to})
+        flows = branch_flows(net, np.array([v_from, v_to]))
         assert flows[0].loading_percent == 100.0
+
+    def test_voltages_need_one_entry_per_bus(self):
+        net = two_bus_network(TWO_BUS_Z)
+        with pytest.raises(ValueError, match=r"shape \(1,\), expected \(2,\)"):
+            branch_flows(net, np.array([1 + 0j]))
 
     def test_two_bus_flow_matches_oracle(self):
         net = two_bus_network(TWO_BUS_Z)
@@ -259,6 +289,25 @@ def _solved_cases(bench, rng):
     return cases + _tapped_radial_networks(rng)
 
 
+def _block_jacobian(ybus, pq, voltages):
+    """Reference: the polar Jacobian's four blocks cut from the dense
+    diagonal products with np.ix_ and assigned one by one."""
+    npq = len(pq)
+    grid = np.ix_(pq, pq)
+    i_bus = ybus @ voltages
+    diag_v = np.diag(voltages)
+    diag_i = np.diag(i_bus)
+    diag_vnorm = np.diag(voltages / np.abs(voltages))
+    ds_dva = (1j * diag_v @ np.conj(diag_i - ybus @ diag_v))[grid]
+    ds_dvm = (diag_v @ np.conj(ybus @ diag_vnorm) + np.conj(diag_i) @ diag_vnorm)[grid]
+    out = np.empty((2 * npq, 2 * npq))
+    out[:npq, :npq] = ds_dva.real
+    out[:npq, npq:] = ds_dvm.real
+    out[npq:, :npq] = ds_dva.imag
+    out[npq:, npq:] = ds_dvm.imag
+    return out
+
+
 class TestBitExactVectorisation:
     def test_branch_flows_equal_scalar_loop(self, bench, rng):
         for net, injections in _solved_cases(bench, rng):
@@ -267,7 +316,8 @@ class TestBitExactVectorisation:
                               zip(solution.bus_ids, solution.v_mag, solution.v_ang)},
                              {b: complex(rng.uniform(0.8, 1.1), rng.uniform(-0.2, 0.2))
                               for b in solution.bus_ids}):
-                assert branch_flows(net, voltages) == _scalar_branch_flows(net, voltages)
+                vector = np.array([voltages[b] for b in solution.bus_ids])
+                assert branch_flows(net, vector) == _scalar_branch_flows(net, voltages)
 
     def test_solution_voltages_are_exact_magnitude_and_phase(self, bench, rng, monkeypatch):
         seen = []
@@ -279,10 +329,11 @@ class TestBitExactVectorisation:
         monkeypatch.setattr(powerflow_module, "branch_flows", capture)
         for net, injections in _solved_cases(bench, rng):
             solution = solve_newton_raphson(net, injections)
-            voltages = [seen[-1][b] for b in solution.bus_ids]
+            voltages = seen[-1].tolist()
             assert solution.v_mag == tuple(abs(v) for v in voltages)
             assert solution.v_ang == tuple(cmath.phase(v) for v in voltages)
-            assert solution.branch_flows == _scalar_branch_flows(net, seen[-1])
+            assert solution.branch_flows == _scalar_branch_flows(
+                net, dict(zip(solution.bus_ids, voltages)))
 
     def test_compiled_ybus_is_read_only(self):
         net = two_bus_network(TWO_BUS_Z)
@@ -296,12 +347,42 @@ class TestBitExactVectorisation:
     def test_compiled_flat_jacobian_is_the_flat_start_assembly(self, bench, rng):
         for net, _ in _solved_cases(bench, rng):
             c = powerflow_module._compiled(net)
+            n = len(c.bus_ids)
+            flat = powerflow_module._polar(np.ones(n), np.zeros(n))
+            assert c.flat_voltages.tobytes() == flat.tobytes()
+            assert c.flat_power.tobytes() == (flat * np.conj(c.ybus @ flat)).tobytes()
+            assert c.flat_jacobian.tobytes() == _block_jacobian(c.ybus, c.pq, flat).tobytes()
+            for array in (c.flat_voltages, c.flat_power, c.flat_jacobian):
+                assert not array.flags.writeable
+
+    def test_vector_and_mapping_give_the_same_solution(self, bench, rng):
+        cases = _solved_cases(bench, rng) + _tapped_radial_networks(rng, count=6, ties=3)
+        for net, injections in cases:
+            vector = np.array([injections.get(b, 0j) for b in net.bus_ids()])
+            by_mapping = solve_newton_raphson(net, injections)
+            by_vector = solve_newton_raphson(net, vector)
+            assert by_vector == by_mapping
+            assert repr(by_vector) == repr(by_mapping)
+
+    def test_gathered_jacobian_and_mismatch_equal_the_block_assembly(self, bench, rng):
+        for net, injections in _solved_cases(bench, rng):
+            c = powerflow_module._compiled(net)
+            s_spec = c.injection_vector(injections)
             n, npq = len(c.bus_ids), len(c.pq)
-            assembled = powerflow_module._jacobian(
-                c.ybus, c.pq_grid, powerflow_module._polar(np.ones(n), np.zeros(n)),
-                np.empty((2 * npq, 2 * npq)))
-            assert c.flat_jacobian.tobytes() == assembled.tobytes()
-            assert not c.flat_jacobian.flags.writeable
+            for _ in range(3):
+                v_mag = np.array([rng.uniform(0.8, 1.1) for _ in range(n)])
+                v_ang = np.array([rng.uniform(-0.3, 0.3) for _ in range(n)])
+                voltages = powerflow_module._polar(v_mag, v_ang)
+                s_calc, i_bus = powerflow_module._power(c.ybus, voltages)
+                gathered = powerflow_module._jacobian(
+                    c.ybus, c.jacobian_index, voltages, i_bus,
+                    np.empty((2, n, n), dtype=complex), np.empty((2 * npq, 2 * npq)))
+                assert gathered.tobytes() == _block_jacobian(c.ybus, c.pq, voltages).tobytes()
+                mismatch, largest = powerflow_module._mismatch(s_spec, s_calc, c.mismatch_index)
+                ds = s_spec - voltages * np.conj(c.ybus @ voltages)
+                stacked = np.concatenate([ds[c.pq].real, ds[c.pq].imag])
+                assert mismatch.tobytes() == stacked.tobytes()
+                assert largest == float(np.max(np.abs(stacked)))
 
     def test_sweep_assembles_one_jacobian_per_step_after_the_first(self, bench, monkeypatch):
         from gridstress import run_sweep

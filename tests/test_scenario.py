@@ -11,6 +11,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -47,7 +48,7 @@ from gridstress.scenario import (
     pv_clear_day_profile,
 )
 
-from helpers import FifoStagger, slot_injections, stagger_served
+from helpers import FifoStagger, backlog_kw, slot_injections, stagger_served
 
 DATA = Path(__file__).parent / "data"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -349,7 +350,7 @@ class TestOneThirdStagger:
     def test_zero_demand_serves_and_defers_nothing(self):
         state = StaggerState({"a": 100.0, "b": 50.0})
         assert one_third_stagger({"a": 0.0, "b": 0.0}, 0, state) == {"a": 0.0, "b": 0.0}
-        assert state.backlog == {"a": 0, "b": 0}
+        assert backlog_kw(state) == {"a": 0, "b": 0}
 
     def test_backlog_drains_with_headroom(self):
         state = StaggerState({"x": 100.0})
@@ -357,20 +358,20 @@ class TestOneThirdStagger:
         one_third_stagger({"x": 70.0}, 2, state)   # backlog 150
         served = one_third_stagger({"x": 30.0}, 3, state)  # active
         assert served == {"x": 100.0}              # 100 of the 150 drained
-        assert state.backlog == {"x": Fraction(80)}    # 50 old + 30 new
+        assert backlog_kw(state) == {"x": Fraction(80)}    # 50 old + 30 new
 
     def test_idle_bus_keeps_its_backlog(self):
         state = StaggerState({"x": 100.0})
         one_third_stagger({"x": 80.0}, 1, state)   # group 0 idle: 80 deferred
         assert one_third_stagger({"x": 0.0}, 2, state) == {"x": 0.0}   # still idle
-        assert state.backlog == {"x": Fraction(80)}
+        assert backlog_kw(state) == {"x": Fraction(80)}
 
     def test_active_bus_without_room_acts_like_an_idle_one(self):
         state = StaggerState({"x": 0.0})
         assert one_third_stagger({"x": 80.0}, 0, state) == {"x": 0.0}   # active, no room
-        assert state.backlog == {"x": Fraction(80)}
+        assert backlog_kw(state) == {"x": Fraction(80)}
         assert one_third_stagger({"x": 0.0}, 3, state) == {"x": 0.0}
-        assert state.backlog == {"x": Fraction(80)}
+        assert backlog_kw(state) == {"x": Fraction(80)}
 
     def test_negative_demand_rejected(self):
         state = StaggerState({"a": 100.0})
@@ -390,7 +391,7 @@ class TestOneThirdStagger:
                            for bus, cap in caps.items() if rng.random() < 0.9}
                 assert one_third_stagger(demands, interval, state) == oracle.step(
                     demands, interval)
-                assert state.backlog == {bus: oracle.queued(bus) for bus in oracle.buses}
+                assert backlog_kw(state) == {bus: oracle.queued(bus) for bus in oracle.buses}
             assert state.unserved() == oracle.unserved()
 
     def test_conservation_is_exact(self, rng):
@@ -427,12 +428,12 @@ def _stagger_demo_network() -> Network:
     return derive_impedances(Network(10.0, tuple(buses), tuple(branches), (), catalog))
 
 
-def _count_solves(monkeypatch) -> list[tuple[complex, ...]]:
-    """Count run_sweep's Newton-Raphson calls; returns each call's injection values."""
+def _count_solves(monkeypatch) -> list[bytes]:
+    """Count run_sweep's Newton-Raphson calls; returns each call's injection vector bytes."""
     calls = []
 
     def counted(net, injections):
-        calls.append(tuple(injections.values()))
+        calls.append(injections.tobytes())
         return solve_newton_raphson(net, injections)
 
     monkeypatch.setattr(scenario_module, "solve_newton_raphson", counted)
@@ -440,20 +441,27 @@ def _count_solves(monkeypatch) -> list[tuple[complex, ...]]:
 
 
 def _sweep_recording_injections(monkeypatch, net, scenario, profiles):
-    """run_sweep, and the injections its plan built for each interval.
+    """run_sweep, and a copy of the injection vector its plan built for each interval.
 
     build_injections evaluates a plan too, so the record is copied as
     soon as the sweep returns.
     """
     built = {}
-    plan_injections = scenario_module._InjectionPlan.injections
+    plan_vector = scenario_module._InjectionPlan.vector
 
     def recorded(plan, interval, ev_kw):
-        built[interval] = plan_injections(plan, interval, ev_kw)
-        return built[interval]
+        vector = plan_vector(plan, interval, ev_kw)
+        built[interval] = vector.copy()
+        return vector
 
-    monkeypatch.setattr(scenario_module._InjectionPlan, "injections", recorded)
+    monkeypatch.setattr(scenario_module._InjectionPlan, "vector", recorded)
     return run_sweep(net, scenario, profiles), dict(built)
+
+
+def _bus_vector(net, injections):
+    """A mapping of injections as the bus-ordered vector, slack entry zero."""
+    slack = net.slack_id()
+    return np.array([0j if bus_id == slack else injections[bus_id] for bus_id in net.bus_ids()])
 
 
 def _nominal_solution(net, scenario, profiles, interval):
@@ -555,7 +563,7 @@ class TestRunSweep:
                                                         bench.profiles, record.interval)
                    for record in result.records)
         assert len(result.records) == len(built) == 96
-        distinct = {tuple(injections.values()) for injections in built.values()}
+        distinct = {vector.tobytes() for vector in built.values()}
         # One solve per distinct injection set, and no set solved twice.
         assert len(calls) == len(set(calls)) == len(distinct) == 66
 
@@ -576,10 +584,31 @@ class TestRunSweep:
         assert any(record.solution != _nominal_solution(bench.network, scenario,
                                                         bench.profiles, record.interval)
                    for record in result.records)
+        self._check_direct_solves(bench.network, result, built)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_every_feeder_record_equals_a_direct_solve_of_its_injections(
+            self, monkeypatch, seed):
+        diverged = 0
+        for net, scenario, profiles in _feeder_cases(seed):
+            with monkeypatch.context() as patch:
+                result, built = _sweep_recording_injections(patch, net, scenario, profiles)
+            diverged += len(result.diverged_intervals())
+            self._check_direct_solves(net, result, built)
+        # The top ramp steps push slots past the nose; their best iterate,
+        # iteration count and mismatch must match a direct solve too.
+        assert diverged > 0
+
+    @staticmethod
+    def _check_direct_solves(net, result, built):
         for record in result.records:
-            direct = solve_newton_raphson(bench.network, built[record.interval])
-            assert record.solution == direct
-            assert repr(record.solution) == repr(direct)
+            vector = built[record.interval]
+            by_id = dict(zip(net.bus_ids(), vector.tolist()))
+            del by_id[net.slack_id()]
+            for injections in (vector, by_id):
+                direct = solve_newton_raphson(net, injections)
+                assert record.solution == direct
+                assert repr(record.solution) == repr(direct)
 
     def test_reuse_does_not_outlive_a_sweep(self, bench, monkeypatch):
         calls = _count_solves(monkeypatch)
@@ -600,10 +629,9 @@ class TestRunSweep:
 
     def test_signed_zero_injections_are_solved_apart(self, monkeypatch):
         net = _mini_grid(load_kw=0.0)
-        sets = [{"town": complex(0.0, 0.0)}, {"town": complex(-0.0, 0.0)},
-                {"town": complex(0.0, -0.0)}]
-        monkeypatch.setattr(scenario_module._InjectionPlan, "injections",
-                            lambda plan, interval, ev_kw: dict(sets[interval % 3]))
+        sets = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0)]
+        monkeypatch.setattr(scenario_module._InjectionPlan, "vector",
+                            lambda plan, interval, ev_kw: np.array([0j, sets[interval % 3]]))
         calls = _count_solves(monkeypatch)
         result = run_sweep(net, Scenario("zeros", penetration=0.0), {}, intervals=range(6))
         assert len(calls) == 3
@@ -651,11 +679,12 @@ class TestInjectionPlan:
             demanded = {bus: kw * profiles[scenario.bindings.ev].coefficient(slot)
                         for bus, kw in ev_nominal.items()}
             settled = fifo.step(demanded, slot) if fifo is not None and demanded else demanded
-            expected = repr(slot_injections(net, scenario, profiles, slot, settled))
-            assert repr(built[slot]) == expected, slot
-            assert repr(plan.injections(slot, settled)) == expected, slot
+            reference = slot_injections(net, scenario, profiles, slot, settled)
+            expected = _bus_vector(net, reference).tobytes()
+            assert built[slot].tobytes() == expected, slot
+            assert plan.vector(slot, settled).tobytes() == expected, slot
             assert repr(build_injections(net, scenario, profiles, slot,
-                                         ev_kw_override=settled)) == expected, slot
+                                         ev_kw_override=settled)) == repr(reference), slot
 
     @pytest.mark.parametrize("name", ["base", "ev10", "ev25", "ev25_pv", "ev25_pv_lm"])
     def test_campus_day_matches_the_per_slot_reference(self, bench, monkeypatch, name):
@@ -672,23 +701,26 @@ class TestInjectionPlan:
         tiny = 5e-324
         profiles = {"flat": _flat_profile()}
         signs = set()
+        # pv_kw None: no PV term at the bus, whose sum would turn -0.0 into +0.0.
         for kw, kvar, pv_kw in itertools.product((0.0, -0.0, tiny), (0.0, -0.0, -tiny),
-                                                 (0.0, -0.0, tiny)):
+                                                 (0.0, -0.0, tiny, None)):
             catalog = {"c": CableType("c", 0.1, 0.2)}
-            generators = (Generator("town", "pv_site", pv_kw),)
+            generators = (Generator("town", "pv_site", pv_kw),) if pv_kw is not None else ()
             net = derive_impedances(Network(10.0, (
                 Bus("grid", "slack", 4.16), Bus("town", "load", 4.16, NominalLoad(kw, kvar)),
             ), (Branch("grid", "town", "cable", 10000.0, cable_type="c", length_miles=0.5),),
                 generators, catalog))
-            scenario = Scenario("s", penetration=0.0, pv_enabled=True,
+            scenario = Scenario("s", penetration=0.0, pv_enabled=pv_kw is not None,
                                 bindings=ProfileBindings(load_default="flat", pv_default="flat"))
             plan = scenario_module._InjectionPlan(net, scenario, profiles)
             for ev_kw in ({}, {"town": 0.0}, {"town": -0.0}, {"town": tiny}, {"town": -tiny}):
-                expected = repr(slot_injections(net, scenario, profiles, 0, ev_kw))
-                assert repr(plan.injections(0, ev_kw)) == expected, (kw, kvar, pv_kw, ev_kw)
+                reference = slot_injections(net, scenario, profiles, 0, ev_kw)
+                vector = plan.vector(0, ev_kw)
+                assert vector.tobytes() == _bus_vector(net, reference).tobytes(), \
+                    (kw, kvar, pv_kw, ev_kw)
                 assert repr(build_injections(net, scenario, profiles, 0,
-                                             ev_kw_override=ev_kw)) == expected
-                value = plan.injections(0, ev_kw)["town"]
+                                             ev_kw_override=ev_kw)) == repr(reference)
+                value = vector[1]
                 signs.update((math.copysign(1.0, value.real), math.copysign(1.0, value.imag)))
         assert signs == {1.0, -1.0}
 
