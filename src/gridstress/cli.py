@@ -117,7 +117,7 @@ def _build_arg_parser() -> _Parser:
 
 def _load_inputs(args: argparse.Namespace) -> tuple[Network, Scenario, dict[str, LoadProfile]]:
     net = parse_network_file(Path(args.network).read_text())
-    scenario = parse_scenario_file(Path(args.scenario).read_text())
+    scenario = parse_scenario_file(Path(args.scenario).read_text(), net)
     profiles_dir = Path(args.profiles)
     if not profiles_dir.is_dir():
         raise GridFileError([f"profiles directory not found: {profiles_dir}"])

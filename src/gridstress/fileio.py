@@ -42,6 +42,7 @@ from .scenario import (
     Scenario,
     ScenarioConfigError,
     normalize_profile,
+    placement_errors,
 )
 
 
@@ -255,7 +256,9 @@ def emit_network_file(net: Network) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def parse_scenario_file(text: str) -> Scenario:
+def parse_scenario_file(text: str, network: Network | None = None) -> Scenario:
+    """A scenario file's Scenario. Given the network it runs on, each lot
+    and PV site must also reach its power flow (scenario.placement_errors)."""
     raw = _load_json(text, "scenario file")
     errors: list[str] = []
     doc = _Record(raw, "scenario", errors)
@@ -308,7 +311,7 @@ def parse_scenario_file(text: str) -> Scenario:
     if errors:
         raise GridFileError(errors)
     try:
-        return Scenario(
+        scenario = Scenario(
             name=name,
             penetration=penetration,
             per_charger_kw=per_charger,
@@ -320,6 +323,10 @@ def parse_scenario_file(text: str) -> Scenario:
         )
     except ScenarioConfigError as exc:
         raise GridFileError([f"scenario: {exc}"]) from exc
+    placement = placement_errors(network, scenario) if network is not None else []
+    if placement:
+        raise GridFileError([f"scenario: {error}" for error in placement])
+    return scenario
 
 
 def emit_scenario_file(scenario: Scenario) -> str:

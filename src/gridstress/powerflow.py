@@ -10,27 +10,43 @@ node; PV generation enters as negative load upstream of this module.
 Each Network is compiled into arrays on its first solve: Ybus, bus and
 branch indices, and the bus powers and Newton-Raphson Jacobian at the
 flat start, which depend on the network alone and serve every solve's
-first step. The
-compiled form is kept on the instance, so a single solve and every slot
-of a sweep run the same code. Solves are pure and deterministic: the
-same network and injections give bit-identical solutions.
-Non-convergence is a reportable outcome, not an exception, because
-overload studies intentionally push past feasibility.
+first step. The compiled form is kept on the instance. Solves are pure
+and deterministic: the same network and injections give bit-identical
+solutions. Non-convergence is a reportable outcome, not an exception,
+because overload studies intentionally push past feasibility; each
+solution records why its iteration stopped (STOP_REASONS).
+
+Newton-Raphson runs in lockstep over a batch of operating points, one
+row of bus-ordered injections each: a sweep solves its distinct rows as
+one batch and a single solve is a batch of one, so there is one NR loop.
+The mismatch, the stopping and best-iterate bookkeeping, the voltage
+update and the bus powers are computed once per step for all rows still
+iterating, a row leaves the batch when it stops, and the branch flows of
+the stopped rows are computed together. Rows go through the loop in
+blocks of _BLOCK_ROWS, which bounds the memory a batch holds. Each row
+keeps the exact steps of a solve of it alone:
+
+- Its Jacobian is assembled and solved on its own. The Jacobian keeps
+  its dense products with diagonal matrices: OpenBLAS zgemm rounds its
+  last n mod 4 columns unlike the elementwise O(n^2) form, so that
+  faster form would move the last bits of the reported loadings. The
+  Jacobians are not stacked into one (k, m, m) array for a batched
+  solve either: every row still needs its own factorisation, and that
+  stack measured 0.92-1.07x of solving the rows one by one.
+- Bus currents come from np.matmul over the stacked (k, n, 1) columns,
+  one matrix-vector product per row, which rounds like ybus @ v. The
+  single product ybus @ V.T is a zgemm and rounds differently.
 
 Injections are one complex vector ordered like net.buses with the slack
 entry zero (what a sweep builds per slot), or a mapping by non-slack bus
 id, which becomes that vector on entry. Voltages keep the same bus order
 from the iteration to branch_flows. The mismatch and the Jacobian blocks
 are gathered from the float view of complex arrays at compiled indices.
-The Jacobian keeps its dense products with diagonal matrices: OpenBLAS
-zgemm rounds its last n mod 4 columns unlike the elementwise O(n^2) form,
-so that faster form would move the last bits of the reported loadings.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
@@ -41,6 +57,11 @@ from .network import Network
 # Injections in pu: by non-slack bus id, or one complex entry per bus in
 # the order of net.buses with the slack entry zero.
 InjectionSet = Mapping[str, complex] | np.ndarray
+
+# Why an iteration stopped, by code: within tolerance, out of iterations,
+# a singular Newton-Raphson Jacobian, or a non-finite iterate.
+STOP_REASONS = ("converged", "max_iter", "singular_jacobian", "non_finite")
+_CONVERGED, _MAX_ITER, _SINGULAR, _NON_FINITE = range(len(STOP_REASONS))
 
 
 @dataclass(frozen=True)
@@ -70,7 +91,8 @@ class PowerFlowSolution:
 
     Voltages are per-unit magnitude and radian angle, ordered like
     bus_ids. loading_percent of a branch is
-    100 * max(|s_from|, |s_to|) / rating_pu.
+    100 * max(|s_from|, |s_to|) / rating_pu. stop_reason is one of
+    STOP_REASONS; converged is stop_reason == "converged".
     """
 
     bus_ids: tuple[str, ...]
@@ -81,6 +103,7 @@ class PowerFlowSolution:
     iterations: int
     converged: bool
     max_mismatch: float
+    stop_reason: str
 
     def loading_by_branch(self) -> dict[str, float]:
         return {f.branch_id: f.loading_percent for f in self.branch_flows}
@@ -151,20 +174,13 @@ class _Compiled(NamedTuple):
         """Injections ordered like the buses, with the slack entry zero.
 
         A mapping is keyed by every non-slack bus id; an array is used
-        as given once its shape, slack entry and finiteness are checked.
+        as given once its shape is checked. check_rows checks the values.
         """
         if not isinstance(injections, Mapping):
             s = np.asarray(injections, dtype=complex)
             if s.shape != (len(self.bus_ids),):
                 raise ValueError(f"injection vector has shape {s.shape}, "
                                  f"expected ({len(self.bus_ids)},), one entry per bus")
-            if s[self.slack] != 0:
-                raise ValueError(f"injection at slack bus {self.bus_ids[self.slack]} must be 0, "
-                                 f"got {complex(s[self.slack])}")
-            finite = np.isfinite(s)
-            if not finite.all():
-                k = int(np.argmin(finite))
-                raise ValueError(f"non-finite injection at {self.bus_ids[k]}: {complex(s[k])}")
             return s
         given = set(injections)
         if given != self.non_slack:
@@ -178,11 +194,22 @@ class _Compiled(NamedTuple):
             raise ValueError("; ".join(parts))
         s = np.zeros(len(self.bus_ids), dtype=complex)
         for i, bus_id in zip(self.pq.tolist(), self.pq_ids):
-            value = complex(injections[bus_id])
-            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-                raise ValueError(f"non-finite injection at {bus_id}: {value}")
-            s[i] = value
+            s[i] = complex(injections[bus_id])
         return s
+
+    def check_rows(self, s: np.ndarray) -> None:
+        """Raise for the first row of bus-ordered injections s (k, n) whose
+        slack entry is not zero or that holds a non-finite entry."""
+        finite = np.isfinite(s)
+        bad = (s[:, self.slack] != 0) | ~finite.all(axis=1)
+        if not bad.any():
+            return
+        row = int(np.argmax(bad))
+        if s[row, self.slack] != 0:
+            raise ValueError(f"injection at slack bus {self.bus_ids[self.slack]} must be 0, "
+                             f"got {complex(s[row, self.slack])}")
+        k = int(np.argmin(finite[row]))
+        raise ValueError(f"non-finite injection at {self.bus_ids[k]}: {complex(s[row, k])}")
 
 
 def _compiled(net: Network) -> _Compiled:
@@ -214,10 +241,8 @@ def _compile(net: Network) -> _Compiled:
     columns = np.concatenate([2 * pq, 2 * n * n + 2 * pq])
     jacobian_index = rows[:, None] + columns[None, :]
     flat_voltages = _polar(np.ones(n), np.zeros(n))
-    flat_power, flat_currents = _power(ybus, flat_voltages)
-    flat_jacobian = _jacobian(ybus, jacobian_index, flat_voltages, flat_currents,
-                              np.empty((2, n, n), dtype=complex),
-                              np.empty((2 * len(pq), 2 * len(pq))))
+    flat_power, flat_currents = (a[0] for a in _power(ybus, flat_voltages[None]))
+    flat_jacobian = _JacobianWork(ybus, jacobian_index)(flat_voltages, flat_currents)
     for array in (flat_voltages, flat_power, flat_jacobian):
         array.setflags(write=False)
     index = {bus_id: i for i, bus_id in enumerate(bus_ids)}
@@ -256,34 +281,65 @@ def _compile(net: Network) -> _Compiled:
 
 def _polar(v_mag: np.ndarray, v_ang: np.ndarray) -> np.ndarray:
     """Complex bus voltages from per-unit magnitudes and radian angles."""
-    return v_mag * np.exp(1j * v_ang)
+    z = 1j * v_ang
+    return np.multiply(v_mag, np.exp(z, out=z), out=z)
 
 
 def _power(ybus: np.ndarray, voltages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex power injected at each bus, and the bus currents."""
-    i_bus = ybus @ voltages
-    return voltages * np.conj(i_bus), i_bus
+    """Complex power injected at each bus, and the bus currents, per row of
+    voltages (k, n): one matrix-vector product per row."""
+    i_bus = np.matmul(ybus, voltages[..., None])[..., 0]
+    s = np.conj(i_bus)
+    return np.multiply(voltages, s, out=s), i_bus
 
 
-def _jacobian(ybus: np.ndarray, index: np.ndarray, voltages: np.ndarray, i_bus: np.ndarray,
-              derivatives: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill out with the polar Newton-Raphson Jacobian at voltages; returns out.
+class _JacobianWork:
+    """Buffers for the polar Newton-Raphson Jacobian of one network, reused
+    by every row and step of a solve.
 
-    derivatives (2, n, n) receives the complex power's derivatives with
-    respect to voltage angle and magnitude; index gathers the real and
-    imaginary parts of their PQ rows and columns into the four blocks.
-    The dense diagonal products stay: an elementwise O(n^2) form is
-    faster but rounds differently, which moves the last bits of the
-    loadings written to reports.
+    Each diagonal matrix of the dense products is a zero buffer whose
+    diagonal is overwritten per assembly, so the products see the same
+    operands as with np.diag: diag(v), 1j * diag(v), diag(i), conj(diag(i))
+    (its off-diagonal zeros have imaginary part -0.0) and diag(v / |v|).
     """
-    diag_v = np.diag(voltages)
-    diag_i = np.diag(i_bus)
-    diag_vnorm = np.diag(voltages / np.abs(voltages))
-    np.matmul(1j * diag_v, np.conj(diag_i - ybus @ diag_v), out=derivatives[0])
-    np.add(diag_v @ np.conj(ybus @ diag_vnorm), np.conj(diag_i) @ diag_vnorm,
-           out=derivatives[1])
-    # Every index is in range; mode="clip" only spares take a buffered copy.
-    return np.take(derivatives.view(float), index, out=out, mode="clip")
+
+    def __init__(self, ybus: np.ndarray, index: np.ndarray):
+        n = len(ybus)
+        self.ybus, self.index = ybus, index
+        diagonal = np.zeros((5, n, n), dtype=complex)
+        diagonal[3].imag = -0.0
+        self.diag_v, self.diag_jv, self.diag_i, self.diag_conj_i, self.diag_vnorm = diagonal
+        # Writable views of each buffer's diagonal, in the same order.
+        self.diagonals = diagonal.reshape(5, -1)[:, ::n + 1]
+        self.product = np.empty((n, n), dtype=complex)
+        self.derivatives = np.empty((2, n, n), dtype=complex)
+        self.out = np.empty((len(index), len(index)))
+
+    def __call__(self, voltages: np.ndarray, i_bus: np.ndarray) -> np.ndarray:
+        """The Jacobian at voltages with bus currents i_bus, in self.out.
+
+        derivatives receives the complex power's derivatives with respect
+        to voltage angle and magnitude; index gathers the real and
+        imaginary parts of their PQ rows and columns into the four blocks.
+        """
+        v, jv, i, conj_i, vnorm = self.diagonals
+        v[:] = voltages
+        jv[:] = 1j * voltages
+        i[:] = i_bus
+        conj_i[:] = np.conj(i_bus)
+        vnorm[:] = voltages / np.abs(voltages)
+        ybus, product, derivatives = self.ybus, self.product, self.derivatives
+        # dS/dangle = 1j * diag(v) @ conj(diag(i) - ybus @ diag(v))
+        np.matmul(ybus, self.diag_v, out=product)
+        np.subtract(self.diag_i, product, out=product)
+        np.matmul(self.diag_jv, np.conj(product, out=product), out=derivatives[0])
+        # dS/dmagnitude = diag(v) @ conj(ybus @ diag(vnorm)) + conj(diag(i)) @ diag(vnorm)
+        np.matmul(ybus, self.diag_vnorm, out=product)
+        np.matmul(self.diag_v, np.conj(product, out=product), out=derivatives[1])
+        np.matmul(self.diag_conj_i, self.diag_vnorm, out=product)
+        np.add(derivatives[1], product, out=derivatives[1])
+        # Every index is in range; mode="clip" only spares take a buffered copy.
+        return np.take(derivatives.view(float), self.index, out=self.out, mode="clip")
 
 
 def _cmul(a_re: np.ndarray, a_im: np.ndarray, b_re: np.ndarray,
@@ -309,11 +365,16 @@ def branch_flows(net: Network, voltages: np.ndarray) -> tuple[BranchFlow, ...]:
     if voltages.shape != (len(c.bus_ids),):
         raise ValueError(f"voltage vector has shape {voltages.shape}, "
                          f"expected ({len(c.bus_ids)},), one entry per bus")
+    return _branch_flows(c, voltages[None])[0]
+
+
+def _branch_flows(c: _Compiled, voltages: np.ndarray) -> list[tuple[BranchFlow, ...]]:
+    """branch_flows for each row of voltages (k, n)."""
     # Each branch end k (from ends, then to ends) carries the current
     # y_near[k]*v[near] - y_far[k]*v[far]: i_from = y_ff*vf - y_ft*vt and
     # i_to = y_tt*vt - y_ft*vf.
-    near = voltages[c.near_index]
-    far = voltages[c.far_index]
+    near = voltages[:, c.near_index]
+    far = voltages[:, c.far_index]
     v_re, v_im = near.real, near.imag
     a_re, a_im = _cmul(*c.y_near, v_re, v_im)
     b_re, b_im = _cmul(*c.y_far, far.real, far.imag)
@@ -323,17 +384,16 @@ def branch_flows(net: Network, voltages: np.ndarray) -> tuple[BranchFlow, ...]:
     s_re, s_im = _cmul(v_re, v_im, i_re, -i_im)
     m = len(c.branch_ids)
     abs_s = np.hypot(s_re, s_im)
-    abs_f, abs_t = abs_s[:m], abs_s[m:]
+    abs_f, abs_t = abs_s[:, :m], abs_s[:, m:]
     # np.where(t > f, t, f) is Python's max(f, t), NaN order included.
     loading = 100.0 * np.where(abs_t > abs_f, abs_t, abs_f) / c.rating_pu
-    s = _complex_list(s_re, s_im)
-    return tuple(map(BranchFlow._make, zip(
-        c.branch_ids, c.branch_kinds, s[:m], s[m:], loading.tolist())))
+    return [tuple(map(BranchFlow._make, zip(c.branch_ids, c.branch_kinds, s[:m], s[m:], row)))
+            for s, row in zip(_complex_list(s_re, s_im), loading.tolist())]
 
 
-def _complex_list(re: np.ndarray, im: np.ndarray) -> list[complex]:
-    """complex(re[k], im[k]) for each k, signed zeros kept."""
-    z = np.empty(len(re), dtype=complex)
+def _complex_list(re: np.ndarray, im: np.ndarray) -> list:
+    """complex(re[..., k], im[..., k]) for each k, nested like re, signed zeros kept."""
+    z = np.empty(re.shape, dtype=complex)
     z.real = re
     z.imag = im
     return z.tolist()
@@ -345,34 +405,38 @@ def total_losses(net: Network, solution: PowerFlowSolution) -> complex:
     return s_loss_pu * net.s_base_mva
 
 
-def _finish(
-    net: Network,
-    c: _Compiled,
-    voltages: np.ndarray,
-    iterations: int,
-    converged: bool,
-    max_mismatch: float,
-) -> PowerFlowSolution:
-    s_slack = voltages[c.slack] * np.conj(c.ybus[c.slack, :] @ voltages)
-    return PowerFlowSolution(
-        bus_ids=c.bus_ids,
-        v_mag=tuple(np.hypot(voltages.real, voltages.imag).tolist()),
-        v_ang=tuple(map(cmath.phase, voltages.tolist())),
-        branch_flows=branch_flows(net, voltages),
-        slack_injection=complex(s_slack),
-        iterations=iterations,
-        converged=converged,
-        max_mismatch=float(max_mismatch),
-    )
+def _finish(c: _Compiled, voltages: np.ndarray, iterations: np.ndarray, stops: np.ndarray,
+            mismatches: np.ndarray) -> list[PowerFlowSolution]:
+    """One solution per row of the C-contiguous voltages (k, n), with its stop record."""
+    # The slack bus's injection: one dot product per row (over contiguous
+    # rows, as in a solve of one), then Python's complex product, which
+    # rounds like numpy's scalar one.
+    slack_currents = np.matmul(voltages[:, None, :], c.ybus[c.slack][:, None])[:, 0, 0]
+    return [
+        PowerFlowSolution(
+            bus_ids=c.bus_ids,
+            v_mag=tuple(v_mag),
+            v_ang=tuple(map(cmath.phase, v)),
+            branch_flows=flows,
+            slack_injection=v[c.slack] * i_slack.conjugate(),
+            iterations=its,
+            converged=stop == _CONVERGED,
+            max_mismatch=mismatch,
+            stop_reason=STOP_REASONS[stop],
+        )
+        for v, v_mag, flows, i_slack, its, stop, mismatch in zip(
+            voltages.tolist(), np.hypot(voltages.real, voltages.imag).tolist(),
+            _branch_flows(c, voltages), slack_currents.tolist(), iterations.tolist(),
+            stops.tolist(), mismatches.tolist())
+    ]
 
 
 def _mismatch(s_spec: np.ndarray, s_calc: np.ndarray,
-              index: np.ndarray) -> tuple[np.ndarray, float]:
-    """The PQ buses' active then reactive power mismatch, and its largest magnitude."""
-    ds = s_spec - s_calc
-    stacked = ds.view(float)[index]
-    max_mis = float(np.abs(stacked).max()) if stacked.size else 0.0
-    return stacked, max_mis
+              index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of (k, n) bus powers: the PQ buses' active then reactive
+    power mismatch, and its largest magnitude (0.0 with no PQ bus)."""
+    stacked = (s_spec - s_calc).view(float)[:, index]
+    return stacked, np.abs(stacked).max(axis=1, initial=0.0)
 
 
 def solve_newton_raphson(
@@ -386,55 +450,108 @@ def solve_newton_raphson(
     the module docstring). Converged means max(|dP|, |dQ|) <= opts.tol
     at every non-slack bus. On non-convergence the best iterate seen
     (smallest mismatch) is returned with converged=False so the caller
-    can decide.
+    can decide. This is a batch of one (_newton_raphson).
     """
+    s_spec = _compiled(net).injection_vector(injections)
+    return _newton_raphson(net, s_spec[None], opts)[0]
+
+
+# Rows iterated and finished together. Each row holds about ten n-vectors
+# of state: 96 rows at once on a 60-bus feeder raised the peak resident
+# memory by about 1 MB, and wider blocks than this ran no faster.
+_BLOCK_ROWS = 32
+
+
+def _newton_raphson(net: Network, s_spec: np.ndarray,
+                    opts: SolverOptions = SolverOptions()) -> list[PowerFlowSolution]:
+    """Newton-Raphson in lockstep over the rows of s_spec (k, n), each a
+    bus-ordered injection vector; one solution per row, in row order."""
     c = _compiled(net)
-    ybus, pq = c.ybus, c.pq
-    s_spec = c.injection_vector(injections)
-    n, npq = len(c.bus_ids), len(pq)
+    c.check_rows(s_spec)
+    return [solution for start in range(0, len(s_spec), _BLOCK_ROWS)
+            for solution in _finish(c, *_iterate(c, s_spec[start:start + _BLOCK_ROWS], opts))]
 
-    # Flat start: 1.0 per unit, zero angle. Its voltages, powers and
-    # Jacobian are compiled; each later step computes its own, assembling
-    # the Jacobian into work from the bus currents of its mismatch.
-    v_mag = np.ones(n)
-    v_ang = np.zeros(n)
-    derivatives = np.empty((2, n, n), dtype=complex)
-    work = np.empty((2 * npq, 2 * npq))
 
-    best_voltages = c.flat_voltages
-    best_mismatch = np.inf
-    iterations = 0
-    converged = False
+def _iterate(c: _Compiled, s_spec: np.ndarray,
+             opts: SolverOptions) -> tuple[np.ndarray, ...]:
+    """The Newton-Raphson steps of every row of s_spec (k, n); returns, per
+    row, the voltages it reports, its step count, stop code and mismatch.
 
-    voltages, s_calc, i_bus = c.flat_voltages, c.flat_power, None
-    for _ in range(opts.max_iter + 1):
+    Every row starts flat (1.0 per unit, zero angle), whose voltages,
+    powers and Jacobian are compiled, and stops on its own: converged,
+    after opts.max_iter steps, at a singular Jacobian (not counted as a
+    step) or at a non-finite iterate (counted). A converged row reports
+    its last iterate; any other its best one, the smallest mismatch seen.
+    """
+    k, n = s_spec.shape
+    pq, npq = c.pq, len(c.pq)
+    jacobian = _JacobianWork(c.ybus, c.jacobian_index)
+
+    # Per row of s_spec: what it reports once stopped. Rows never stepped
+    # (opts.max_iter < 0) report the flat start.
+    final_voltages = np.tile(c.flat_voltages, (k, 1))
+    iterations = np.zeros(k, dtype=int)
+    stops = np.full(k, _MAX_ITER)
+    mismatches = np.full(k, np.inf)
+
+    # Per row still iterating (the batch shrinks as rows stop): its row in
+    # s_spec, its injections, the voltage angles then magnitudes at the PQ
+    # buses (laid out like a Newton step), its voltages and its best iterate.
+    rows = np.arange(k)
+    polar = np.zeros((k, 2, npq))
+    polar[:, 1] = 1.0
+    voltages = final_voltages.copy()
+    best_voltages = final_voltages.copy()
+    best_mismatch = mismatches
+    s_calc, i_bus = c.flat_power, None
+
+    def stop(which, reason, steps: int) -> None:
+        at = rows[which]
+        final_voltages[at] = best_voltages[which]
+        mismatches[at] = best_mismatch[which]
+        iterations[at] = steps
+        stops[at] = reason
+
+    for step in range(opts.max_iter + 1):
         mis, max_mis = _mismatch(s_spec, s_calc, c.mismatch_index)
-        if max_mis < best_mismatch:
-            best_mismatch = max_mis
-            best_voltages = voltages
-        if max_mis <= opts.tol:
-            converged = True
+        converged = max_mis <= opts.tol
+        # A converged row's iterate is its best: every earlier one was above
+        # tol (a finite tol; with tol = inf every row converges at the start).
+        best = max_mis < best_mismatch
+        best_mismatch = np.where(best, max_mis, best_mismatch)
+        np.copyto(best_voltages, voltages, where=best[:, None])
+        if step == opts.max_iter:
+            stop(slice(None), np.where(converged, _CONVERGED, _MAX_ITER), step)
             break
-        if iterations >= opts.max_iter:
-            break
+        if converged.any():
+            stop(converged, _CONVERGED, step)
+            if converged.all():
+                break
 
-        jacobian = (c.flat_jacobian if iterations == 0
-                    else _jacobian(ybus, c.jacobian_index, voltages, i_bus, derivatives, work))
-        try:
-            dx = np.linalg.solve(jacobian, mis)
-        except np.linalg.LinAlgError:
-            break
-        v_ang[pq] += dx[:npq]
-        v_mag[pq] += dx[npq:]
-        iterations += 1
-        if not (np.isfinite(v_mag).all() and np.isfinite(v_ang).all()):
-            break
-        voltages = _polar(v_mag, v_ang)
-        s_calc, i_bus = _power(ybus, voltages)
+        # Each moving row's Newton step overwrites its mismatch; a row
+        # that stopped steps by zero until it leaves the batch below.
+        moved = ~converged
+        for r in np.flatnonzero(moved).tolist():
+            jac = c.flat_jacobian if step == 0 else jacobian(voltages[r], i_bus[r])
+            try:
+                mis[r] = np.linalg.solve(jac, mis[r])
+            except np.linalg.LinAlgError:
+                moved[r] = False
+                stop(r, _SINGULAR, step)
+        if not moved.all():
+            mis[~moved] = 0.0
+        polar += mis.reshape(len(mis), 2, npq)
+        going = moved & np.isfinite(polar).all(axis=(1, 2))
+        if not going.all():
+            stop(moved & ~going, _NON_FINITE, step + 1)
+            if not going.any():
+                break
+            rows, s_spec, polar, voltages, best_voltages, best_mismatch = (
+                a[going] for a in (rows, s_spec, polar, voltages, best_voltages, best_mismatch))
+        voltages[:, pq] = _polar(polar[:, 1], polar[:, 0])
+        s_calc, i_bus = _power(c.ybus, voltages)
 
-    if converged:
-        return _finish(net, c, voltages, iterations, True, max_mis)
-    return _finish(net, c, best_voltages, iterations, False, best_mismatch)
+    return final_voltages, iterations, stops, mismatches
 
 
 def solve_gauss_seidel(
@@ -449,26 +566,29 @@ def solve_gauss_seidel(
     """
     c = _compiled(net)
     ybus = c.ybus
-    s_spec = c.injection_vector(injections)
+    s_spec = c.injection_vector(injections)[None]
+    c.check_rows(s_spec)
     pq = c.pq.tolist()
 
     voltages = np.ones(len(c.bus_ids), dtype=complex)
     iterations = 0
-    converged = False
+    stop = _MAX_ITER
 
     for _ in range(opts.max_iter):
         max_dv = 0.0
         for i in pq:
             coupled = ybus[i, :] @ voltages - ybus[i, i] * voltages[i]
-            updated = (np.conj(s_spec[i] / voltages[i]) - coupled) / ybus[i, i]
+            updated = (np.conj(s_spec[0, i] / voltages[i]) - coupled) / ybus[i, i]
             max_dv = max(max_dv, abs(updated - voltages[i]))
             voltages[i] = updated
         iterations += 1
         if max_dv <= opts.tol:
-            converged = True
+            stop = _CONVERGED
             break
         if not np.all(np.isfinite(voltages)):
+            stop = _NON_FINITE
             break
 
-    _, max_mis = _mismatch(s_spec, _power(ybus, voltages)[0], c.mismatch_index)
-    return _finish(net, c, voltages, iterations, converged, max_mis)
+    rows = voltages[None]
+    _, max_mis = _mismatch(s_spec, _power(ybus, rows)[0], c.mismatch_index)
+    return _finish(c, rows, np.array([iterations]), np.array([stop]), max_mis)[0]

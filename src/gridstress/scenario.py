@@ -8,19 +8,20 @@ PV sites inject capacity times their profile coefficient as negative
 load at unity power factor. Each sweep resolves the scenario's bindings
 (lot buses, PV sites' and loaded buses' profiles) into one injection
 plan. For each interval the sweep lets the controller settle the EV
-draw, evaluates the plan once into a complex injection vector ordered
-like net.buses (slack entry zero), hands that vector to the solver and
-records the solution. A sweep solves each distinct operating point once:
-an interval whose injection vector repeats an earlier interval's of the
-same sweep, bit for bit, shares that interval's (immutable) solution.
+draw and evaluates the plan once into a complex injection vector ordered
+like net.buses (slack entry zero). The sweep then solves the distinct
+vectors, bit for bit, as one lockstep Newton-Raphson batch (see
+powerflow), one row each, and records each interval with the solution
+of its row: intervals whose vectors are equal share one (immutable)
+solution. A single solve is a batch of one, so both take the same steps.
 
 Sweeps with the null controller have independent intervals and may be
 evaluated concurrently by callers. The one-third stagger controller
 connects one of three fixed bus groups per interval and carries each
 bus's deferred energy across intervals as one exact backlog, so its
-ledger runs serially in sweep order; it never reads a solution, so each
-interval is solved after the controller. run_sweep itself is always
-single-threaded and never shares the mutable ledger.
+ledger runs serially in sweep order; it never reads a solution, so it
+settles every interval before the batch is solved. run_sweep itself is
+always single-threaded and never shares the mutable ledger.
 """
 
 from __future__ import annotations
@@ -33,7 +34,10 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .network import Generator, Network
-from .powerflow import PowerFlowSolution, solve_newton_raphson
+from .powerflow import PowerFlowSolution, _newton_raphson
+# Kept importable from this module: the benchmark's traced run
+# (perfbench/spans.py) binds scenario.solve_newton_raphson by name.
+from .powerflow import solve_newton_raphson  # noqa: F401
 
 SLOTS_PER_DAY = 96
 HOURS_PER_SLOT = 0.25
@@ -244,6 +248,28 @@ def _ev_draw(ev_nominal: Mapping[str, float], ev_profile: LoadProfile | None,
     return {bus: kw * coeff for bus, kw in ev_nominal.items()}
 
 
+def placement_errors(net: Network, scenario: Scenario) -> list[str]:
+    """Why the scenario's EV and PV terms cannot all reach net's power flow.
+
+    A parking lot must feed from a known bus, and neither a lot nor (with
+    PV on) a PV site may sit on the slack bus, where no injection enters
+    the power flow: its energy would be counted but never drawn.
+    """
+    bus_ids = net.bus_ids()
+    slack = net.slack_id()
+    where = "where the power flow takes no injection"
+    errors = []
+    for lot in scenario.parking_lots:
+        if lot.bus not in bus_ids:
+            errors.append(f"parking lot {lot.name!r} references unknown bus {lot.bus!r}")
+        elif lot.bus == slack:
+            errors.append(f"parking lot {lot.name!r} is on slack bus {lot.bus!r}, {where}")
+    if scenario.pv_enabled:
+        errors.extend(f"PV site of {site.capacity_kw:g} kW is on slack bus {site.bus!r}, {where}"
+                      for site in net.pv_sites() if site.bus == slack)
+    return errors
+
+
 def build_injections(
     net: Network,
     scenario: Scenario,
@@ -281,25 +307,22 @@ class _InjectionPlan:
     """
 
     def __init__(self, net: Network, scenario: Scenario, profiles: Mapping[str, LoadProfile]):
+        errors = placement_errors(net, scenario)
+        if errors:
+            raise ScenarioConfigError("; ".join(errors))
         bindings = scenario.bindings
         bus_ids = net.bus_ids()
-        for lot in scenario.parking_lots:
-            if lot.bus not in bus_ids:
-                raise ScenarioConfigError(
-                    f"parking lot {lot.name!r} references unknown bus {lot.bus!r}"
-                )
-
         slack = net.slack_id()
         # Position in net.buses of every non-slack bus, the only ones injected at.
         self.position = {bus_id: i for i, bus_id in enumerate(bus_ids) if bus_id != slack}
         self.n = len(bus_ids)
 
-        # (bus position, or None at the slack bus; site; its profile) per PV site
-        self.pv: list[tuple[int | None, Generator, LoadProfile]] = []
+        # (bus position, site, its profile) per PV site
+        self.pv: list[tuple[int, Generator, LoadProfile]] = []
         if scenario.pv_enabled:
             for site in net.pv_sites():
                 profile_id = bindings.pv.get(site.bus) or site.profile or bindings.pv_default
-                self.pv.append((self.position.get(site.bus), site,
+                self.pv.append((self.position[site.bus], site,
                                 _bound_profile(profiles, profile_id, "PV", "site at", site.bus)))
 
         # Loaded buses grouped by profile, in order of first appearance:
@@ -322,7 +345,7 @@ class _InjectionPlan:
     def vector(self, interval: int, ev_kw: Mapping[str, float]) -> np.ndarray:
         """Injections in pu at interval, ordered like net.buses with the slack
         entry zero, with ev_kw as the whole EV draw."""
-        pv_kw: dict[int | None, float] = {}
+        pv_kw: dict[int, float] = {}
         for i, site, profile in self.pv:
             pv_kw[i] = pv_kw.get(i, 0.0) + pv_injection_kw(site, profile, interval)
 
@@ -337,8 +360,7 @@ class _InjectionPlan:
             if i is not None:
                 p_kw[i] -= kw
         for i, kw in pv_kw.items():
-            if i is not None:
-                p_kw[i] += kw
+            p_kw[i] += kw
         s = np.empty(self.n, dtype=complex)
         s.real = p_kw / self.kva_base
         s.imag = q_kvar / self.kva_base
@@ -446,25 +468,27 @@ def run_sweep(
     profiles: Mapping[str, LoadProfile],
     intervals: Iterable[int] = range(SLOTS_PER_DAY),
 ) -> SweepResult:
-    """Run the controller over each interval, then solve it, and record.
+    """Run the controller over every interval, then solve them all, and record.
 
     For every interval the controller first settles the EV draw: the
     deferral ledger runs serially in sweep order, and deferred EV energy
     carries across intervals. The interval's injections are then built
-    once, with the settled draw. Each distinct operating point is solved
-    once: an interval whose injection values equal an earlier interval's
-    bit for bit (so +0.0 and -0.0 differ) reuses that interval's
+    once, with the settled draw. The distinct injection vectors are
+    solved once each, as one batch: an interval whose vector equals an
+    earlier interval's bit for bit (so +0.0 and -0.0 differ) shares its
     solution, which is immutable and exactly what solving again would
-    return. The reuse lasts only for this call. Solver divergence is
-    recorded on the interval and the sweep continues.
+    return. Nothing is kept across calls. Solver divergence is recorded
+    on the interval's solution.
     """
     ev_nominal = scenario.ev_connected_kw_by_bus()
     state = StaggerState(ev_nominal) if scenario.controller == "one_third_stagger" else None
     ev_profile = _resolve_ev_profile(ev_nominal, scenario.bindings, profiles)
     plan = _InjectionPlan(net, scenario, profiles)
 
-    records: list[IntervalRecord] = []
-    solved: dict[bytes, PowerFlowSolution] = {}
+    # Each slot's row in the batch, keyed by the bytes of its injection
+    # vector: slots equal bit for bit share a row; +0.0 and -0.0 differ.
+    slots: list[tuple[int, int]] = []
+    rows: dict[bytes, int] = {}
     demanded_units = 0
     for interval in intervals:
         demanded = _ev_draw(ev_nominal, ev_profile, interval)
@@ -472,13 +496,12 @@ def run_sweep(
         if state is not None and demanded:
             settled = one_third_stagger(demanded, interval, state)
         demanded_units += sum(map(_dyadic_units, demanded.values()))
+        key = plan.vector(interval, settled).tobytes()
+        slots.append((interval, rows.setdefault(key, len(rows))))
 
-        injections = plan.vector(interval, settled)
-        key = injections.tobytes()
-        solution = solved.get(key)
-        if solution is None:
-            solution = solved[key] = solve_newton_raphson(net, injections)
-        records.append(IntervalRecord(interval, solution))
+    batch = np.frombuffer(b"".join(rows), dtype=complex).reshape(len(rows), plan.n)
+    solutions = _newton_raphson(net, batch)
+    records = tuple(IntervalRecord(interval, solutions[row]) for interval, row in slots)
 
     demanded_kw = Fraction(demanded_units, _DYADIC_UNIT)
     # Whatever is still deferred at the horizon is unserved; the rest was served.
@@ -487,4 +510,4 @@ def run_sweep(
     ledger = EnergyLedger(demanded_kwh=demanded_kw * per_slot_hours,
                           served_kwh=(demanded_kw - unserved_kw) * per_slot_hours,
                           unserved_kwh=unserved_kw * per_slot_hours)
-    return SweepResult(scenario.name, tuple(records), ledger)
+    return SweepResult(scenario.name, records, ledger)

@@ -189,7 +189,21 @@ class TestUnresolvedBindings:
         assert cli_main(argv) == 1
         captured = capsys.readouterr()
         lot = PARKING_LOTS[0].name
-        assert captured.err == f"parking lot {lot!r} references unknown bus 'Nowhere'\n"
+        assert captured.err == f"scenario: parking lot {lot!r} references unknown bus 'Nowhere'\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_lot_on_the_slack_bus(self, fixture_dir, tmp_path, capsys, command):
+        slack = json.loads((fixture_dir / "network.json").read_text())["buses"][0]
+        assert slack["kind"] == "slack"
+        argv = self._argv(command, fixture_dir, tmp_path,
+                          lambda doc: doc["parking_lots"][0].update(bus=slack["id"]))
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        lot = PARKING_LOTS[0].name
+        assert captured.err == (f"scenario: parking lot {lot!r} is on slack bus {slack['id']!r}, "
+                                "where the power flow takes no injection\n")
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 

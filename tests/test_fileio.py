@@ -116,6 +116,23 @@ class TestScenarioFile:
             assert parsed == scenario
             assert emit_scenario_file(parsed) == emitted
 
+    def test_placement_is_checked_against_a_given_network(self, bench):
+        scenario = bench.scenario("ev25")
+        slack = bench.network.slack_id()
+        doc = json.loads(emit_scenario_file(scenario))
+        doc["parking_lots"][0]["bus"] = slack
+        doc["parking_lots"][1]["bus"] = "Nowhere"
+        text = json.dumps(doc)
+        assert parse_scenario_file(text).parking_lots[0].bus == slack
+        with pytest.raises(GridFileError) as info:
+            parse_scenario_file(text, bench.network)
+        first, second = scenario.parking_lots[:2]
+        assert info.value.diagnostics == [
+            f"scenario: parking lot {first.name!r} is on slack bus {slack!r}, "
+            "where the power flow takes no injection",
+            f"scenario: parking lot {second.name!r} references unknown bus 'Nowhere'"]
+        assert parse_scenario_file(emit_scenario_file(scenario), bench.network) == scenario
+
     def test_invalid_penetration_is_validation_error(self, bench):
         text = emit_scenario_file(bench.scenario("ev25")).replace(
             '"penetration": 0.25', '"penetration": 2.5')

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import math
 import re
 import sys
 from pathlib import Path
@@ -98,6 +99,7 @@ class TestNewtonRaphson:
         net = two_bus_network(TWO_BUS_Z)
         solution = solve_newton_raphson(net, {"load": -TWO_BUS_LOAD})
         assert solution.converged
+        assert solution.stop_reason == "converged"
         assert solution.v_mag[1] == pytest.approx(TWO_BUS_VMAG, abs=1e-6)
         assert solution.v_ang[1] == pytest.approx(TWO_BUS_VANG, abs=1e-6)
         assert solution.slack_injection == pytest.approx(TWO_BUS_S_FROM, abs=1e-6)
@@ -321,15 +323,16 @@ class TestBitExactVectorisation:
 
     def test_solution_voltages_are_exact_magnitude_and_phase(self, bench, rng, monkeypatch):
         seen = []
+        flows = powerflow_module._branch_flows
 
-        def capture(net, voltages):
+        def capture(c, voltages):
             seen.append(voltages)
-            return branch_flows(net, voltages)
+            return flows(c, voltages)
 
-        monkeypatch.setattr(powerflow_module, "branch_flows", capture)
+        monkeypatch.setattr(powerflow_module, "_branch_flows", capture)
         for net, injections in _solved_cases(bench, rng):
             solution = solve_newton_raphson(net, injections)
-            voltages = seen[-1].tolist()
+            (voltages,) = seen[-1].tolist()
             assert solution.v_mag == tuple(abs(v) for v in voltages)
             assert solution.v_ang == tuple(cmath.phase(v) for v in voltages)
             assert solution.branch_flows == _scalar_branch_flows(
@@ -368,48 +371,170 @@ class TestBitExactVectorisation:
         for net, injections in _solved_cases(bench, rng):
             c = powerflow_module._compiled(net)
             s_spec = c.injection_vector(injections)
-            n, npq = len(c.bus_ids), len(c.pq)
-            for _ in range(3):
-                v_mag = np.array([rng.uniform(0.8, 1.1) for _ in range(n)])
-                v_ang = np.array([rng.uniform(-0.3, 0.3) for _ in range(n)])
-                voltages = powerflow_module._polar(v_mag, v_ang)
-                s_calc, i_bus = powerflow_module._power(c.ybus, voltages)
-                gathered = powerflow_module._jacobian(
-                    c.ybus, c.jacobian_index, voltages, i_bus,
-                    np.empty((2, n, n), dtype=complex), np.empty((2 * npq, 2 * npq)))
-                assert gathered.tobytes() == _block_jacobian(c.ybus, c.pq, voltages).tobytes()
-                mismatch, largest = powerflow_module._mismatch(s_spec, s_calc, c.mismatch_index)
-                ds = s_spec - voltages * np.conj(c.ybus @ voltages)
+            n = len(c.bus_ids)
+            # One set of buffers serves every assembly, as in a solve.
+            assemble = powerflow_module._JacobianWork(c.ybus, c.jacobian_index)
+            v_mag = np.array([[rng.uniform(0.8, 1.1) for _ in range(n)] for _ in range(3)])
+            v_ang = np.array([[rng.uniform(-0.3, 0.3) for _ in range(n)] for _ in range(3)])
+            voltages = powerflow_module._polar(v_mag, v_ang)
+            s_calc, i_bus = powerflow_module._power(c.ybus, voltages)
+            mismatch, largest = powerflow_module._mismatch(
+                np.tile(s_spec, (3, 1)), s_calc, c.mismatch_index)
+            for k, v in enumerate(voltages):
+                # Each row's currents round like a matrix-vector product of it alone.
+                assert i_bus[k].tobytes() == (c.ybus @ v).tobytes()
+                gathered = assemble(v, i_bus[k])
+                assert gathered.tobytes() == _block_jacobian(c.ybus, c.pq, v).tobytes()
+                ds = s_spec - v * np.conj(c.ybus @ v)
                 stacked = np.concatenate([ds[c.pq].real, ds[c.pq].imag])
-                assert mismatch.tobytes() == stacked.tobytes()
-                assert largest == float(np.max(np.abs(stacked)))
+                assert mismatch[k].tobytes() == stacked.tobytes()
+                assert largest[k] == float(np.max(np.abs(stacked)))
 
     def test_sweep_assembles_one_jacobian_per_step_after_the_first(self, bench, monkeypatch):
         from gridstress import run_sweep
         from gridstress import scenario as scenario_module
         net = dataclasses.replace(bench.network)    # a fresh, never-compiled instance
         assembled = []
-        jacobian = powerflow_module._jacobian
+        assemble = powerflow_module._JacobianWork.__call__
 
         def counted(*args):
             assembled.append(1)
-            return jacobian(*args)
+            return assemble(*args)
 
         iterations = []
+        solve = scenario_module._newton_raphson
 
-        def solve(net, injections):
-            solution = solve_newton_raphson(net, injections)
-            iterations.append(solution.iterations)
-            return solution
+        def batch(net, rows, *args):
+            solutions = solve(net, rows, *args)
+            iterations.extend(solution.iterations for solution in solutions)
+            return solutions
 
-        monkeypatch.setattr(powerflow_module, "_jacobian", counted)
-        monkeypatch.setattr(scenario_module, "solve_newton_raphson", solve)
+        monkeypatch.setattr(powerflow_module._JacobianWork, "__call__", counted)
+        monkeypatch.setattr(scenario_module, "_newton_raphson", batch)
         for name in ("ev25", "ev25_pv_lm"):
             run_sweep(net, bench.scenario(name), bench.profiles)
         # One flat-start Jacobian at compile time, then one per step after
-        # a solve's first.
+        # a row's first.
         assert sum(iterations) > len(iterations) > 0
         assert len(assembled) == 1 + sum(its - 1 for its in iterations if its >= 1)
+
+
+def _feeder_top_day(seed: int):
+    """(network, scenario, profiles) of the top ramp step of a perfbench feeder."""
+    import gridstress
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    import feeder
+
+    net, scenarios, profiles = feeder.to_program_inputs(feeder.generate(seed), gridstress)
+    return net, scenarios[-1], profiles
+
+
+class TestStopReason:
+    def test_feeder_top_step_surge_stops_at_max_iter(self):
+        from gridstress import run_sweep
+        result = run_sweep(*_feeder_top_day(1))
+        reasons = {r.interval: r.solution.stop_reason for r in result.records}
+        assert result.diverged_intervals() == tuple(range(32, 40))
+        assert {reasons[k] for k in range(32, 40)} == {"max_iter"}
+        assert all(reasons[k] == "converged" for k in reasons if not 32 <= k < 40)
+        assert all(r.solution.iterations == SolverOptions().max_iter
+                   for r in result.records if 32 <= r.interval < 40)
+
+    def test_huge_injection_is_a_non_finite_iterate(self, bench):
+        net = bench.network
+        injections = no_load_injections(net)
+        injections[sorted(injections)[0]] = complex(-1e300, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            solution = solve_newton_raphson(net, injections)
+        assert solution.stop_reason == "non_finite"
+        assert not solution.converged
+        assert solution.iterations >= 1
+        assert all(math.isfinite(v) for v in solution.v_mag)   # the best iterate
+
+    def test_singular_jacobian(self):
+        # A load bus with no branch has a zero Jacobian row at the flat start.
+        isolated = Network(10.0, (Bus("s", "slack", 4.16), Bus("a", "load", 4.16)), (), (), {})
+        solution = solve_newton_raphson(isolated, {"a": -0.1 + 0j})
+        assert (solution.stop_reason, solution.iterations) == ("singular_jacobian", 0)
+        assert solution.v_mag == (1.0, 1.0)
+        assert solution.max_mismatch == 0.1
+        assert solve_newton_raphson(isolated, {"a": 0j}).stop_reason == "converged"
+
+    def test_gauss_seidel_records_its_stop(self):
+        net = two_bus_network(TWO_BUS_Z)
+        load = {"load": -TWO_BUS_LOAD}
+        assert solve_gauss_seidel(net, load).stop_reason == "converged"
+        tight = solve_gauss_seidel(net, load, SolverOptions(tol=1e-10, max_iter=3))
+        assert (tight.stop_reason, tight.iterations) == ("max_iter", 3)
+
+
+class TestLockstepBatch:
+    """Rows solved together take exactly the steps each takes alone."""
+
+    @staticmethod
+    def _rows(net, injections):
+        """Rows with mixed outcomes: the draw, no load, the draw 200 times
+        over (past the nose) and a 1e300 draw at one bus."""
+        vector = np.array([injections.get(b, 0j) for b in net.bus_ids()])
+        huge = np.zeros_like(vector)
+        huge[np.flatnonzero(vector)[:1]] = -1e300
+        return np.array([vector, np.zeros_like(vector), 200 * vector, huge])
+
+    def test_mixed_outcome_rows_equal_their_batch_of_one_solves(self, bench, rng):
+        from gridstress import build_injections
+        campus = (bench.network, build_injections(bench.network, bench.scenario("ev25"),
+                                                  bench.profiles, 36))
+        cases = [campus, *_tapped_radial_networks(rng), *_tapped_radial_networks(rng, ties=3)]
+        reasons = set()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for net, injections in cases:
+                rows = self._rows(net, injections)
+                batch = powerflow_module._newton_raphson(net, rows)
+                assert len(batch) == len(rows)
+                for row, solution in zip(rows, batch):
+                    alone = solve_newton_raphson(net, row)
+                    assert solution == alone
+                    assert repr(solution) == repr(alone)
+                    reasons.add(solution.stop_reason)
+        assert {"converged", "max_iter", "non_finite"} <= reasons
+
+    def test_rows_past_one_block_keep_their_order(self, bench):
+        from gridstress import build_injections
+        net = bench.network
+        c = powerflow_module._compiled(net)
+        rows = np.array([c.injection_vector(build_injections(net, bench.scenario("ev25"),
+                                                             bench.profiles, slot))
+                         for slot in range(96)])
+        assert len(rows) > powerflow_module._BLOCK_ROWS
+        batch = powerflow_module._newton_raphson(net, rows)
+        for row, solution in zip(rows, batch):
+            assert repr(solution) == repr(solve_newton_raphson(net, row))
+
+    def test_slack_only_network_converges_in_zero_iterations(self):
+        net = Network(10.0, (Bus("only", "slack", 4.16),), (), (), {})
+        batch = powerflow_module._newton_raphson(net, np.zeros((3, 1), dtype=complex))
+        for solution in batch:
+            assert (solution.converged, solution.iterations, solution.stop_reason) == (
+                True, 0, "converged")
+            assert solution.max_mismatch == 0.0
+            assert solution.v_mag == (1.0,)
+            assert solution.branch_flows == ()
+
+    def test_empty_batch(self, bench):
+        n = len(bench.network.buses)
+        assert powerflow_module._newton_raphson(
+            bench.network, np.zeros((0, n), dtype=complex)) == []
+
+    def test_a_bad_row_is_named_like_a_single_solve(self):
+        net = two_bus_network(TWO_BUS_Z)
+        rows = np.array([[0j, -TWO_BUS_LOAD], [0j, complex(float("nan"), 0.0)],
+                         [0.5 + 0j, -TWO_BUS_LOAD]])
+        with pytest.raises(ValueError, match=r"^non-finite injection at load: \(nan\+0j\)$"):
+            powerflow_module._newton_raphson(net, rows)
+        with pytest.raises(ValueError, match="injection at slack bus source must be 0"):
+            powerflow_module._newton_raphson(net, rows[[0, 2, 1]])
 
 
 class TestLosses:
@@ -453,6 +578,7 @@ class TestSolverOptions:
                                         SolverOptions(tol=1e-12, max_iter=1))
         assert not solution.converged
         assert solution.iterations == 1
+        assert solution.stop_reason == "max_iter"
 
     def test_benchmark_reference_stops_like_the_default_solver(self):
         """perfbench/feeder.py checks the sweep, which solves with the

@@ -251,6 +251,28 @@ class TestBuildInjections:
         with pytest.raises(ScenarioConfigError, match="unknown bus"):
             build_injections(net, scenario, {"flat": _flat_profile()}, 0)
 
+    def test_lot_or_pv_site_on_the_slack_bus_is_a_diagnostic(self):
+        """Neither reaches the power flow, so neither may count as served."""
+        lot = Scenario("s", 1.0, parking_lots=(ParkingLot("A", 100, "feed"),),
+                       bindings=ProfileBindings(ev="flat"))
+        net = _mini_grid()
+        pv_net = dataclasses.replace(net, generators=(Generator("feed", "pv_site", 250.0),))
+        pv = Scenario("s", 0.0, pv_enabled=True, bindings=ProfileBindings(pv_default="flat"))
+        profiles = {"flat": _flat_profile()}
+        where = "where the power flow takes no injection"
+        for network, scenario, message in (
+                (net, lot, f"parking lot 'A' is on slack bus 'feed', {where}"),
+                (pv_net, pv, f"PV site of 250 kW is on slack bus 'feed', {where}")):
+            for run in (lambda: run_sweep(network, scenario, profiles, intervals=[0]),
+                        lambda: build_injections(network, scenario, profiles, 0)):
+                with pytest.raises(ScenarioConfigError) as info:
+                    run()
+                assert str(info.value) == message
+            assert scenario_module.placement_errors(network, scenario) == [message]
+        # A PV site on the slack bus is no error while PV is off.
+        assert run_sweep(pv_net, dataclasses.replace(pv, pv_enabled=False), profiles,
+                         intervals=[0]).records[0].solution.converged
+
     @pytest.mark.parametrize("run", ["build_injections", "run_sweep"])
     @pytest.mark.parametrize("load_kw, pv_kw, scenario, message", [
         (500.0, 0.0, Scenario("s", 0.0),
@@ -429,15 +451,26 @@ def _stagger_demo_network() -> Network:
 
 
 def _count_solves(monkeypatch) -> list[bytes]:
-    """Count run_sweep's Newton-Raphson calls; returns each call's injection vector bytes."""
-    calls = []
+    """Spy on run_sweep's batch solve; returns the bytes of every row it
+    solved, in order. Each batch's rows are also kept on .batches."""
+    calls = _SolvedRows()
+    solve = scenario_module._newton_raphson
 
-    def counted(net, injections):
-        calls.append(injections.tobytes())
-        return solve_newton_raphson(net, injections)
+    def counted(net, rows, *args):
+        calls.batches.append(len(rows))
+        calls.extend(row.tobytes() for row in rows)
+        return solve(net, rows, *args)
 
-    monkeypatch.setattr(scenario_module, "solve_newton_raphson", counted)
+    monkeypatch.setattr(scenario_module, "_newton_raphson", counted)
     return calls
+
+
+class _SolvedRows(list):
+    """The rows a spied sweep solved; batches holds each batch's row count."""
+
+    def __init__(self):
+        super().__init__()
+        self.batches: list[int] = []
 
 
 def _sweep_recording_injections(monkeypatch, net, scenario, profiles):
@@ -564,7 +597,8 @@ class TestRunSweep:
                    for record in result.records)
         assert len(result.records) == len(built) == 96
         distinct = {vector.tobytes() for vector in built.values()}
-        # One solve per distinct injection set, and no set solved twice.
+        # One batch, one row per distinct injection set, none solved twice.
+        assert calls.batches == [66]
         assert len(calls) == len(set(calls)) == len(distinct) == 66
 
     # ev25_pv_lm (66) is pinned by test_stagger_day_solves_each_interval_once.
@@ -615,6 +649,7 @@ class TestRunSweep:
         for expected in (39, 78):
             run_sweep(bench.network, bench.scenario("ev25"), bench.profiles)
             assert len(calls) == expected
+        assert calls.batches == [39, 39]
 
     def test_jittered_day_solves_every_interval(self, monkeypatch):
         rng = random.Random(7)
