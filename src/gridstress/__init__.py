@@ -45,7 +45,6 @@ from .scenario import (
     ev_load_kw,
     normalize_profile,
     one_third_stagger,
-    pv_injection_kw,
     run_sweep,
 )
 
@@ -81,7 +80,6 @@ __all__ = [
     "ev_load_kw",
     "normalize_profile",
     "one_third_stagger",
-    "pv_injection_kw",
     "run_sweep",
     "solve_gauss_seidel",
     "solve_newton_raphson",

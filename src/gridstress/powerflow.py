@@ -37,26 +37,24 @@ keeps the exact steps of a solve of it alone:
   one matrix-vector product per row, which rounds like ybus @ v. The
   single product ybus @ V.T is a zgemm and rounds differently.
 
-Injections are one complex vector ordered like net.buses with the slack
-entry zero (what a sweep builds per slot), or a mapping by non-slack bus
-id, which becomes that vector on entry. Voltages keep the same bus order
-from the iteration to branch_flows. The mismatch and the Jacobian blocks
-are gathered from the float view of complex arrays at compiled indices.
+Injections take one form: a complex vector in pu ordered like net.buses
+with the slack entry zero, one row of the day matrix a sweep evaluates
+(see scenario). Voltages keep the same bus order from the iteration to
+branch_flows. The mismatch and the Jacobian blocks are gathered from the
+float view of complex arrays at compiled indices, the Jacobian in column
+order, the layout LAPACK factorises without a strided copy.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .network import Network
-
-# Injections in pu: by non-slack bus id, or one complex entry per bus in
-# the order of net.buses with the slack entry zero.
-InjectionSet = Mapping[str, complex] | np.ndarray
 
 # Why an iteration stopped, by code: within tolerance, out of iterations,
 # a singular Newton-Raphson Jacobian, or a non-finite iterate.
@@ -145,18 +143,17 @@ class _Compiled(NamedTuple):
     jacobian_index are flat positions in the float view of complex bus
     arrays: the first gathers the real then the imaginary parts of a
     power mismatch at the PQ buses, the second the four Jacobian blocks
-    from the stacked angle and magnitude derivatives. flat_voltages,
-    flat_power and flat_jacobian are the voltages, bus powers and
-    Jacobian at the flat start, computed by the same code as every later
-    Newton-Raphson step's.
+    from the stacked angle and magnitude derivatives, transposed:
+    jacobian_index[j, i] is the position of Jacobian entry (i, j).
+    flat_voltages, flat_power and flat_jacobian are the voltages, bus
+    powers and (column-ordered) Jacobian at the flat start, computed by
+    the same code as every later Newton-Raphson step's.
     """
 
     ybus: np.ndarray
     bus_ids: tuple[str, ...]
     slack: int
     pq: np.ndarray
-    pq_ids: tuple[str, ...]
-    non_slack: frozenset[str]
     mismatch_index: np.ndarray
     jacobian_index: np.ndarray
     branch_ids: tuple[str, ...]
@@ -170,36 +167,14 @@ class _Compiled(NamedTuple):
     flat_power: np.ndarray
     flat_jacobian: np.ndarray
 
-    def injection_vector(self, injections: InjectionSet) -> np.ndarray:
-        """Injections ordered like the buses, with the slack entry zero.
-
-        A mapping is keyed by every non-slack bus id; an array is used
-        as given once its shape is checked. check_rows checks the values.
-        """
-        if not isinstance(injections, Mapping):
-            s = np.asarray(injections, dtype=complex)
-            if s.shape != (len(self.bus_ids),):
-                raise ValueError(f"injection vector has shape {s.shape}, "
-                                 f"expected ({len(self.bus_ids)},), one entry per bus")
-            return s
-        given = set(injections)
-        if given != self.non_slack:
-            missing = sorted(self.non_slack - given)
-            extra = sorted(given - self.non_slack)
-            parts = []
-            if missing:
-                parts.append(f"missing injections for: {', '.join(missing)}")
-            if extra:
-                parts.append(f"unexpected injections for: {', '.join(extra)}")
-            raise ValueError("; ".join(parts))
-        s = np.zeros(len(self.bus_ids), dtype=complex)
-        for i, bus_id in zip(self.pq.tolist(), self.pq_ids):
-            s[i] = complex(injections[bus_id])
-        return s
-
     def check_rows(self, s: np.ndarray) -> None:
-        """Raise for the first row of bus-ordered injections s (k, n) whose
-        slack entry is not zero or that holds a non-finite entry."""
+        """Raise unless each row of s (k, n) is a vector of bus-ordered
+        injections, one entry per bus; then for the first row whose slack
+        entry is not zero or that holds a non-finite entry."""
+        n = len(self.bus_ids)
+        if s.shape[1:] != (n,):
+            raise ValueError(f"injection vector has shape {s.shape[1:]}, "
+                             f"expected ({n},), one entry per bus")
         finite = np.isfinite(s)
         bad = (s[:, self.slack] != 0) | ~finite.all(axis=1)
         if not bad.any():
@@ -232,14 +207,13 @@ def _compile(net: Network) -> _Compiled:
     n = len(bus_ids)
     slack = bus_ids.index(net.slack_id())
     pq = np.array([i for i in range(n) if i != slack], dtype=int)
-    pq_ids = tuple(bus_ids[i] for i in pq)
     # Float view of a complex (n,) array: Re z[i] at 2i, Im z[i] at 2i + 1.
     # Of the stacked (2, n, n) derivatives: block b, row i, column j at
     # 2n(n*b + i) + 2j, its imaginary part one further.
     mismatch_index = np.concatenate([2 * pq, 2 * pq + 1])
     rows = np.concatenate([2 * n * pq, 2 * n * pq + 1])
     columns = np.concatenate([2 * pq, 2 * n * n + 2 * pq])
-    jacobian_index = rows[:, None] + columns[None, :]
+    jacobian_index = columns[:, None] + rows[None, :]
     flat_voltages = _polar(np.ones(n), np.zeros(n))
     flat_power, flat_currents = (a[0] for a in _power(ybus, flat_voltages[None]))
     flat_jacobian = _JacobianWork(ybus, jacobian_index)(flat_voltages, flat_currents)
@@ -261,8 +235,6 @@ def _compile(net: Network) -> _Compiled:
         bus_ids=bus_ids,
         slack=slack,
         pq=pq,
-        pq_ids=pq_ids,
-        non_slack=frozenset(pq_ids),
         mismatch_index=mismatch_index,
         jacobian_index=jacobian_index,
         branch_ids=tuple(b.id for b in net.branches),
@@ -316,11 +288,15 @@ class _JacobianWork:
         self.out = np.empty((len(index), len(index)))
 
     def __call__(self, voltages: np.ndarray, i_bus: np.ndarray) -> np.ndarray:
-        """The Jacobian at voltages with bus currents i_bus, in self.out.
+        """The Jacobian at voltages with bus currents i_bus, in column order:
+        the transpose of self.out.
 
         derivatives receives the complex power's derivatives with respect
-        to voltage angle and magnitude; index gathers the real and
-        imaginary parts of their PQ rows and columns into the four blocks.
+        to voltage angle and magnitude; the transposed index gathers the
+        real and imaginary parts of their PQ rows and columns into self.out
+        as the four blocks of the transposed Jacobian. np.linalg.solve hands
+        LAPACK a column-ordered copy of its matrix, which it then copies
+        contiguously rather than with a strided gather.
         """
         v, jv, i, conj_i, vnorm = self.diagonals
         v[:] = voltages
@@ -339,7 +315,7 @@ class _JacobianWork:
         np.matmul(self.diag_conj_i, self.diag_vnorm, out=product)
         np.add(derivatives[1], product, out=derivatives[1])
         # Every index is in range; mode="clip" only spares take a buffered copy.
-        return np.take(derivatives.view(float), self.index, out=self.out, mode="clip")
+        return np.take(derivatives.view(float), self.index, out=self.out, mode="clip").T
 
 
 def _cmul(a_re: np.ndarray, a_im: np.ndarray, b_re: np.ndarray,
@@ -387,8 +363,13 @@ def _branch_flows(c: _Compiled, voltages: np.ndarray) -> list[tuple[BranchFlow, 
     abs_f, abs_t = abs_s[:, :m], abs_s[:, m:]
     # np.where(t > f, t, f) is Python's max(f, t), NaN order included.
     loading = 100.0 * np.where(abs_t > abs_f, abs_t, abs_f) / c.rating_pu
-    return [tuple(map(BranchFlow._make, zip(c.branch_ids, c.branch_kinds, s[:m], s[m:], row)))
+    return [tuple(map(_branch_flow, zip(c.branch_ids, c.branch_kinds, s[:m], s[m:], row)))
             for s, row in zip(_complex_list(s_re, s_im), loading.tolist())]
+
+
+# BranchFlow._make without its Python-level call per branch: every
+# zipped row has the five fields that _make would check for.
+_branch_flow = partial(tuple.__new__, BranchFlow)
 
 
 def _complex_list(re: np.ndarray, im: np.ndarray) -> list:
@@ -441,19 +422,18 @@ def _mismatch(s_spec: np.ndarray, s_calc: np.ndarray,
 
 def solve_newton_raphson(
     net: Network,
-    injections: InjectionSet,
+    injections: np.ndarray,
     opts: SolverOptions = SolverOptions(),
 ) -> PowerFlowSolution:
     """Full-Jacobian Newton-Raphson power flow in polar form.
 
-    injections is the bus-ordered vector or the mapping by bus id (see
-    the module docstring). Converged means max(|dP|, |dQ|) <= opts.tol
+    injections is the bus-ordered vector that build_injections returns
+    (see the module docstring). Converged means max(|dP|, |dQ|) <= opts.tol
     at every non-slack bus. On non-convergence the best iterate seen
     (smallest mismatch) is returned with converged=False so the caller
     can decide. This is a batch of one (_newton_raphson).
     """
-    s_spec = _compiled(net).injection_vector(injections)
-    return _newton_raphson(net, s_spec[None], opts)[0]
+    return _newton_raphson(net, np.asarray(injections, dtype=complex)[None], opts)[0]
 
 
 # Rows iterated and finished together. Each row holds about ten n-vectors
@@ -556,7 +536,7 @@ def _iterate(c: _Compiled, s_spec: np.ndarray,
 
 def solve_gauss_seidel(
     net: Network,
-    injections: InjectionSet,
+    injections: np.ndarray,
     opts: SolverOptions = GAUSS_SEIDEL_DEFAULTS,
 ) -> PowerFlowSolution:
     """Gauss-Seidel power flow: sweep per-bus fixed-point voltage updates.
@@ -566,7 +546,7 @@ def solve_gauss_seidel(
     """
     c = _compiled(net)
     ybus = c.ybus
-    s_spec = c.injection_vector(injections)[None]
+    s_spec = np.asarray(injections, dtype=complex)[None]
     c.check_rows(s_spec)
     pq = c.pq.tolist()
 

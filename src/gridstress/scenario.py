@@ -7,26 +7,29 @@ times parking capacity times per-charger kW, shaped by an EV profile;
 PV sites inject capacity times their profile coefficient as negative
 load at unity power factor. Each sweep resolves the scenario's bindings
 (lot buses, PV sites' and loaded buses' profiles) into one injection
-plan. For each interval the sweep lets the controller settle the EV
-draw and evaluates the plan once into a complex injection vector ordered
-like net.buses (slack entry zero). The sweep then solves the distinct
-vectors, bit for bit, as one lockstep Newton-Raphson batch (see
-powerflow), one row each, and records each interval with the solution
-of its row: intervals whose vectors are equal share one (immutable)
-solution. A single solve is a batch of one, so both take the same steps.
+plan. The controller first settles the EV draw of every interval; the
+plan then evaluates the whole day once into one complex matrix, a row
+per interval ordered like net.buses (slack entry zero). That row is the
+one injection form: build_injections returns one, and the solvers take
+it. The sweep then solves the distinct rows, bit for bit, as one
+lockstep Newton-Raphson batch (see powerflow) and records each interval
+with the solution of its row: intervals whose rows are equal share one
+(immutable) solution. A single solve is a batch of one, so both take the
+same steps.
 
 Sweeps with the null controller have independent intervals and may be
 evaluated concurrently by callers. The one-third stagger controller
 connects one of three fixed bus groups per interval and carries each
 bus's deferred energy across intervals as one exact backlog, so its
 ledger runs serially in sweep order; it never reads a solution, so it
-settles every interval before the batch is solved. run_sweep itself is
+settles every interval before the day is evaluated. run_sweep itself is
 always single-threaded and never shares the mutable ledger.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -130,9 +133,11 @@ class ParkingLot:
     bus: str
 
     def __post_init__(self) -> None:
-        if int(self.capacity) != self.capacity or self.capacity <= 0:
+        capacity = self.capacity
+        if (isinstance(capacity, bool) or not isinstance(capacity, numbers.Real)
+                or not math.isfinite(capacity) or int(capacity) != capacity or capacity <= 0):
             raise ScenarioConfigError(
-                f"parking lot {self.name!r} capacity must be a positive integer"
+                f"parking lot {self.name!r} capacity must be a positive integer, got {capacity!r}"
             )
 
 
@@ -209,14 +214,6 @@ def ev_load_kw(penetration: float, capacity: int, per_charger_kw: float = DEFAUL
     return penetration * capacity * per_charger_kw
 
 
-def pv_injection_kw(site: Generator, profile: LoadProfile, slot: int) -> float:
-    """PV output at a slot: installed capacity times the profile coefficient.
-
-    Applied as negative load at the site's bus, unity power factor.
-    """
-    return site.capacity_kw * profile.coefficient(slot)
-
-
 def _bound_profile(profiles: Mapping[str, LoadProfile], profile_id: str | None,
                    kind: str, place: str, bus_id: str) -> LoadProfile:
     """profiles[profile_id] for a load or PV binding at a bus; unbound or missing is an error."""
@@ -227,47 +224,54 @@ def _bound_profile(profiles: Mapping[str, LoadProfile], profile_id: str | None,
     return profiles[profile_id]
 
 
-def _resolve_ev_profile(ev_nominal: Mapping[str, float], bindings: ProfileBindings,
-                        profiles: Mapping[str, LoadProfile]) -> LoadProfile | None:
-    """The EV demand shape, or None when no bus draws EV power."""
+def _coefficients(profile: LoadProfile, intervals: Sequence[int]) -> np.ndarray:
+    """profile's coefficient at each interval; a missing slot is a ProfileError."""
+    return np.array([profile.coefficient(i) for i in intervals], dtype=float)
+
+
+def _ev_demand(scenario: Scenario, profiles: Mapping[str, LoadProfile],
+               intervals: Sequence[int]) -> tuple[list[str], np.ndarray]:
+    """The buses that draw EV power and their demanded kW, nominal kW times
+    the EV profile's coefficient, per interval (intervals x buses); no bus
+    when none draws EV power."""
+    ev_nominal = scenario.ev_connected_kw_by_bus()
     if not any(ev_nominal.values()):
-        return None
-    if bindings.ev is None:
+        return [], np.zeros((len(intervals), 0))
+    ev = scenario.bindings.ev
+    if ev is None:
         raise ScenarioConfigError("scenario has EV load but no EV profile binding")
-    if bindings.ev not in profiles:
-        raise ScenarioConfigError(f"EV profile {bindings.ev!r} not found")
-    return profiles[bindings.ev]
+    if ev not in profiles:
+        raise ScenarioConfigError(f"EV profile {ev!r} not found")
+    kw = np.array(list(ev_nominal.values()), dtype=float)
+    return list(ev_nominal), kw * _coefficients(profiles[ev], intervals)[:, None]
 
 
-def _ev_draw(ev_nominal: Mapping[str, float], ev_profile: LoadProfile | None,
-             interval: int) -> dict[str, float]:
-    """Demanded EV kW per bus at an interval; empty when no bus draws EV power."""
-    if ev_profile is None:
-        return {}
-    coeff = ev_profile.coefficient(interval)
-    return {bus: kw * coeff for bus, kw in ev_nominal.items()}
+def _unplaced(net: Network, placed: Iterable[tuple[str, str]]) -> list[str]:
+    """Why each (what, bus) cannot reach net's power flow: an unknown bus,
+    or the slack bus, where no injection enters it."""
+    bus_ids = net.bus_ids()
+    slack = net.slack_id()
+    errors = []
+    for what, bus in placed:
+        if bus not in bus_ids:
+            errors.append(f"{what} references unknown bus {bus!r}")
+        elif bus == slack:
+            errors.append(f"{what} is on slack bus {bus!r}, "
+                          "where the power flow takes no injection")
+    return errors
 
 
 def placement_errors(net: Network, scenario: Scenario) -> list[str]:
     """Why the scenario's EV and PV terms cannot all reach net's power flow.
 
-    A parking lot must feed from a known bus, and neither a lot nor (with
-    PV on) a PV site may sit on the slack bus, where no injection enters
-    the power flow: its energy would be counted but never drawn.
+    Each parking lot, and with PV on each PV site, must sit on a known bus
+    other than the slack bus, where no injection enters the power flow:
+    its energy would be counted but never drawn.
     """
-    bus_ids = net.bus_ids()
-    slack = net.slack_id()
-    where = "where the power flow takes no injection"
-    errors = []
-    for lot in scenario.parking_lots:
-        if lot.bus not in bus_ids:
-            errors.append(f"parking lot {lot.name!r} references unknown bus {lot.bus!r}")
-        elif lot.bus == slack:
-            errors.append(f"parking lot {lot.name!r} is on slack bus {lot.bus!r}, {where}")
+    placed = [(f"parking lot {lot.name!r}", lot.bus) for lot in scenario.parking_lots]
     if scenario.pv_enabled:
-        errors.extend(f"PV site of {site.capacity_kw:g} kW is on slack bus {site.bus!r}, {where}"
-                      for site in net.pv_sites() if site.bus == slack)
-    return errors
+        placed += [(f"PV site of {site.capacity_kw:g} kW", site.bus) for site in net.pv_sites()]
+    return _unplaced(net, placed)
 
 
 def build_injections(
@@ -276,23 +280,30 @@ def build_injections(
     profiles: Mapping[str, LoadProfile],
     interval: int,
     ev_kw_override: Mapping[str, float] | None = None,
-) -> dict[str, complex]:
-    """Net complex power injection in pu for every non-slack bus.
+) -> np.ndarray:
+    """Net complex power injections in pu at interval, the vector the
+    solvers take: one entry per bus, ordered like net.buses, with the
+    slack entry zero.
 
     injection = -(building load * coefficient) - active EV kW + PV kW,
     divided by the system base. Building reactive load scales with the
     same coefficient; EV and PV are unity power factor.
     ev_kw_override, when given, is the whole EV draw in kW per bus (a
-    controller's settled draw) in place of the scenario's nominal one.
+    controller's settled draw) in place of the scenario's nominal one;
+    an unknown or slack bus, or a negative or non-finite kW, in it is a
+    ScenarioConfigError.
     """
-    ev_kw = ev_kw_override
-    if ev_kw is None:
-        ev_nominal = scenario.ev_connected_kw_by_bus()
-        ev_kw = _ev_draw(ev_nominal, _resolve_ev_profile(ev_nominal, scenario.bindings, profiles),
-                         interval)
-    plan = _InjectionPlan(net, scenario, profiles)
-    vector = plan.vector(interval, ev_kw).tolist()
-    return {bus_id: vector[i] for bus_id, i in plan.position.items()}
+    if ev_kw_override is None:
+        ev_buses, ev_kw = _ev_demand(scenario, profiles, [interval])
+    else:
+        errors = _unplaced(net, [("EV draw override", bus) for bus in ev_kw_override])
+        errors += [f"EV draw override at bus {bus!r} must be finite and >= 0, got {kw!r}"
+                   for bus, kw in ev_kw_override.items() if not 0.0 <= kw < math.inf]
+        if errors:
+            raise ScenarioConfigError("; ".join(errors))
+        ev_buses = list(ev_kw_override)
+        ev_kw = np.array([list(ev_kw_override.values())], dtype=float)
+    return _InjectionPlan(net, scenario, profiles).day([interval], ev_buses, ev_kw)[0]
 
 
 class _InjectionPlan:
@@ -301,9 +312,10 @@ class _InjectionPlan:
     Built once per sweep (and once per build_injections call): the
     parking-lot buses are checked, each PV site's and each loaded bus's
     profile is looked up and every bus's position in net.buses is fixed.
-    Per interval only the coefficients are read and the injection vector
-    computed: load, then EV, then PV, each term applied only where the
-    bus has it, so +0.0 and -0.0 stay apart.
+    day reads only the coefficients and computes each element with the
+    float steps of a per-interval scalar sum: the load term, then the EV
+    draw, then PV, each applied only where the bus has it, so +0.0 and
+    -0.0 stay apart.
     """
 
     def __init__(self, net: Network, scenario: Scenario, profiles: Mapping[str, LoadProfile]):
@@ -342,26 +354,27 @@ class _InjectionPlan:
                       for profile, index, kw, kvar in groups.values()]
         self.kva_base = 1000.0 * net.s_base_mva
 
-    def vector(self, interval: int, ev_kw: Mapping[str, float]) -> np.ndarray:
-        """Injections in pu at interval, ordered like net.buses with the slack
-        entry zero, with ev_kw as the whole EV draw."""
-        pv_kw: dict[int, float] = {}
+    def day(self, intervals: Sequence[int], ev_buses: Sequence[str],
+            ev_kw: np.ndarray) -> np.ndarray:
+        """Injections in pu, one row per interval (intervals x buses), ordered
+        like net.buses with the slack entry zero; ev_kw[r, j] is the whole EV
+        draw of non-slack bus ev_buses[j] at intervals[r]."""
+        # PV kW per bus position, summed in site order.
+        pv_kw: dict[int, np.ndarray] = {}
         for i, site, profile in self.pv:
-            pv_kw[i] = pv_kw.get(i, 0.0) + pv_injection_kw(site, profile, interval)
+            pv_kw[i] = pv_kw.get(i, 0.0) + site.capacity_kw * _coefficients(profile, intervals)
 
-        p_kw = np.zeros(self.n)
-        q_kvar = np.zeros(self.n)
+        shape = (len(intervals), self.n)
+        p_kw = np.zeros(shape)
+        q_kvar = np.zeros(shape)
         for profile, index, kw, kvar in self.loads:
-            coeff = profile.coefficient(interval)
-            p_kw[index] = 0.0 - kw * coeff
-            q_kvar[index] = 0.0 - kvar * coeff
-        for bus_id, kw in ev_kw.items():
-            i = self.position.get(bus_id)
-            if i is not None:
-                p_kw[i] -= kw
+            coeff = _coefficients(profile, intervals)[:, None]
+            p_kw[:, index] = 0.0 - kw * coeff
+            q_kvar[:, index] = 0.0 - kvar * coeff
+        p_kw[:, np.array([self.position[bus] for bus in ev_buses], dtype=int)] -= ev_kw
         for i, kw in pv_kw.items():
-            p_kw[i] += kw
-        s = np.empty(self.n, dtype=complex)
+            p_kw[:, i] += kw
+        s = np.empty(shape, dtype=complex)
         s.real = p_kw / self.kva_base
         s.imag = q_kvar / self.kva_base
         return s
@@ -472,36 +485,39 @@ def run_sweep(
 
     For every interval the controller first settles the EV draw: the
     deferral ledger runs serially in sweep order, and deferred EV energy
-    carries across intervals. The interval's injections are then built
-    once, with the settled draw. The distinct injection vectors are
-    solved once each, as one batch: an interval whose vector equals an
-    earlier interval's bit for bit (so +0.0 and -0.0 differ) shares its
-    solution, which is immutable and exactly what solving again would
+    carries across intervals. The injections of every interval are then
+    evaluated once, as one matrix, with the settled draw. Its distinct
+    rows are solved once each, as one batch: an interval whose row equals
+    an earlier interval's bit for bit (so +0.0 and -0.0 differ) shares
+    its solution, which is immutable and exactly what solving again would
     return. Nothing is kept across calls. Solver divergence is recorded
     on the interval's solution.
     """
-    ev_nominal = scenario.ev_connected_kw_by_bus()
-    state = StaggerState(ev_nominal) if scenario.controller == "one_third_stagger" else None
-    ev_profile = _resolve_ev_profile(ev_nominal, scenario.bindings, profiles)
+    intervals = list(intervals)
+    ev_buses, demanded = _ev_demand(scenario, profiles, intervals)
     plan = _InjectionPlan(net, scenario, profiles)
+    settled = demanded
+    state = None
+    if scenario.controller == "one_third_stagger" and ev_buses:
+        state = StaggerState(scenario.ev_connected_kw_by_bus())
+        settled = np.empty_like(demanded)
+        for r, (interval, row) in enumerate(zip(intervals, demanded.tolist())):
+            served = one_third_stagger(dict(zip(ev_buses, row)), interval, state)
+            settled[r] = [served[bus] for bus in ev_buses]
+    # Exact, in integer units: each distinct demanded kW times its count.
+    values, counts = np.unique(demanded, return_counts=True)
+    demanded_units = sum(_dyadic_units(value) * count
+                         for value, count in zip(values.tolist(), counts.tolist()))
 
-    # Each slot's row in the batch, keyed by the bytes of its injection
-    # vector: slots equal bit for bit share a row; +0.0 and -0.0 differ.
-    slots: list[tuple[int, int]] = []
+    # Each slot's row in the batch, keyed by the bytes of its injections:
+    # slots equal bit for bit share a row; +0.0 and -0.0 differ.
     rows: dict[bytes, int] = {}
-    demanded_units = 0
-    for interval in intervals:
-        demanded = _ev_draw(ev_nominal, ev_profile, interval)
-        settled = demanded
-        if state is not None and demanded:
-            settled = one_third_stagger(demanded, interval, state)
-        demanded_units += sum(map(_dyadic_units, demanded.values()))
-        key = plan.vector(interval, settled).tobytes()
-        slots.append((interval, rows.setdefault(key, len(rows))))
-
+    slots = [rows.setdefault(injections.tobytes(), len(rows))
+             for injections in plan.day(intervals, ev_buses, settled)]
     batch = np.frombuffer(b"".join(rows), dtype=complex).reshape(len(rows), plan.n)
     solutions = _newton_raphson(net, batch)
-    records = tuple(IntervalRecord(interval, solutions[row]) for interval, row in slots)
+    records = tuple(IntervalRecord(interval, solutions[row])
+                    for interval, row in zip(intervals, slots))
 
     demanded_kw = Fraction(demanded_units, _DYADIC_UNIT)
     # Whatever is still deferred at the horizon is unserved; the rest was served.

@@ -1,7 +1,8 @@
 """Shared builders and checks for tests: tiny and randomly generated
-networks, a small network document, no-load injections, overload
-counts, stagger service and backlog in kW, and reference models of one
-slot's injections and of the stagger controller."""
+networks, a small network document, injection vectors from mappings by
+bus id, no-load injections, overload counts, stagger service and
+backlog in kW, and reference models of one slot's injections and of the
+stagger controller."""
 
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ import random
 from collections import deque
 from fractions import Fraction
 from typing import Mapping
+
+import numpy as np
 
 from gridstress import (
     Branch,
@@ -62,9 +65,17 @@ def two_bus_network(z_pu: complex, rating_kva: float = 10000.0) -> Network:
     return derive_impedances(net)
 
 
+def bus_vector(net: Network, injections: Mapping[str, complex]) -> np.ndarray:
+    """The injection vector the solvers take, from injections by bus id:
+    ordered like net.buses, slack entry zero, every other bus required."""
+    slack = net.slack_id()
+    return np.array([0j if bus_id == slack else complex(injections[bus_id])
+                     for bus_id in net.bus_ids()])
+
+
 def make_radial_network(rng: random.Random, n_buses: int,
-                        ties: int = 0) -> tuple[Network, dict[str, complex]]:
-    """Random connected radial network plus a matching injection set.
+                        ties: int = 0) -> tuple[Network, np.ndarray]:
+    """Random connected radial network plus a matching injection vector.
 
     Branch resistance and reactance are each uniform in [0.005, 0.1] pu;
     bus active loads are uniform in [0, 0.5] pu with Q = 0.3 P. ties
@@ -98,13 +109,13 @@ def make_radial_network(rng: random.Random, n_buses: int,
         catalog[name] = CableType(name, rng.uniform(0.005, 0.1) * Z_BASE_OHM,
                                   rng.uniform(0.005, 0.1) * Z_BASE_OHM)
         branches.append(Branch(*ends, "cable", 10000.0, cable_type=name, length_miles=1.0))
-    net = Network(S_BASE, tuple(buses), tuple(branches), (), catalog)
-    return derive_impedances(net), injections
+    net = derive_impedances(Network(S_BASE, tuple(buses), tuple(branches), (), catalog))
+    return net, bus_vector(net, injections)
 
 
-def no_load_injections(net: Network) -> dict[str, complex]:
-    """Zero injection at every non-slack bus."""
-    return {bus.id: 0j for bus in net.buses if bus.kind != "slack"}
+def no_load_injections(net: Network) -> np.ndarray:
+    """Zero injection at every bus."""
+    return np.zeros(len(net.buses), dtype=complex)
 
 
 def slot_injections(net: Network, scenario: Scenario, profiles: Mapping[str, LoadProfile],

@@ -87,7 +87,7 @@ def test_criterion_2_conservation(bench):
     for net, injections, nr, _ in _converged_random_cases():
         if not nr.converged:
             continue
-        loads = -sum(injections.values())
+        loads = -sum(injections)
         losses_pu = total_losses(net, nr) / net.s_base_mva
         ok = ok and abs(nr.slack_injection - loads - losses_pu) <= 1e-6
         ok = ok and losses_pu.real >= -1e-9
@@ -98,7 +98,7 @@ def test_criterion_2_conservation(bench):
         solution = solve_newton_raphson(bench.network, injections)
         if not solution.converged:
             continue
-        loads = -sum(injections.values())
+        loads = -sum(injections)
         losses_pu = total_losses(bench.network, solution) / bench.network.s_base_mva
         ok = ok and abs(solution.slack_injection - loads - losses_pu) <= 1e-6
         ok = ok and losses_pu.real >= -1e-9

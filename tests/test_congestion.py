@@ -12,7 +12,7 @@ from gridstress import (
 )
 from gridstress.congestion import bin_label
 
-from helpers import no_load_injections, two_bus_network
+from helpers import bus_vector, no_load_injections, two_bus_network
 
 
 class TestBinLoadings:
@@ -97,7 +97,7 @@ class TestCongestedElements:
 
     def test_sorted_descending_above_threshold(self):
         net = two_bus_network(0.02 + 0.05j, rating_kva=10000.0)
-        solution = solve_newton_raphson(net, {"load": -1.2 - 0.2j})
+        solution = solve_newton_raphson(net, bus_vector(net, {"load": -1.2 - 0.2j}))
         listed = congested_elements(solution, 100.0)
         assert [branch for branch, _ in listed] == ["source -> load"]
         assert listed[0][1] >= 100.0

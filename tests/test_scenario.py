@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -30,7 +31,6 @@ from gridstress import (
     ev_load_kw,
     normalize_profile,
     one_third_stagger,
-    pv_injection_kw,
     run_sweep,
     solve_newton_raphson,
 )
@@ -48,7 +48,7 @@ from gridstress.scenario import (
     pv_clear_day_profile,
 )
 
-from helpers import FifoStagger, backlog_kw, slot_injections, stagger_served
+from helpers import FifoStagger, backlog_kw, bus_vector, slot_injections, stagger_served
 
 DATA = Path(__file__).parent / "data"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -138,20 +138,28 @@ class TestEvLoadKw:
 
 
 class TestPvInjection:
+    """A PV site injects its capacity times its profile coefficient."""
+
+    @staticmethod
+    def _injection(capacity_kw: float, profile: LoadProfile, slot: int) -> complex:
+        scenario = Scenario("s", penetration=0.0, pv_enabled=True,
+                            bindings=ProfileBindings(pv_default=profile.id))
+        injections = build_injections(_mini_grid(pv_kw=capacity_kw), scenario,
+                                      {profile.id: profile}, slot)
+        return injections[1]
+
     def test_full_output(self):
-        site = Generator("Student REC", "pv_site", 1200.0)
         profile = LoadProfile("pv", tuple([1.0] * 96))
-        assert pv_injection_kw(site, profile, 48) == 1200.0
+        assert self._injection(1200.0, profile, 48) == complex(1200.0 / 10_000.0, 0.0)
 
     def test_night_slot(self):
-        site = Generator("Parking B2", "pv_site", 467.0)
-        assert pv_injection_kw(site, pv_clear_day_profile(), 0) == 0.0
+        assert self._injection(467.0, pv_clear_day_profile(), 0) == 0j
 
     def test_half_output(self):
-        site = Generator("E6", "pv_site", 225.0)
         coeffs = [1.0] * 96
         coeffs[10] = 0.5
-        assert pv_injection_kw(site, LoadProfile("pv", tuple(coeffs)), 10) == 112.5
+        assert self._injection(225.0, LoadProfile("pv", tuple(coeffs)), 10) == complex(
+            112.5 / 10_000.0, 0.0)
 
 
 class TestScenarioValidation:
@@ -179,8 +187,13 @@ class TestScenarioValidation:
             Scenario("bad", penetration=0.1, controller="psychic")
 
     def test_parking_lot_capacity_positive_integer(self):
-        with pytest.raises(ScenarioConfigError, match="capacity"):
-            ParkingLot("L", 0, "somewhere")
+        for capacity in (0, -3, 2.5, float("inf"), float("-inf"), float("nan"), True, False,
+                         "12"):
+            with pytest.raises(ScenarioConfigError,
+                               match=f"^parking lot 'L' capacity must be a positive integer, "
+                                     f"got {re.escape(repr(capacity))}$"):
+                ParkingLot("L", capacity, "somewhere")
+        assert ParkingLot("L", 12.0, "somewhere").capacity == 12.0
 
     def test_connected_kw_aggregates_by_bus(self):
         scenario = Scenario("s", penetration=0.5, parking_lots=(
@@ -211,7 +224,7 @@ class TestBuildInjections:
     def test_zero_loads_give_zero_injections(self):
         net = _mini_grid(load_kw=0.0)
         scenario = Scenario("empty", penetration=0.0)
-        assert build_injections(net, scenario, {}, 0) == {"town": 0j}
+        assert build_injections(net, scenario, {}, 0).tolist() == [0j, 0j]
 
     def test_half_coefficient_scaling(self):
         net = _mini_grid(load_kw=1000.0)
@@ -221,8 +234,9 @@ class TestBuildInjections:
         scenario = Scenario("s", penetration=0.0,
                             bindings=ProfileBindings(load_default="p"))
         injections = build_injections(net, scenario, profiles, 0)
-        assert injections["town"].real == -0.05
-        assert injections["town"].imag == 0.0
+        assert net.bus_ids() == ("feed", "town")
+        assert injections[1].real == -0.05
+        assert injections[1].imag == 0.0
 
     def test_missing_load_binding_is_config_error(self):
         net = _mini_grid(load_kw=500.0)
@@ -307,18 +321,44 @@ class TestBuildInjections:
         scenario = Scenario("s", penetration=0.5, parking_lots=(ParkingLot("L", 10, "town"),),
                             bindings=ProfileBindings(ev="flat"))
         profiles = {"flat": _flat_profile()}
-        assert build_injections(net, scenario, profiles, 0) == {"town": complex(-0.005, 0.0)}
+        assert build_injections(net, scenario, profiles, 0).tolist() == [0j, complex(-0.005, 0.0)]
         # A bus the override leaves out draws nothing; it does not fall back to nominal.
-        assert build_injections(net, scenario, profiles, 0, ev_kw_override={}) == {"town": 0j}
         assert build_injections(net, scenario, profiles, 0,
-                                ev_kw_override={"town": 20.0}) == {"town": complex(-0.002, 0.0)}
+                                ev_kw_override={}).tolist() == [0j, 0j]
+        assert build_injections(net, scenario, profiles, 0, ev_kw_override={"town": 20.0}
+                                ).tolist() == [0j, complex(-0.002, 0.0)]
+
+    def test_override_draw_reaches_the_power_flow_or_is_an_error(self, bench):
+        """Every override kW enters the injections; one that could not is named."""
+        net, scenario = bench.network, bench.scenario("ev25")
+        lot_bus = scenario.parking_lots[0].bus
+        idle, drawn = (build_injections(net, scenario, bench.profiles, 36, ev_kw_override=ev_kw)
+                       for ev_kw in ({}, {lot_bus: 700.0}))
+        at = net.bus_ids().index(lot_bus)
+        assert np.flatnonzero(drawn != idle).tolist() == [at]
+        assert drawn[at].real < idle[at].real
+        slack = net.slack_id()
+        where = "where the power flow takes no injection"
+        for override, message in (
+                ({"no-such-bus": 500.0, slack: 700.0},
+                 "EV draw override references unknown bus 'no-such-bus'; "
+                 f"EV draw override is on slack bus {slack!r}, {where}"),
+                ({lot_bus: -1.0}, f"EV draw override at bus {lot_bus!r} must be finite "
+                                  "and >= 0, got -1.0"),
+                ({lot_bus: float("inf")}, f"EV draw override at bus {lot_bus!r} must be "
+                                          "finite and >= 0, got inf"),
+                ({lot_bus: float("nan")}, f"EV draw override at bus {lot_bus!r} must be "
+                                          "finite and >= 0, got nan")):
+            with pytest.raises(ScenarioConfigError) as info:
+                build_injections(net, scenario, bench.profiles, 36, ev_kw_override=override)
+            assert str(info.value) == message
 
     def test_pv_enters_as_negative_load(self):
         net = _mini_grid(load_kw=0.0, pv_kw=500.0)
         scenario = Scenario("s", penetration=0.0, pv_enabled=True,
                             bindings=ProfileBindings(pv_default="flat"))
         injections = build_injections(net, scenario, {"flat": _flat_profile()}, 0)
-        assert injections["town"] == 0.05 + 0j
+        assert injections[1] == 0.05 + 0j
 
     def test_generator_profile_field_takes_precedence(self):
         net = _mini_grid(pv_kw=500.0)
@@ -332,16 +372,17 @@ class TestBuildInjections:
         scenario = Scenario("s", penetration=0.0, pv_enabled=True,
                             bindings=ProfileBindings(pv_default="flat"))
         injections = build_injections(net, scenario, profiles, 0)
-        assert injections["town"].real == pytest.approx(0.025)
+        assert injections[1].real == pytest.approx(0.025)
 
     def test_golden_benchmark_injection_vector(self, bench):
         """Regenerate the stored injection fixture and hand-audit 3 buses."""
-        injections = build_injections(bench.network, bench.scenario("ev25"),
-                                      bench.profiles, 36)
+        net = bench.network
+        vector = build_injections(net, bench.scenario("ev25"), bench.profiles, 36)
         golden = json.loads((DATA / "golden_injections_ev25_slot36.json").read_text())
-        assert set(golden) == set(injections)
-        for bus, (real, imag) in golden.items():
-            assert injections[bus] == complex(real, imag), bus
+        assert set(golden) == set(net.bus_ids()) - {net.slack_id()}
+        assert vector.tobytes() == bus_vector(net, {bus: complex(real, imag) for bus, (real, imag)
+                                                    in golden.items()}).tobytes()
+        injections = dict(zip(net.bus_ids(), vector.tolist()))
         # Independent audits: building kW plus 25% x stalls x 10 kW,
         # reactive at 0.95 power factor, on the 10 MVA base.
         assert injections["Parking G3"] == complex(-0.4575, -0.000821710262947158)
@@ -474,27 +515,31 @@ class _SolvedRows(list):
 
 
 def _sweep_recording_injections(monkeypatch, net, scenario, profiles):
-    """run_sweep, and a copy of the injection vector its plan built for each interval.
+    """run_sweep, and a copy of the row of injections its plan evaluated
+    for each interval, and the number of day evaluations it made.
 
     build_injections evaluates a plan too, so the record is copied as
     soon as the sweep returns.
     """
     built = {}
-    plan_vector = scenario_module._InjectionPlan.vector
+    days = []
+    plan_day = scenario_module._InjectionPlan.day
 
-    def recorded(plan, interval, ev_kw):
-        vector = plan_vector(plan, interval, ev_kw)
-        built[interval] = vector.copy()
-        return vector
+    def recorded(plan, intervals, ev_buses, ev_kw):
+        injections = plan_day(plan, intervals, ev_buses, ev_kw)
+        built.update(zip(intervals, injections.copy()))
+        days.append(len(intervals))
+        return injections
 
-    monkeypatch.setattr(scenario_module._InjectionPlan, "vector", recorded)
-    return run_sweep(net, scenario, profiles), dict(built)
+    monkeypatch.setattr(scenario_module._InjectionPlan, "day", recorded)
+    result = run_sweep(net, scenario, profiles)
+    assert days == [len(result.records)]
+    return result, dict(built)
 
 
-def _bus_vector(net, injections):
-    """A mapping of injections as the bus-ordered vector, slack entry zero."""
-    slack = net.slack_id()
-    return np.array([0j if bus_id == slack else injections[bus_id] for bus_id in net.bus_ids()])
+def _evaluate(plan, interval, ev_kw):
+    """plan's injections at one interval with ev_kw, by bus id, as the whole EV draw."""
+    return plan.day([interval], list(ev_kw), np.array([list(ev_kw.values())], dtype=float))[0]
 
 
 def _nominal_solution(net, scenario, profiles, interval):
@@ -636,13 +681,9 @@ class TestRunSweep:
     @staticmethod
     def _check_direct_solves(net, result, built):
         for record in result.records:
-            vector = built[record.interval]
-            by_id = dict(zip(net.bus_ids(), vector.tolist()))
-            del by_id[net.slack_id()]
-            for injections in (vector, by_id):
-                direct = solve_newton_raphson(net, injections)
-                assert record.solution == direct
-                assert repr(record.solution) == repr(direct)
+            direct = solve_newton_raphson(net, built[record.interval])
+            assert record.solution == direct
+            assert repr(record.solution) == repr(direct)
 
     def test_reuse_does_not_outlive_a_sweep(self, bench, monkeypatch):
         calls = _count_solves(monkeypatch)
@@ -665,8 +706,9 @@ class TestRunSweep:
     def test_signed_zero_injections_are_solved_apart(self, monkeypatch):
         net = _mini_grid(load_kw=0.0)
         sets = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0)]
-        monkeypatch.setattr(scenario_module._InjectionPlan, "vector",
-                            lambda plan, interval, ev_kw: np.array([0j, sets[interval % 3]]))
+        monkeypatch.setattr(scenario_module._InjectionPlan, "day",
+                            lambda plan, intervals, ev_buses, ev_kw:
+                            np.array([[0j, sets[interval % 3]] for interval in intervals]))
         calls = _count_solves(monkeypatch)
         result = run_sweep(net, Scenario("zeros", penetration=0.0), {}, intervals=range(6))
         assert len(calls) == 3
@@ -699,37 +741,90 @@ def _feeder_cases(seed: int):
     return [(net, scenario, profiles) for scenario in scenarios]
 
 
+def _random_day(rng: random.Random, tiny: float, controller: str):
+    """(network, scenario, profiles) of a random radial day whose loads, PV
+    capacities, penetration and profiles draw signed zeros and tiny
+    values, with two PV sites and two parking lots on one bus."""
+    def draw(scale):
+        return rng.choice((0.0, -0.0, tiny, rng.uniform(0.0, scale)))
+
+    n = rng.randrange(3, 7)
+    ids = [f"b{i}" for i in range(n)]
+    catalog = {"c": CableType("c", 0.05, 0.12)}
+    buses = [Bus(ids[0], "slack", 4.16)] + [
+        Bus(bus_id, "load", 4.16, NominalLoad(draw(800.0), draw(300.0))) for bus_id in ids[1:]]
+    branches = [Branch(ids[rng.randrange(i)], ids[i], "cable", 10000.0, cable_type="c",
+                       length_miles=0.2) for i in range(1, n)]
+    shared = ids[1]
+    pv_buses = [shared, shared, rng.choice(ids[1:])]
+    generators = tuple(Generator(bus, "pv_site", draw(400.0), rng.choice((None, "pv-b")))
+                       for bus in pv_buses)
+    net = derive_impedances(Network(10.0, tuple(buses), tuple(branches), generators, catalog))
+
+    def profile(profile_id):
+        coeffs = [rng.choice((0.0, rng.random())) for _ in range(95)] + [1.0]
+        rng.shuffle(coeffs)
+        return LoadProfile(profile_id, tuple(coeffs))
+
+    profiles = {pid: profile(pid) for pid in ("load", "pv-a", "pv-b", "ev")}
+    lots = (ParkingLot("L1", rng.randrange(1, 60), shared),
+            ParkingLot("L2", rng.randrange(1, 60), shared),
+            ParkingLot("L3", rng.randrange(1, 60), rng.choice(ids[1:])))
+    scenario = Scenario("random", rng.choice((0.0, -0.0, rng.random(), rng.random())),
+                        pv_enabled=rng.random() < 0.8, controller=controller, parking_lots=lots,
+                        bindings=ProfileBindings(load_default="load", ev="ev",
+                                                 pv_default="pv-a"))
+    return net, scenario, profiles
+
+
 class TestInjectionPlan:
-    """run_sweep resolves the bindings once; every slot keeps its bits."""
+    """run_sweep resolves the bindings once and evaluates its day once;
+    every slot keeps the bits of the per-slot reference."""
 
     def _check_day(self, monkeypatch, net, scenario, profiles):
         result, built = _sweep_recording_injections(monkeypatch, net, scenario, profiles)
         ev_nominal = scenario.ev_connected_kw_by_bus()
         fifo = FifoStagger(ev_nominal) if scenario.controller == "one_third_stagger" else None
         plan = scenario_module._InjectionPlan(net, scenario, profiles)
+        demanded_units = 0
         for record in result.records:
             slot = record.interval
-            nominal = build_injections(net, scenario, profiles, slot)
-            assert repr(nominal) == repr(slot_injections(net, scenario, profiles, slot)), slot
+            nominal = bus_vector(net, slot_injections(net, scenario, profiles, slot))
+            assert build_injections(net, scenario, profiles, slot).tobytes() == \
+                nominal.tobytes(), slot
             demanded = {bus: kw * profiles[scenario.bindings.ev].coefficient(slot)
                         for bus, kw in ev_nominal.items()}
+            demanded_units += sum(map(scenario_module._dyadic_units, demanded.values()))
             settled = fifo.step(demanded, slot) if fifo is not None and demanded else demanded
-            reference = slot_injections(net, scenario, profiles, slot, settled)
-            expected = _bus_vector(net, reference).tobytes()
+            expected = bus_vector(net, slot_injections(net, scenario, profiles, slot,
+                                                       settled)).tobytes()
             assert built[slot].tobytes() == expected, slot
-            assert plan.vector(slot, settled).tobytes() == expected, slot
-            assert repr(build_injections(net, scenario, profiles, slot,
-                                         ev_kw_override=settled)) == repr(reference), slot
+            assert _evaluate(plan, slot, settled).tobytes() == expected, slot
+            assert build_injections(net, scenario, profiles, slot,
+                                    ev_kw_override=settled).tobytes() == expected, slot
+        # The ledger's demand is the exact sum of every slot's draw at every bus.
+        ledger = result.ledger
+        assert ledger.demanded_kwh == Fraction(demanded_units, scenario_module._DYADIC_UNIT) / 4
+        assert ledger.unserved_kwh == (fifo.unserved() / 4 if fifo is not None else 0)
+        assert ledger.served_kwh + ledger.unserved_kwh == ledger.demanded_kwh
 
     @pytest.mark.parametrize("name", ["base", "ev10", "ev25", "ev25_pv", "ev25_pv_lm"])
     def test_campus_day_matches_the_per_slot_reference(self, bench, monkeypatch, name):
         self._check_day(monkeypatch, bench.network, bench.scenario(name), bench.profiles)
 
-    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("seed", [1, 2, 7])
     def test_feeder_days_match_the_per_slot_reference(self, monkeypatch, seed):
         for net, scenario, profiles in _feeder_cases(seed):
             with monkeypatch.context() as patch:
                 self._check_day(patch, net, scenario, profiles)
+
+    def test_random_days_match_the_per_slot_reference(self, rng, monkeypatch):
+        """Signed-zero and tiny loads, PV sites and draws; two PV sites and
+        two lots on one bus; both controllers."""
+        for k in range(8):
+            controller = scenario_module.CONTROLLERS[k % 2]
+            with monkeypatch.context() as patch:
+                self._check_day(patch, *_random_day(rng, 5e-324, controller))
 
     def test_signed_zeros_are_kept(self):
         """Tiny draws underflow to -0.0 on the system base; absent terms add nothing."""
@@ -749,12 +844,15 @@ class TestInjectionPlan:
                                 bindings=ProfileBindings(load_default="flat", pv_default="flat"))
             plan = scenario_module._InjectionPlan(net, scenario, profiles)
             for ev_kw in ({}, {"town": 0.0}, {"town": -0.0}, {"town": tiny}, {"town": -tiny}):
-                reference = slot_injections(net, scenario, profiles, 0, ev_kw)
-                vector = plan.vector(0, ev_kw)
-                assert vector.tobytes() == _bus_vector(net, reference).tobytes(), \
-                    (kw, kvar, pv_kw, ev_kw)
-                assert repr(build_injections(net, scenario, profiles, 0,
-                                             ev_kw_override=ev_kw)) == repr(reference)
+                expected = bus_vector(net, slot_injections(net, scenario, profiles, 0, ev_kw))
+                vector = _evaluate(plan, 0, ev_kw)
+                assert vector.tobytes() == expected.tobytes(), (kw, kvar, pv_kw, ev_kw)
+                if ev_kw.get("town", 0.0) < 0:
+                    with pytest.raises(ScenarioConfigError, match="must be finite and >= 0"):
+                        build_injections(net, scenario, profiles, 0, ev_kw_override=ev_kw)
+                else:
+                    assert build_injections(net, scenario, profiles, 0, ev_kw_override=ev_kw
+                                            ).tobytes() == expected.tobytes()
                 value = vector[1]
                 signs.update((math.copysign(1.0, value.real), math.copysign(1.0, value.imag)))
         assert signs == {1.0, -1.0}
