@@ -27,7 +27,6 @@ from .network import (
 from .powerflow import (
     BranchFlow,
     PowerFlowSolution,
-    SolverOptions,
     branch_flows,
     build_ybus,
     solve_gauss_seidel,
@@ -65,7 +64,6 @@ __all__ = [
     "PowerFlowSolution",
     "ProfileBindings",
     "Scenario",
-    "SolverOptions",
     "StaggerState",
     "SweepResult",
     "Violation",

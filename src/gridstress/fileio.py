@@ -164,10 +164,11 @@ def parse_network_file(text: str) -> Network:
         if kind == "cable":
             cable_type = rec.take("cable_type", str)
             length = rec.take("length_miles", float)
+            tap = rec.take("tap", float, required=False, default=1.0)
             rec.finish()
             if None not in (from_bus, to_bus, rating, cable_type, length):
-                branches.append(Branch(from_bus, to_bus, "cable", rating,
-                                       cable_type=cable_type, length_miles=length))
+                branches.append(Branch(from_bus, to_bus, "cable", rating, cable_type=cable_type,
+                                       length_miles=length, tap=tap))
         elif kind == "transformer":
             percent = rec.take("impedance_percent", float)
             tap = rec.take("tap", float, required=False, default=1.0)
@@ -207,7 +208,8 @@ def parse_network_file(text: str) -> Network:
 
 
 def emit_network_file(net: Network) -> str:
-    """Canonical network document; stable key order, explicit values."""
+    """Canonical network document; stable key order, explicit values except
+    a cable's tap, written only when it is not 1.0."""
     doc = {
         "s_base_mva": net.s_base_mva,
         "cable_catalog": {
@@ -235,6 +237,8 @@ def emit_network_file(net: Network) -> str:
                     "rating": b.rating_kva,
                     "cable_type": b.cable_type,
                     "length_miles": b.length_miles,
+                    # Written only off nominal, so untapped cables keep their bytes.
+                    **({"tap": b.tap} if b.tap != 1.0 else {}),
                 }
                 if b.kind == "cable"
                 else {

@@ -62,15 +62,13 @@ STOP_REASONS = ("converged", "max_iter", "singular_jacobian", "non_finite")
 _CONVERGED, _MAX_ITER, _SINGULAR, _NON_FINITE = range(len(STOP_REASONS))
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    tol: float = 1e-8
-    max_iter: int = 30
-
-
-# Gauss-Seidel converges linearly; the tolerance applies to the largest
-# per-sweep voltage change rather than the power mismatch.
-GAUSS_SEIDEL_DEFAULTS = SolverOptions(tol=1e-10, max_iter=50_000)
+# Newton-Raphson stops once max(|dP|, |dQ|) <= NR_TOL pu, or after
+# NR_MAX_ITER steps. Gauss-Seidel converges linearly; its tolerance applies
+# to the largest per-sweep voltage change rather than the power mismatch.
+NR_TOL = 1e-8
+NR_MAX_ITER = 30
+GS_TOL = 1e-10
+GS_MAX_ITER = 50_000
 
 
 class BranchFlow(NamedTuple):
@@ -99,9 +97,12 @@ class PowerFlowSolution:
     branch_flows: tuple[BranchFlow, ...]
     slack_injection: complex
     iterations: int
-    converged: bool
     max_mismatch: float
     stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     def loading_by_branch(self) -> dict[str, float]:
         return {f.branch_id: f.loading_percent for f in self.branch_flows}
@@ -401,7 +402,6 @@ def _finish(c: _Compiled, voltages: np.ndarray, iterations: np.ndarray, stops: n
             branch_flows=flows,
             slack_injection=v[c.slack] * i_slack.conjugate(),
             iterations=its,
-            converged=stop == _CONVERGED,
             max_mismatch=mismatch,
             stop_reason=STOP_REASONS[stop],
         )
@@ -420,20 +420,16 @@ def _mismatch(s_spec: np.ndarray, s_calc: np.ndarray,
     return stacked, np.abs(stacked).max(axis=1, initial=0.0)
 
 
-def solve_newton_raphson(
-    net: Network,
-    injections: np.ndarray,
-    opts: SolverOptions = SolverOptions(),
-) -> PowerFlowSolution:
+def solve_newton_raphson(net: Network, injections: np.ndarray) -> PowerFlowSolution:
     """Full-Jacobian Newton-Raphson power flow in polar form.
 
     injections is the bus-ordered vector that build_injections returns
-    (see the module docstring). Converged means max(|dP|, |dQ|) <= opts.tol
+    (see the module docstring). Converged means max(|dP|, |dQ|) <= NR_TOL
     at every non-slack bus. On non-convergence the best iterate seen
     (smallest mismatch) is returned with converged=False so the caller
     can decide. This is a batch of one (_newton_raphson).
     """
-    return _newton_raphson(net, np.asarray(injections, dtype=complex)[None], opts)[0]
+    return _newton_raphson(net, np.asarray(injections, dtype=complex)[None])[0]
 
 
 # Rows iterated and finished together. Each row holds about ten n-vectors
@@ -442,24 +438,22 @@ def solve_newton_raphson(
 _BLOCK_ROWS = 32
 
 
-def _newton_raphson(net: Network, s_spec: np.ndarray,
-                    opts: SolverOptions = SolverOptions()) -> list[PowerFlowSolution]:
+def _newton_raphson(net: Network, s_spec: np.ndarray) -> list[PowerFlowSolution]:
     """Newton-Raphson in lockstep over the rows of s_spec (k, n), each a
     bus-ordered injection vector; one solution per row, in row order."""
     c = _compiled(net)
     c.check_rows(s_spec)
     return [solution for start in range(0, len(s_spec), _BLOCK_ROWS)
-            for solution in _finish(c, *_iterate(c, s_spec[start:start + _BLOCK_ROWS], opts))]
+            for solution in _finish(c, *_iterate(c, s_spec[start:start + _BLOCK_ROWS]))]
 
 
-def _iterate(c: _Compiled, s_spec: np.ndarray,
-             opts: SolverOptions) -> tuple[np.ndarray, ...]:
+def _iterate(c: _Compiled, s_spec: np.ndarray) -> tuple[np.ndarray, ...]:
     """The Newton-Raphson steps of every row of s_spec (k, n); returns, per
     row, the voltages it reports, its step count, stop code and mismatch.
 
     Every row starts flat (1.0 per unit, zero angle), whose voltages,
     powers and Jacobian are compiled, and stops on its own: converged,
-    after opts.max_iter steps, at a singular Jacobian (not counted as a
+    after NR_MAX_ITER steps, at a singular Jacobian (not counted as a
     step) or at a non-finite iterate (counted). A converged row reports
     its last iterate; any other its best one, the smallest mismatch seen.
     """
@@ -467,12 +461,12 @@ def _iterate(c: _Compiled, s_spec: np.ndarray,
     pq, npq = c.pq, len(c.pq)
     jacobian = _JacobianWork(c.ybus, c.jacobian_index)
 
-    # Per row of s_spec: what it reports once stopped. Rows never stepped
-    # (opts.max_iter < 0) report the flat start.
-    final_voltages = np.tile(c.flat_voltages, (k, 1))
-    iterations = np.zeros(k, dtype=int)
-    stops = np.full(k, _MAX_ITER)
-    mismatches = np.full(k, np.inf)
+    # Per row of s_spec: what it reports once stopped. Every row stops
+    # within the loop, the last ones at step NR_MAX_ITER.
+    final_voltages = np.empty((k, n), dtype=complex)
+    iterations = np.empty(k, dtype=int)
+    stops = np.empty(k, dtype=int)
+    mismatches = np.empty(k)
 
     # Per row still iterating (the batch shrinks as rows stop): its row in
     # s_spec, its injections, the voltage angles then magnitudes at the PQ
@@ -480,9 +474,9 @@ def _iterate(c: _Compiled, s_spec: np.ndarray,
     rows = np.arange(k)
     polar = np.zeros((k, 2, npq))
     polar[:, 1] = 1.0
-    voltages = final_voltages.copy()
-    best_voltages = final_voltages.copy()
-    best_mismatch = mismatches
+    voltages = np.tile(c.flat_voltages, (k, 1))
+    best_voltages = voltages.copy()
+    best_mismatch = np.full(k, np.inf)
     s_calc, i_bus = c.flat_power, None
 
     def stop(which, reason, steps: int) -> None:
@@ -492,15 +486,14 @@ def _iterate(c: _Compiled, s_spec: np.ndarray,
         iterations[at] = steps
         stops[at] = reason
 
-    for step in range(opts.max_iter + 1):
+    for step in range(NR_MAX_ITER + 1):
         mis, max_mis = _mismatch(s_spec, s_calc, c.mismatch_index)
-        converged = max_mis <= opts.tol
-        # A converged row's iterate is its best: every earlier one was above
-        # tol (a finite tol; with tol = inf every row converges at the start).
+        converged = max_mis <= NR_TOL
+        # A converged row's iterate is its best: every earlier one was above NR_TOL.
         best = max_mis < best_mismatch
         best_mismatch = np.where(best, max_mis, best_mismatch)
         np.copyto(best_voltages, voltages, where=best[:, None])
-        if step == opts.max_iter:
+        if step == NR_MAX_ITER:
             stop(slice(None), np.where(converged, _CONVERGED, _MAX_ITER), step)
             break
         if converged.any():
@@ -534,14 +527,10 @@ def _iterate(c: _Compiled, s_spec: np.ndarray,
     return final_voltages, iterations, stops, mismatches
 
 
-def solve_gauss_seidel(
-    net: Network,
-    injections: np.ndarray,
-    opts: SolverOptions = GAUSS_SEIDEL_DEFAULTS,
-) -> PowerFlowSolution:
+def solve_gauss_seidel(net: Network, injections: np.ndarray) -> PowerFlowSolution:
     """Gauss-Seidel power flow: sweep per-bus fixed-point voltage updates.
 
-    Converged means the largest voltage change in a sweep is <= opts.tol.
+    Converged means the largest voltage change in a sweep is <= GS_TOL.
     Independent of the Newton path, which makes it a usable oracle.
     """
     c = _compiled(net)
@@ -554,7 +543,7 @@ def solve_gauss_seidel(
     iterations = 0
     stop = _MAX_ITER
 
-    for _ in range(opts.max_iter):
+    for _ in range(GS_MAX_ITER):
         max_dv = 0.0
         for i in pq:
             coupled = ybus[i, :] @ voltages - ybus[i, i] * voltages[i]
@@ -562,7 +551,7 @@ def solve_gauss_seidel(
             max_dv = max(max_dv, abs(updated - voltages[i]))
             voltages[i] = updated
         iterations += 1
-        if max_dv <= opts.tol:
+        if max_dv <= GS_TOL:
             stop = _CONVERGED
             break
         if not np.all(np.isfinite(voltages)):

@@ -5,17 +5,16 @@ A day is 96 slots of 15 minutes. Building loads scale their nominal kW
 by a normalized profile coefficient; EV charging load is penetration
 times parking capacity times per-charger kW, shaped by an EV profile;
 PV sites inject capacity times their profile coefficient as negative
-load at unity power factor. Each sweep resolves the scenario's bindings
-(lot buses, PV sites' and loaded buses' profiles) into one injection
-plan. The controller first settles the EV draw of every interval; the
-plan then evaluates the whole day once into one complex matrix, a row
-per interval ordered like net.buses (slack entry zero). That row is the
-one injection form: build_injections returns one, and the solvers take
-it. The sweep then solves the distinct rows, bit for bit, as one
-lockstep Newton-Raphson batch (see powerflow) and records each interval
-with the solution of its row: intervals whose rows are equal share one
-(immutable) solution. A single solve is a batch of one, so both take the
-same steps.
+load at unity power factor. A sweep's controller first settles the EV
+draw of every interval; the sweep then resolves the scenario's bindings
+(lot buses, PV sites' and loaded buses' profiles) and evaluates the
+whole day once into one complex matrix, a row per interval ordered like
+net.buses (slack entry zero). That row is the one injection form:
+build_injections returns one, and the solvers take it. The sweep then
+solves the distinct rows, bit for bit, as one lockstep Newton-Raphson
+batch (see powerflow) and records each interval with the solution of its
+row: intervals whose rows are equal share one (immutable) solution. A
+single solve is a batch of one, so both take the same steps.
 
 Sweeps with the null controller have independent intervals and may be
 evaluated concurrently by callers. The one-third stagger controller
@@ -36,7 +35,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .network import Generator, Network
+from .network import Network
 from .powerflow import PowerFlowSolution, _newton_raphson
 # Kept importable from this module: the benchmark's traced run
 # (perfbench/spans.py) binds scenario.solve_newton_raphson by name.
@@ -246,9 +245,16 @@ def _ev_demand(scenario: Scenario, profiles: Mapping[str, LoadProfile],
     return list(ev_nominal), kw * _coefficients(profiles[ev], intervals)[:, None]
 
 
-def _unplaced(net: Network, placed: Iterable[tuple[str, str]]) -> list[str]:
-    """Why each (what, bus) cannot reach net's power flow: an unknown bus,
-    or the slack bus, where no injection enters it."""
+def placement_errors(net: Network, scenario: Scenario) -> list[str]:
+    """Why the scenario's EV and PV terms cannot all reach net's power flow.
+
+    Each parking lot, and with PV on each PV site, must sit on a known bus
+    other than the slack bus, where no injection enters the power flow:
+    its energy would be counted but never drawn.
+    """
+    placed = [(f"parking lot {lot.name!r}", lot.bus) for lot in scenario.parking_lots]
+    if scenario.pv_enabled:
+        placed += [(f"PV site of {site.capacity_kw:g} kW", site.bus) for site in net.pv_sites()]
     bus_ids = net.bus_ids()
     slack = net.slack_id()
     errors = []
@@ -261,123 +267,83 @@ def _unplaced(net: Network, placed: Iterable[tuple[str, str]]) -> list[str]:
     return errors
 
 
-def placement_errors(net: Network, scenario: Scenario) -> list[str]:
-    """Why the scenario's EV and PV terms cannot all reach net's power flow.
-
-    Each parking lot, and with PV on each PV site, must sit on a known bus
-    other than the slack bus, where no injection enters the power flow:
-    its energy would be counted but never drawn.
-    """
-    placed = [(f"parking lot {lot.name!r}", lot.bus) for lot in scenario.parking_lots]
-    if scenario.pv_enabled:
-        placed += [(f"PV site of {site.capacity_kw:g} kW", site.bus) for site in net.pv_sites()]
-    return _unplaced(net, placed)
-
-
-def build_injections(
-    net: Network,
-    scenario: Scenario,
-    profiles: Mapping[str, LoadProfile],
-    interval: int,
-    ev_kw_override: Mapping[str, float] | None = None,
-) -> np.ndarray:
-    """Net complex power injections in pu at interval, the vector the
-    solvers take: one entry per bus, ordered like net.buses, with the
-    slack entry zero.
+def build_injections(net: Network, scenario: Scenario, profiles: Mapping[str, LoadProfile],
+                     interval: int) -> np.ndarray:
+    """Net complex power injections in pu at interval with the scenario's
+    nominal EV draw, the vector the solvers take: one entry per bus,
+    ordered like net.buses, with the slack entry zero.
 
     injection = -(building load * coefficient) - active EV kW + PV kW,
     divided by the system base. Building reactive load scales with the
     same coefficient; EV and PV are unity power factor.
-    ev_kw_override, when given, is the whole EV draw in kW per bus (a
-    controller's settled draw) in place of the scenario's nominal one;
-    an unknown or slack bus, or a negative or non-finite kW, in it is a
-    ScenarioConfigError.
     """
-    if ev_kw_override is None:
-        ev_buses, ev_kw = _ev_demand(scenario, profiles, [interval])
-    else:
-        errors = _unplaced(net, [("EV draw override", bus) for bus in ev_kw_override])
-        errors += [f"EV draw override at bus {bus!r} must be finite and >= 0, got {kw!r}"
-                   for bus, kw in ev_kw_override.items() if not 0.0 <= kw < math.inf]
-        if errors:
-            raise ScenarioConfigError("; ".join(errors))
-        ev_buses = list(ev_kw_override)
-        ev_kw = np.array([list(ev_kw_override.values())], dtype=float)
-    return _InjectionPlan(net, scenario, profiles).day([interval], ev_buses, ev_kw)[0]
+    ev_buses, ev_kw = _ev_demand(scenario, profiles, [interval])
+    return _day_injections(net, scenario, profiles, [interval], ev_buses, ev_kw)[0]
 
 
-class _InjectionPlan:
-    """A scenario's injections on one network with every binding resolved.
+def _day_injections(net: Network, scenario: Scenario, profiles: Mapping[str, LoadProfile],
+                    intervals: Sequence[int], ev_buses: Sequence[str],
+                    ev_kw: np.ndarray) -> np.ndarray:
+    """Injections in pu, one row per interval (intervals x buses), ordered
+    like net.buses with the slack entry zero; ev_kw[r, j] is the whole EV
+    draw of bus ev_buses[j] at intervals[r].
 
-    Built once per sweep (and once per build_injections call): the
-    parking-lot buses are checked, each PV site's and each loaded bus's
-    profile is looked up and every bus's position in net.buses is fixed.
-    day reads only the coefficients and computes each element with the
+    Every binding is resolved before any coefficient is read, so a lot or
+    PV site that cannot be placed, then a missing PV or load binding, is
+    reported before a short profile's missing slot. Each element takes the
     float steps of a per-interval scalar sum: the load term, then the EV
     draw, then PV, each applied only where the bus has it, so +0.0 and
     -0.0 stay apart.
     """
+    errors = placement_errors(net, scenario)
+    if errors:
+        raise ScenarioConfigError("; ".join(errors))
+    bindings = scenario.bindings
+    slack = net.slack_id()
+    position = {bus_id: i for i, bus_id in enumerate(net.bus_ids())}
 
-    def __init__(self, net: Network, scenario: Scenario, profiles: Mapping[str, LoadProfile]):
-        errors = placement_errors(net, scenario)
-        if errors:
-            raise ScenarioConfigError("; ".join(errors))
-        bindings = scenario.bindings
-        bus_ids = net.bus_ids()
-        slack = net.slack_id()
-        # Position in net.buses of every non-slack bus, the only ones injected at.
-        self.position = {bus_id: i for i, bus_id in enumerate(bus_ids) if bus_id != slack}
-        self.n = len(bus_ids)
+    # (bus position, capacity kW, profile) per PV site
+    pv: list[tuple[int, float, LoadProfile]] = []
+    if scenario.pv_enabled:
+        for site in net.pv_sites():
+            profile_id = bindings.pv.get(site.bus) or site.profile or bindings.pv_default
+            pv.append((position[site.bus], site.capacity_kw,
+                       _bound_profile(profiles, profile_id, "PV", "site at", site.bus)))
 
-        # (bus position, site, its profile) per PV site
-        self.pv: list[tuple[int, Generator, LoadProfile]] = []
-        if scenario.pv_enabled:
-            for site in net.pv_sites():
-                profile_id = bindings.pv.get(site.bus) or site.profile or bindings.pv_default
-                self.pv.append((self.position[site.bus], site,
-                                _bound_profile(profiles, profile_id, "PV", "site at", site.bus)))
+    # Loaded buses grouped by profile, in order of first appearance:
+    # profile id -> (profile, positions, kW, kvar)
+    loads: dict[str, tuple[LoadProfile, list[int], list[float], list[float]]] = {}
+    for bus in net.buses:
+        load = bus.nominal_load
+        if bus.id == slack or (load.kw == 0.0 and load.kvar == 0.0):
+            continue
+        profile_id = bindings.load.get(bus.id, bindings.load_default)
+        profile = _bound_profile(profiles, profile_id, "load", "bus", bus.id)
+        group = loads.setdefault(profile_id, (profile, [], [], []))
+        group[1].append(position[bus.id])
+        group[2].append(load.kw)
+        group[3].append(load.kvar)
 
-        # Loaded buses grouped by profile, in order of first appearance:
-        # profile id -> (profile, positions, kW, kvar)
-        groups: dict[str, tuple[LoadProfile, list[int], list[float], list[float]]] = {}
-        for bus in net.buses:
-            load = bus.nominal_load
-            if bus.id == slack or (load.kw == 0.0 and load.kvar == 0.0):
-                continue
-            profile_id = bindings.load.get(bus.id, bindings.load_default)
-            profile = _bound_profile(profiles, profile_id, "load", "bus", bus.id)
-            group = groups.setdefault(profile_id, (profile, [], [], []))
-            group[1].append(self.position[bus.id])
-            group[2].append(load.kw)
-            group[3].append(load.kvar)
-        self.loads = [(profile, np.array(index), np.array(kw), np.array(kvar))
-                      for profile, index, kw, kvar in groups.values()]
-        self.kva_base = 1000.0 * net.s_base_mva
+    # PV kW per bus position, summed in site order.
+    pv_kw: dict[int, np.ndarray] = {}
+    for i, capacity_kw, profile in pv:
+        pv_kw[i] = pv_kw.get(i, 0.0) + capacity_kw * _coefficients(profile, intervals)
 
-    def day(self, intervals: Sequence[int], ev_buses: Sequence[str],
-            ev_kw: np.ndarray) -> np.ndarray:
-        """Injections in pu, one row per interval (intervals x buses), ordered
-        like net.buses with the slack entry zero; ev_kw[r, j] is the whole EV
-        draw of non-slack bus ev_buses[j] at intervals[r]."""
-        # PV kW per bus position, summed in site order.
-        pv_kw: dict[int, np.ndarray] = {}
-        for i, site, profile in self.pv:
-            pv_kw[i] = pv_kw.get(i, 0.0) + site.capacity_kw * _coefficients(profile, intervals)
-
-        shape = (len(intervals), self.n)
-        p_kw = np.zeros(shape)
-        q_kvar = np.zeros(shape)
-        for profile, index, kw, kvar in self.loads:
-            coeff = _coefficients(profile, intervals)[:, None]
-            p_kw[:, index] = 0.0 - kw * coeff
-            q_kvar[:, index] = 0.0 - kvar * coeff
-        p_kw[:, np.array([self.position[bus] for bus in ev_buses], dtype=int)] -= ev_kw
-        for i, kw in pv_kw.items():
-            p_kw[:, i] += kw
-        s = np.empty(shape, dtype=complex)
-        s.real = p_kw / self.kva_base
-        s.imag = q_kvar / self.kva_base
-        return s
+    shape = (len(intervals), len(position))
+    p_kw = np.zeros(shape)
+    q_kvar = np.zeros(shape)
+    for profile, index, kw, kvar in loads.values():
+        coeff = _coefficients(profile, intervals)[:, None]
+        p_kw[:, index] = 0.0 - np.array(kw) * coeff
+        q_kvar[:, index] = 0.0 - np.array(kvar) * coeff
+    p_kw[:, np.array([position[bus] for bus in ev_buses], dtype=int)] -= ev_kw
+    for i, kw in pv_kw.items():
+        p_kw[:, i] += kw
+    kva_base = 1000.0 * net.s_base_mva
+    s = np.empty(shape, dtype=complex)
+    s.real = p_kw / kva_base
+    s.imag = q_kvar / kva_base
+    return s
 
 
 # Every finite float is an integer multiple of 2**-1074, the smallest
@@ -495,7 +461,6 @@ def run_sweep(
     """
     intervals = list(intervals)
     ev_buses, demanded = _ev_demand(scenario, profiles, intervals)
-    plan = _InjectionPlan(net, scenario, profiles)
     settled = demanded
     state = None
     if scenario.controller == "one_third_stagger" and ev_buses:
@@ -511,10 +476,10 @@ def run_sweep(
 
     # Each slot's row in the batch, keyed by the bytes of its injections:
     # slots equal bit for bit share a row; +0.0 and -0.0 differ.
+    day = _day_injections(net, scenario, profiles, intervals, ev_buses, settled)
     rows: dict[bytes, int] = {}
-    slots = [rows.setdefault(injections.tobytes(), len(rows))
-             for injections in plan.day(intervals, ev_buses, settled)]
-    batch = np.frombuffer(b"".join(rows), dtype=complex).reshape(len(rows), plan.n)
+    slots = [rows.setdefault(injections.tobytes(), len(rows)) for injections in day]
+    batch = np.frombuffer(b"".join(rows), dtype=complex).reshape(len(rows), day.shape[1])
     solutions = _newton_raphson(net, batch)
     records = tuple(IntervalRecord(interval, solutions[row])
                     for interval, row in zip(intervals, slots))

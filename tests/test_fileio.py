@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -10,7 +11,7 @@ import sys
 
 import pytest
 
-from gridstress import CongestionHistogram, bin_loadings, solve_newton_raphson
+from gridstress import CongestionHistogram, bin_loadings, solve_newton_raphson, validate_network
 from gridstress.fileio import (
     GridFileError,
     detail_csv_for_solution,
@@ -36,6 +37,24 @@ class TestNetworkFile:
         parsed = parse_network_file(emitted)
         assert parsed == bench.network
         assert emit_network_file(parsed) == emitted
+
+    def test_tapped_cable_round_trips(self, bench):
+        """A cable's off-nominal tap is written and read back; a nominal
+        one is not written, so untapped files keep their bytes."""
+        branches = list(bench.network.branches)
+        assert branches[5].kind == "cable"
+        branches[5] = dataclasses.replace(branches[5], tap=0.95)
+        tapped = dataclasses.replace(bench.network, branches=tuple(branches))
+        assert validate_network(tapped) == []
+        emitted = emit_network_file(tapped)
+        parsed = parse_network_file(emitted)
+        assert parsed == tapped
+        assert parsed.branches[5].tap == 0.95
+        assert emit_network_file(parsed) == emitted
+        nominal = json.loads(emit_network_file(bench.network))["branches"]
+        assert json.loads(emitted)["branches"] == [
+            {**b, "tap": 0.95} if i == 5 else b for i, b in enumerate(nominal)]
+        assert not any("tap" in b for b in nominal if b["kind"] == "cable")
 
     def test_parse_gives_valid_network(self, bench):
         net = parse_network_file(emit_network_file(bench.network))

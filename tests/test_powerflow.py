@@ -25,7 +25,7 @@ from gridstress import (
     total_losses,
 )
 from gridstress import powerflow as powerflow_module
-from gridstress.powerflow import BranchFlow, SolverOptions
+from gridstress.powerflow import BranchFlow, PowerFlowSolution
 
 from helpers import bus_vector, make_radial_network, no_load_injections, two_bus_network
 
@@ -437,7 +437,7 @@ class TestStopReason:
         assert result.diverged_intervals() == tuple(range(32, 40))
         assert {reasons[k] for k in range(32, 40)} == {"max_iter"}
         assert all(reasons[k] == "converged" for k in reasons if not 32 <= k < 40)
-        assert all(r.solution.iterations == SolverOptions().max_iter
+        assert all(r.solution.iterations == powerflow_module.NR_MAX_ITER
                    for r in result.records if 32 <= r.interval < 40)
 
     def test_huge_injection_is_a_non_finite_iterate(self, bench):
@@ -462,11 +462,20 @@ class TestStopReason:
         assert solve_newton_raphson(isolated, no_load_injections(isolated)
                                     ).stop_reason == "converged"
 
-    def test_gauss_seidel_records_its_stop(self):
+    def test_converged_is_derived_from_the_stop_reason(self):
+        assert "converged" not in {f.name for f in dataclasses.fields(PowerFlowSolution)}
+        net = two_bus_network(TWO_BUS_Z)
+        solution = solve_newton_raphson(net, bus_vector(net, {"load": -TWO_BUS_LOAD}))
+        for reason in powerflow_module.STOP_REASONS:
+            assert dataclasses.replace(solution, stop_reason=reason).converged == (
+                reason == "converged")
+
+    def test_gauss_seidel_records_its_stop(self, monkeypatch):
         net = two_bus_network(TWO_BUS_Z)
         load = bus_vector(net, {"load": -TWO_BUS_LOAD})
         assert solve_gauss_seidel(net, load).stop_reason == "converged"
-        tight = solve_gauss_seidel(net, load, SolverOptions(tol=1e-10, max_iter=3))
+        monkeypatch.setattr(powerflow_module, "GS_MAX_ITER", 3)
+        tight = solve_gauss_seidel(net, load)
         assert (tight.stop_reason, tight.iterations) == ("max_iter", 3)
 
 
@@ -569,24 +578,17 @@ class TestLosses:
 
 
 class TestSolverOptions:
-    def test_tight_iteration_budget_reports_divergence(self):
-        net = two_bus_network(TWO_BUS_Z)
-        solution = solve_newton_raphson(net, bus_vector(net, {"load": -TWO_BUS_LOAD}),
-                                        SolverOptions(tol=1e-12, max_iter=1))
-        assert not solution.converged
-        assert solution.iterations == 1
-        assert solution.stop_reason == "max_iter"
-
     def test_benchmark_reference_stops_like_the_default_solver(self):
         """perfbench/feeder.py checks the sweep, which solves with the
-        defaults, against its own NR run with NR_TOL and NR_MAX_ITER."""
+        solver's fixed settings, against its own NR run with NR_TOL and
+        NR_MAX_ITER."""
         perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
         if perfbench not in sys.path:
             sys.path.insert(0, perfbench)
         import feeder
 
-        defaults = SolverOptions()
-        assert (feeder.NR_TOL, feeder.NR_MAX_ITER) == (defaults.tol, defaults.max_iter)
+        assert (feeder.NR_TOL, feeder.NR_MAX_ITER) == (powerflow_module.NR_TOL,
+                                                       powerflow_module.NR_MAX_ITER)
 
     def test_voltage_helpers(self):
         net = two_bus_network(TWO_BUS_Z)

@@ -316,43 +316,6 @@ class TestBuildInjections:
                 run_sweep(net, scenario, {"flat": _flat_profile()}, intervals=[0])
         assert str(info.value) == message
 
-    def test_override_is_the_whole_ev_draw(self):
-        net = _mini_grid()
-        scenario = Scenario("s", penetration=0.5, parking_lots=(ParkingLot("L", 10, "town"),),
-                            bindings=ProfileBindings(ev="flat"))
-        profiles = {"flat": _flat_profile()}
-        assert build_injections(net, scenario, profiles, 0).tolist() == [0j, complex(-0.005, 0.0)]
-        # A bus the override leaves out draws nothing; it does not fall back to nominal.
-        assert build_injections(net, scenario, profiles, 0,
-                                ev_kw_override={}).tolist() == [0j, 0j]
-        assert build_injections(net, scenario, profiles, 0, ev_kw_override={"town": 20.0}
-                                ).tolist() == [0j, complex(-0.002, 0.0)]
-
-    def test_override_draw_reaches_the_power_flow_or_is_an_error(self, bench):
-        """Every override kW enters the injections; one that could not is named."""
-        net, scenario = bench.network, bench.scenario("ev25")
-        lot_bus = scenario.parking_lots[0].bus
-        idle, drawn = (build_injections(net, scenario, bench.profiles, 36, ev_kw_override=ev_kw)
-                       for ev_kw in ({}, {lot_bus: 700.0}))
-        at = net.bus_ids().index(lot_bus)
-        assert np.flatnonzero(drawn != idle).tolist() == [at]
-        assert drawn[at].real < idle[at].real
-        slack = net.slack_id()
-        where = "where the power flow takes no injection"
-        for override, message in (
-                ({"no-such-bus": 500.0, slack: 700.0},
-                 "EV draw override references unknown bus 'no-such-bus'; "
-                 f"EV draw override is on slack bus {slack!r}, {where}"),
-                ({lot_bus: -1.0}, f"EV draw override at bus {lot_bus!r} must be finite "
-                                  "and >= 0, got -1.0"),
-                ({lot_bus: float("inf")}, f"EV draw override at bus {lot_bus!r} must be "
-                                          "finite and >= 0, got inf"),
-                ({lot_bus: float("nan")}, f"EV draw override at bus {lot_bus!r} must be "
-                                          "finite and >= 0, got nan")):
-            with pytest.raises(ScenarioConfigError) as info:
-                build_injections(net, scenario, bench.profiles, 36, ev_kw_override=override)
-            assert str(info.value) == message
-
     def test_pv_enters_as_negative_load(self):
         net = _mini_grid(load_kw=0.0, pv_kw=500.0)
         scenario = Scenario("s", penetration=0.0, pv_enabled=True,
@@ -515,31 +478,32 @@ class _SolvedRows(list):
 
 
 def _sweep_recording_injections(monkeypatch, net, scenario, profiles):
-    """run_sweep, and a copy of the row of injections its plan evaluated
-    for each interval, and the number of day evaluations it made.
+    """run_sweep, and a copy of the row of injections it evaluated for
+    each interval; the sweep must evaluate its day once.
 
-    build_injections evaluates a plan too, so the record is copied as
-    soon as the sweep returns.
+    build_injections evaluates a day too, so the record is copied as soon
+    as the sweep returns.
     """
     built = {}
     days = []
-    plan_day = scenario_module._InjectionPlan.day
+    day_injections = scenario_module._day_injections
 
-    def recorded(plan, intervals, ev_buses, ev_kw):
-        injections = plan_day(plan, intervals, ev_buses, ev_kw)
+    def recorded(net, scenario, profiles, intervals, ev_buses, ev_kw):
+        injections = day_injections(net, scenario, profiles, intervals, ev_buses, ev_kw)
         built.update(zip(intervals, injections.copy()))
         days.append(len(intervals))
         return injections
 
-    monkeypatch.setattr(scenario_module._InjectionPlan, "day", recorded)
+    monkeypatch.setattr(scenario_module, "_day_injections", recorded)
     result = run_sweep(net, scenario, profiles)
     assert days == [len(result.records)]
     return result, dict(built)
 
 
-def _evaluate(plan, interval, ev_kw):
-    """plan's injections at one interval with ev_kw, by bus id, as the whole EV draw."""
-    return plan.day([interval], list(ev_kw), np.array([list(ev_kw.values())], dtype=float))[0]
+def _evaluate(net, scenario, profiles, interval, ev_kw):
+    """The injections at one interval with ev_kw, by bus id, as the whole EV draw."""
+    return scenario_module._day_injections(net, scenario, profiles, [interval], list(ev_kw),
+                                           np.array([list(ev_kw.values())], dtype=float))[0]
 
 
 def _nominal_solution(net, scenario, profiles, interval):
@@ -599,8 +563,7 @@ class TestRunSweep:
         for record, active in zip(result.records, ("lot-a", "lot-b", "lot-c")):
             settled = {bus: 100.0 if bus == active else 0.0
                        for bus in ("lot-a", "lot-b", "lot-c")}
-            injections = build_injections(net, scenario, profiles, record.interval,
-                                          ev_kw_override=settled)
+            injections = _evaluate(net, scenario, profiles, record.interval, settled)
             assert record.solution == solve_newton_raphson(net, injections)
             assert record.solution != _nominal_solution(net, scenario, profiles,
                                                         record.interval)
@@ -706,8 +669,8 @@ class TestRunSweep:
     def test_signed_zero_injections_are_solved_apart(self, monkeypatch):
         net = _mini_grid(load_kw=0.0)
         sets = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0)]
-        monkeypatch.setattr(scenario_module._InjectionPlan, "day",
-                            lambda plan, intervals, ev_buses, ev_kw:
+        monkeypatch.setattr(scenario_module, "_day_injections",
+                            lambda net, scenario, profiles, intervals, ev_buses, ev_kw:
                             np.array([[0j, sets[interval % 3]] for interval in intervals]))
         calls = _count_solves(monkeypatch)
         result = run_sweep(net, Scenario("zeros", penetration=0.0), {}, intervals=range(6))
@@ -785,7 +748,6 @@ class TestInjectionPlan:
         result, built = _sweep_recording_injections(monkeypatch, net, scenario, profiles)
         ev_nominal = scenario.ev_connected_kw_by_bus()
         fifo = FifoStagger(ev_nominal) if scenario.controller == "one_third_stagger" else None
-        plan = scenario_module._InjectionPlan(net, scenario, profiles)
         demanded_units = 0
         for record in result.records:
             slot = record.interval
@@ -799,9 +761,7 @@ class TestInjectionPlan:
             expected = bus_vector(net, slot_injections(net, scenario, profiles, slot,
                                                        settled)).tobytes()
             assert built[slot].tobytes() == expected, slot
-            assert _evaluate(plan, slot, settled).tobytes() == expected, slot
-            assert build_injections(net, scenario, profiles, slot,
-                                    ev_kw_override=settled).tobytes() == expected, slot
+            assert _evaluate(net, scenario, profiles, slot, settled).tobytes() == expected, slot
         # The ledger's demand is the exact sum of every slot's draw at every bus.
         ledger = result.ledger
         assert ledger.demanded_kwh == Fraction(demanded_units, scenario_module._DYADIC_UNIT) / 4
@@ -842,17 +802,10 @@ class TestInjectionPlan:
                 generators, catalog))
             scenario = Scenario("s", penetration=0.0, pv_enabled=pv_kw is not None,
                                 bindings=ProfileBindings(load_default="flat", pv_default="flat"))
-            plan = scenario_module._InjectionPlan(net, scenario, profiles)
             for ev_kw in ({}, {"town": 0.0}, {"town": -0.0}, {"town": tiny}, {"town": -tiny}):
                 expected = bus_vector(net, slot_injections(net, scenario, profiles, 0, ev_kw))
-                vector = _evaluate(plan, 0, ev_kw)
+                vector = _evaluate(net, scenario, profiles, 0, ev_kw)
                 assert vector.tobytes() == expected.tobytes(), (kw, kvar, pv_kw, ev_kw)
-                if ev_kw.get("town", 0.0) < 0:
-                    with pytest.raises(ScenarioConfigError, match="must be finite and >= 0"):
-                        build_injections(net, scenario, profiles, 0, ev_kw_override=ev_kw)
-                else:
-                    assert build_injections(net, scenario, profiles, 0, ev_kw_override=ev_kw
-                                            ).tobytes() == expected.tobytes()
                 value = vector[1]
                 signs.update((math.copysign(1.0, value.real), math.copysign(1.0, value.imag)))
         assert signs == {1.0, -1.0}
@@ -884,6 +837,43 @@ class TestInjectionPlan:
         for slot in (4, -1):
             with pytest.raises(ProfileError, match=f"profile 'short' has no slot {slot}"):
                 run_sweep(net, scenario, profiles, intervals=[slot])
+
+    @pytest.mark.parametrize("run", ["build_injections", "run_sweep"])
+    @pytest.mark.parametrize("pv_enabled, missing, supplied, message", [
+        (True, ProfileBindings(pv_default="short"),
+         ProfileBindings(pv_default="short", load_default="flat"),
+         "no load profile bound for bus 'a'"),
+        (False, ProfileBindings(load={"a": "short"}),
+         ProfileBindings(load={"a": "short"}, load_default="flat"),
+         "no load profile bound for bus 'b'"),
+        (True, ProfileBindings(load_default="short"),
+         ProfileBindings(load_default="short", pv_default="flat"),
+         "no PV profile bound for site at 'a'"),
+    ])
+    def test_a_binding_error_comes_before_a_short_profile(self, run, pv_enabled, missing,
+                                                          supplied, message):
+        """Every binding is resolved before any coefficient is read."""
+        catalog = {"c": CableType("c", 0.05, 0.12)}
+        net = derive_impedances(Network(10.0, (
+            Bus("feed", "slack", 4.16), Bus("a", "load", 4.16, NominalLoad(500.0, 0.0)),
+            Bus("b", "load", 4.16, NominalLoad(300.0, 0.0)),
+        ), (Branch("feed", "a", "cable", 10000.0, cable_type="c", length_miles=0.5),
+            Branch("a", "b", "cable", 10000.0, cable_type="c", length_miles=0.5)),
+            (Generator("a", "pv_site", 100.0),), catalog))
+        profiles = {"flat": _flat_profile(), "short": _flat_profile("short", slots=4)}
+
+        def call(bindings):
+            scenario = Scenario("s", 0.0, pv_enabled=pv_enabled, bindings=bindings)
+            if run == "build_injections":
+                return build_injections(net, scenario, profiles, 5)
+            return run_sweep(net, scenario, profiles, intervals=[5])
+
+        with pytest.raises(ScenarioConfigError) as info:
+            call(missing)
+        assert str(info.value) == message
+        # With the missing binding supplied, the short profile is the error.
+        with pytest.raises(ProfileError, match="profile 'short' has no slot 5"):
+            call(supplied)
 
 
 @settings(max_examples=300, deadline=None)
