@@ -7,7 +7,8 @@ and the sweep status CSV, which is only written. Parsing is strict:
 unknown keys and non-finite numbers are rejected, and a bad document
 raises one GridFileError whose diagnostics each name their location.
 Emission is canonical, so parse-emit-parse is the identity and output
-bytes are deterministic.
+bytes are deterministic. Each JSON object's keys are declared once, as
+a _Table, and both its parser and its emitter walk that declaration.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import io
 import json
 import math
 import sys
-from typing import Any, Callable, Iterable, Sequence
+from types import SimpleNamespace
+from typing import Any, Callable, Iterable, Mapping, Sequence, get_args, get_origin
 
 from .congestion import BELOW_LABEL, BIN_LABELS, CongestionHistogram, bin_label
 from .network import (
@@ -33,6 +35,7 @@ from .network import (
 )
 from .powerflow import PowerFlowSolution
 from .scenario import (
+    DEFAULT_CHARGER_KW,
     SLOTS_PER_DAY,
     IntervalRecord,
     LoadProfile,
@@ -56,7 +59,7 @@ class GridFileError(Exception):
 
 def _load_json(text: str, what: str) -> Any:
     try:
-        return json.loads(text)     # NaN, Infinity and 1e400 are floats for take to reject
+        return json.loads(text)     # NaN, Infinity and 1e400 are floats for _scalar to reject
     except json.JSONDecodeError as exc:
         raise GridFileError(
             [f"{what}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
@@ -66,46 +69,195 @@ def _load_json(text: str, what: str) -> Any:
                              f"{sys.get_int_max_str_digits()} digits"]) from exc
 
 
-class _Record:
-    """Strict accessor over one JSON object; tracks consumed keys."""
+class _Table:
+    """A JSON object: its keys in document order, and make, which builds
+    the object from the keys' attributes given as keywords. A tagged table
+    also has the keys of variants[its tag key's value], after its own."""
 
-    def __init__(self, raw: Any, path: str, errors: list[str]):
-        self.path = path
-        self.errors = errors
-        if isinstance(raw, dict):
-            self.raw = raw
-        else:
-            self.raw = {}
-            errors.append(f"{path}: expected an object, got {type(raw).__name__}")
-        self._consumed: set[str] = set()
+    __slots__ = ("keys", "make", "tag", "variants")
 
-    def take(self, key: str, kind: type, required: bool = True, default: Any = None) -> Any:
-        self._consumed.add(key)
-        if key not in self.raw:
-            if required:
-                self.errors.append(f"{self.path}: missing required key {key!r}")
-            return default
-        value = self.raw[key]
-        if value is None and not required:
-            return default
-        if kind is float and type(value) is int:
-            try:
-                value = float(value)
-            except OverflowError:
-                value = math.inf
-        if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-            self.errors.append(
-                f"{self.path}.{key}: expected {kind.__name__}, got {type(value).__name__}")
-            return default
-        if kind is float and not math.isfinite(value):
-            self.errors.append(f"{self.path}.{key}: not a finite number")
-            return default
-        return value
+    def __init__(self, keys: tuple[_Key, ...], make: Callable[..., Any], tag: str | None = None,
+                 variants: Mapping[str, tuple[_Key, ...]] | None = None):
+        self.keys, self.make, self.tag, self.variants = keys, make, tag, variants
 
-    def finish(self) -> None:
-        unknown = sorted(set(self.raw) - self._consumed)
-        for key in unknown:
-            self.errors.append(f"{self.path}: unknown key {key!r}")
+
+class _Key:
+    """One key of a JSON object: its name, the kind of its value (float,
+    int, str or bool; a _Table for an object; list[kind] or dict[str, kind]
+    for an array or a mapping of those; plain dict for a mapping that the
+    object's make checks) and the attribute that holds it (the name by
+    default). A missing or null optional key reads as default, an array or
+    mapping as empty; a sparse key is written only when it is not default."""
+
+    __slots__ = ("name", "kind", "attr", "required", "default", "sparse", "json_type", "nested")
+
+    def __init__(self, name: str, kind: Any, attr: str = "", required: bool = True,
+                 default: Any = None, sparse: bool = False):
+        self.name, self.kind, self.attr = name, kind, attr or name
+        self.required, self.default, self.sparse = required, default, sparse
+        # The Python type of the JSON value, and whether it is an object, array or mapping.
+        self.json_type = dict if isinstance(kind, _Table) else get_origin(kind) or kind
+        self.nested = self.json_type in (list, dict)
+
+
+def _scalar(kind: type, value: Any, path: str, errors: list[str]) -> Any:
+    """value if it is a kind (an int is also a float; a bool is only a
+    bool), else None after a diagnostic at path."""
+    if kind is float and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+        errors.append(f"{path}: expected {kind.__name__}, got {type(value).__name__}")
+        return None
+    if kind is float and not math.isfinite(value):
+        errors.append(f"{path}: not a finite number")
+        return None
+    return value
+
+
+def _read(table: _Table, raw: Any, path: str, errors: list[str],
+          nest: str | None = None) -> dict[str, Any] | None:
+    """The attributes of table's object in raw, or None when a required key
+    or the tag is missing or bad. Each problem appends a diagnostic: the
+    keys in declaration order, then unknown keys, then the nested values,
+    whose paths start with nest (path + '.' by default)."""
+    if not isinstance(raw, dict):
+        errors.append(f"{path}: expected an object, got {type(raw).__name__}")
+        raw = {}
+    variant: tuple[_Key, ...] | None = ()
+    if table.tag:
+        tag = raw.get(table.tag)
+        variant = table.variants.get(tag) if isinstance(tag, str) else None
+    keys = table.keys + (variant or ())
+    values: dict[str, Any] = {}
+    complete = variant is not None
+    for key in keys:
+        kind = key.json_type
+        value = raw.get(key.name)
+        if type(value) is kind and (kind is not float or math.isfinite(value)):
+            pass                        # the common case, without building a path
+        elif value is not None or key.required and key.name in raw:
+            value = _scalar(kind, value, f"{path}.{key.name}", errors)
+        elif key.required:
+            errors.append(f"{path}: missing required key {key.name!r}")
+        if value is None:
+            complete = complete and not key.required
+            value = kind() if key.nested else None if key.required else key.default
+        values[key.attr] = value
+    for name in sorted(set(raw) - {key.name for key in keys}):
+        errors.append(f"{path}: unknown key {name!r}")
+    if variant is None:
+        errors.append(f"{path}.{table.tag}: expected {' or '.join(map(repr, table.variants))}, "
+                      f"got {values[table.tag]!r}")
+    nest = path + "." if nest is None else nest
+    for key in keys:
+        if key.nested:
+            values[key.attr] = _value(key.kind, values[key.attr], nest + key.name, errors)
+    return values if complete else None
+
+
+def _make(table: _Table, values: dict[str, Any], path: str, errors: list[str],
+          **given: Any) -> Any:
+    """table.make(**given, **values), or None after its diagnostics: a
+    ScenarioConfigError's, or a GridFileError's relative to path."""
+    try:
+        return table.make(**given, **values)
+    except ScenarioConfigError as exc:
+        errors.append(f"{path}: {exc}")
+    except GridFileError as exc:
+        errors.extend(path + diagnostic for diagnostic in exc.diagnostics)
+    return None
+
+
+def _value(kind: Any, raw: Any, path: str, errors: list[str], **given: Any) -> Any:
+    """raw read as kind (an array or mapping already checked to be one);
+    an object held in a mapping is given its key as name."""
+    if isinstance(kind, _Table):
+        values = _read(kind, raw, path, errors)
+        return None if values is None else _make(kind, values, path, errors, **given)
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is list:
+        return tuple(_value(args[0], item, f"{path}[{i}]", errors) for i, item in enumerate(raw))
+    if origin is dict:
+        return {name: _value(args[1], item, f"{path}[{name!r}]", errors, name=name)
+                for name, item in raw.items()}
+    return dict(raw) if kind is dict else _scalar(kind, raw, path, errors)
+
+
+def _parse(text: str, what: str, table: _Table, path: str) -> Any:
+    """The object of a JSON document; GridFileError with every diagnostic."""
+    errors: list[str] = []
+    values = _read(table, _load_json(text, what), path, errors, nest="")
+    parsed = None if errors else _make(table, values, path, errors)
+    if errors:
+        raise GridFileError(errors)
+    return parsed
+
+
+def _dump(kind: Any, value: Any) -> Any:
+    """value as the JSON data that _value reads back as kind."""
+    if isinstance(kind, _Table):
+        keys = kind.keys + (kind.variants[getattr(value, kind.tag)] if kind.tag else ())
+        doc = {}
+        for key in keys:
+            item = getattr(value, key.attr)
+            if not (key.sparse and item == key.default):
+                doc[key.name] = _dump(key.kind, item) if key.nested else item
+        return doc
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is list:
+        return [_dump(args[0], item) for item in value]
+    if origin is dict:
+        return {name: _dump(args[1], item) for name, item in value.items()}
+    return dict(value) if kind is dict else value
+
+
+def _emit(table: _Table, value: Any) -> str:
+    return json.dumps(_dump(table, value), indent=2) + "\n"
+
+
+_CABLE_TYPE = _Table((_Key("ohms_per_mile", float), _Key("reactance_per_mile", float)),
+                     CableType)
+_NOMINAL_LOAD = _Table(         # a load without kvar draws it at the default power factor
+    (_Key("kw", float, required=False, default=0.0), _Key("kvar", float, required=False)),
+    lambda kw, kvar: NominalLoad(kw, (reactive_kvar(kw) if kw else 0.0) if kvar is None else kvar))
+_BUS = _Table((_Key("id", str), _Key("kind", str), _Key("base_voltage", float),
+               _Key("nominal_load", _NOMINAL_LOAD, required=False)), Bus)
+_BRANCH = _Table(
+    (_Key("from", str, "from_bus"), _Key("to", str, "to_bus"), _Key("kind", str),
+     _Key("rating", float, "rating_kva")),
+    Branch, tag="kind", variants={
+        # Written only off nominal, so untapped cables keep their bytes.
+        "cable": (_Key("cable_type", str), _Key("length_miles", float),
+                  _Key("tap", float, required=False, default=1.0, sparse=True)),
+        "transformer": (_Key("impedance_percent", float),
+                        _Key("tap", float, required=False, default=1.0)),
+    })
+_GENERATOR = _Table((_Key("bus", str), _Key("kind", str), _Key("capacity", float, "capacity_kw"),
+                     _Key("profile", str, required=False)), Generator)
+_NETWORK = _Table(
+    (_Key("s_base_mva", float), _Key("cable_catalog", dict[str, _CABLE_TYPE]),
+     _Key("buses", list[_BUS]), _Key("branches", list[_BRANCH]),
+     _Key("generators", list[_GENERATOR], required=False)),
+    lambda **values: derive_impedances(Network(**values)))
+
+_PARKING_LOT = _Table((_Key("name", str), _Key("capacity", int), _Key("bus", str)), ParkingLot)
+_BINDINGS = _Table(
+    (_Key("load_default", str, required=False), _Key("load", dict[str, str], required=False),
+     _Key("ev", str, required=False), _Key("pv_default", str, required=False),
+     _Key("pv", dict[str, str], required=False)),
+    ProfileBindings)
+_SCENARIO = _Table(
+    (_Key("name", str), _Key("penetration", float),
+     _Key("per_charger_kw", float, required=False, default=DEFAULT_CHARGER_KW),
+     _Key("pv_enabled", bool, required=False, default=False),
+     _Key("controller", str, required=False, default="null"),
+     _Key("allow_nonstandard_charger", bool, required=False, default=False),
+     _Key("parking_lots", list[_PARKING_LOT], required=False),
+     _Key("bindings", _BINDINGS, required=False)),
+    Scenario)
 
 
 def parse_network_file(text: str) -> Network:
@@ -114,93 +266,7 @@ def parse_network_file(text: str) -> Network:
     Returns a network with derived impedances that passes
     validate_network; otherwise raises with one diagnostic per problem.
     """
-    raw = _load_json(text, "network file")
-    errors: list[str] = []
-    doc = _Record(raw, "network", errors)
-
-    s_base = doc.take("s_base_mva", float)
-    catalog_raw = doc.take("cable_catalog", dict, default={})
-    buses_raw = doc.take("buses", list, default=[])
-    branches_raw = doc.take("branches", list, default=[])
-    generators_raw = doc.take("generators", list, required=False, default=[])
-    doc.finish()
-
-    catalog: dict[str, CableType] = {}
-    for name, entry in (catalog_raw or {}).items():
-        rec = _Record(entry, f"cable_catalog[{name!r}]", errors)
-        ohms = rec.take("ohms_per_mile", float)
-        react = rec.take("reactance_per_mile", float)
-        rec.finish()
-        if ohms is not None and react is not None:
-            catalog[name] = CableType(name, ohms, react)
-
-    buses: list[Bus] = []
-    for i, entry in enumerate(buses_raw or []):
-        rec = _Record(entry, f"buses[{i}]", errors)
-        bus_id = rec.take("id", str)
-        kind = rec.take("kind", str)
-        base_kv = rec.take("base_voltage", float)
-        load_raw = rec.take("nominal_load", dict, required=False)
-        rec.finish()
-        load = NominalLoad()
-        if load_raw is not None:
-            load_rec = _Record(load_raw, f"buses[{i}].nominal_load", errors)
-            kw = load_rec.take("kw", float, required=False, default=0.0)
-            kvar = load_rec.take("kvar", float, required=False)
-            load_rec.finish()
-            if kvar is None:
-                kvar = reactive_kvar(kw) if kw else 0.0
-            load = NominalLoad(kw, kvar)
-        if bus_id is not None and kind is not None and base_kv is not None:
-            buses.append(Bus(bus_id, kind, base_kv, load))
-
-    branches: list[Branch] = []
-    for i, entry in enumerate(branches_raw or []):
-        rec = _Record(entry, f"branches[{i}]", errors)
-        from_bus = rec.take("from", str)
-        to_bus = rec.take("to", str)
-        kind = rec.take("kind", str)
-        rating = rec.take("rating", float)
-        if kind == "cable":
-            cable_type = rec.take("cable_type", str)
-            length = rec.take("length_miles", float)
-            tap = rec.take("tap", float, required=False, default=1.0)
-            rec.finish()
-            if None not in (from_bus, to_bus, rating, cable_type, length):
-                branches.append(Branch(from_bus, to_bus, "cable", rating, cable_type=cable_type,
-                                       length_miles=length, tap=tap))
-        elif kind == "transformer":
-            percent = rec.take("impedance_percent", float)
-            tap = rec.take("tap", float, required=False, default=1.0)
-            rec.finish()
-            if None not in (from_bus, to_bus, rating, percent):
-                branches.append(Branch(from_bus, to_bus, "transformer", rating,
-                                       impedance_percent=percent, tap=tap))
-        else:
-            rec.finish()
-            errors.append(f"branches[{i}].kind: expected 'cable' or 'transformer', got {kind!r}")
-
-    generators: list[Generator] = []
-    for i, entry in enumerate(generators_raw or []):
-        rec = _Record(entry, f"generators[{i}]", errors)
-        bus = rec.take("bus", str)
-        kind = rec.take("kind", str)
-        capacity = rec.take("capacity", float)
-        profile = rec.take("profile", str, required=False)
-        rec.finish()
-        if None not in (bus, kind, capacity):
-            generators.append(Generator(bus, kind, capacity, profile))
-
-    if errors:
-        raise GridFileError(errors)
-
-    net = derive_impedances(Network(
-        s_base_mva=s_base,
-        buses=tuple(buses),
-        branches=tuple(branches),
-        generators=tuple(generators),
-        cable_catalog=catalog,
-    ))
+    net = _parse(text, "network file", _NETWORK, "network")
     violations = validate_network(net)
     if violations:
         raise GridFileError([str(v) for v in violations])
@@ -208,125 +274,15 @@ def parse_network_file(text: str) -> Network:
 
 
 def emit_network_file(net: Network) -> str:
-    """Canonical network document; stable key order, explicit values except
-    a cable's tap, written only when it is not 1.0."""
-    doc = {
-        "s_base_mva": net.s_base_mva,
-        "cable_catalog": {
-            name: {
-                "ohms_per_mile": cable.ohms_per_mile,
-                "reactance_per_mile": cable.reactance_per_mile,
-            }
-            for name, cable in net.cable_catalog.items()
-        },
-        "buses": [
-            {
-                "id": bus.id,
-                "kind": bus.kind,
-                "base_voltage": bus.base_voltage,
-                "nominal_load": {"kw": bus.nominal_load.kw, "kvar": bus.nominal_load.kvar},
-            }
-            for bus in net.buses
-        ],
-        "branches": [
-            (
-                {
-                    "from": b.from_bus,
-                    "to": b.to_bus,
-                    "kind": "cable",
-                    "rating": b.rating_kva,
-                    "cable_type": b.cable_type,
-                    "length_miles": b.length_miles,
-                    # Written only off nominal, so untapped cables keep their bytes.
-                    **({"tap": b.tap} if b.tap != 1.0 else {}),
-                }
-                if b.kind == "cable"
-                else {
-                    "from": b.from_bus,
-                    "to": b.to_bus,
-                    "kind": "transformer",
-                    "rating": b.rating_kva,
-                    "impedance_percent": b.impedance_percent,
-                    "tap": b.tap,
-                }
-            )
-            for b in net.branches
-        ],
-        "generators": [
-            {"bus": g.bus, "kind": g.kind, "capacity": g.capacity_kw, "profile": g.profile}
-            for g in net.generators
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """Canonical network document: every value written, except a cable's
+    tap when it is 1.0."""
+    return _emit(_NETWORK, net)
 
 
 def parse_scenario_file(text: str, network: Network | None = None) -> Scenario:
     """A scenario file's Scenario. Given the network it runs on, each lot
     and PV site must also reach its power flow (scenario.placement_errors)."""
-    raw = _load_json(text, "scenario file")
-    errors: list[str] = []
-    doc = _Record(raw, "scenario", errors)
-    name = doc.take("name", str)
-    penetration = doc.take("penetration", float)
-    per_charger = doc.take("per_charger_kw", float, required=False, default=10.0)
-    pv_enabled = doc.take("pv_enabled", bool, required=False, default=False)
-    controller = doc.take("controller", str, required=False, default="null")
-    allow_nonstandard = doc.take("allow_nonstandard_charger", bool, required=False,
-                                 default=False)
-    lots_raw = doc.take("parking_lots", list, required=False, default=[])
-    bindings_raw = doc.take("bindings", dict, required=False)
-    doc.finish()
-
-    lots: list[ParkingLot] = []
-    for i, entry in enumerate(lots_raw or []):
-        rec = _Record(entry, f"parking_lots[{i}]", errors)
-        lot_name = rec.take("name", str)
-        capacity = rec.take("capacity", int)
-        bus = rec.take("bus", str)
-        rec.finish()
-        if None not in (lot_name, capacity, bus):
-            try:
-                lots.append(ParkingLot(lot_name, capacity, bus))
-            except ScenarioConfigError as exc:
-                errors.append(f"parking_lots[{i}]: {exc}")
-
-    bindings = ProfileBindings()
-    if bindings_raw is not None:
-        rec = _Record(bindings_raw, "bindings", errors)
-        load_default = rec.take("load_default", str, required=False)
-        load_map = rec.take("load", dict, required=False, default={})
-        ev = rec.take("ev", str, required=False)
-        pv_default = rec.take("pv_default", str, required=False)
-        pv_map = rec.take("pv", dict, required=False, default={})
-        rec.finish()
-        for map_name, mapping in (("load", load_map), ("pv", pv_map)):
-            for key, value in (mapping or {}).items():
-                if not isinstance(value, str):
-                    errors.append(f"bindings.{map_name}[{key!r}]: expected str, "
-                                  f"got {type(value).__name__}")
-        bindings = ProfileBindings(
-            load_default=load_default,
-            load=dict(load_map or {}),
-            ev=ev,
-            pv_default=pv_default,
-            pv=dict(pv_map or {}),
-        )
-
-    if errors:
-        raise GridFileError(errors)
-    try:
-        scenario = Scenario(
-            name=name,
-            penetration=penetration,
-            per_charger_kw=per_charger,
-            pv_enabled=pv_enabled,
-            controller=controller,
-            parking_lots=tuple(lots),
-            bindings=bindings,
-            allow_nonstandard_charger=allow_nonstandard,
-        )
-    except ScenarioConfigError as exc:
-        raise GridFileError([f"scenario: {exc}"]) from exc
+    scenario = _parse(text, "scenario file", _SCENARIO, "scenario")
     placement = placement_errors(network, scenario) if network is not None else []
     if placement:
         raise GridFileError([f"scenario: {error}" for error in placement])
@@ -334,26 +290,7 @@ def parse_scenario_file(text: str, network: Network | None = None) -> Scenario:
 
 
 def emit_scenario_file(scenario: Scenario) -> str:
-    doc = {
-        "name": scenario.name,
-        "penetration": scenario.penetration,
-        "per_charger_kw": scenario.per_charger_kw,
-        "pv_enabled": scenario.pv_enabled,
-        "controller": scenario.controller,
-        "allow_nonstandard_charger": scenario.allow_nonstandard_charger,
-        "parking_lots": [
-            {"name": lot.name, "capacity": lot.capacity, "bus": lot.bus}
-            for lot in scenario.parking_lots
-        ],
-        "bindings": {
-            "load_default": scenario.bindings.load_default,
-            "load": dict(scenario.bindings.load),
-            "ev": scenario.bindings.ev,
-            "pv_default": scenario.bindings.pv_default,
-            "pv": dict(scenario.bindings.pv),
-        },
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return _emit(_SCENARIO, scenario)
 
 
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
@@ -477,42 +414,30 @@ def parse_report_csv(text: str) -> list[tuple[str, CongestionHistogram]]:
         row[0], CongestionHistogram(*[_bin_count(cell) for cell in row[1:]])))
 
 
+def _report_row(name: str, bins: dict[str, Any]) -> tuple[str, CongestionHistogram]:
+    """A report entry's (scenario, histogram); its bin problems raise a
+    GridFileError whose diagnostics are relative to the entry's path."""
+    unknown = sorted(set(bins) - set(BIN_LABELS))
+    if unknown:
+        raise GridFileError([f".bins: unknown bin label(s) {unknown}"])
+    bad = [f".bins[{label!r}]: bin count must be an integer >= 0, got {count!r}"
+           for label, count in bins.items() if type(count) is not int or count < 0]
+    if bad:                                             # bool is not a count
+        raise GridFileError(bad)
+    return name, CongestionHistogram.from_counts(bins)
+
+
+_REPORT_ROW = _Table((_Key("scenario", str, "name"), _Key("bins", dict)), _report_row)
+_REPORT = _Table((_Key("report", list[_REPORT_ROW], "rows"),), lambda rows: list(rows))
+
+
 def emit_report_json(rows: Sequence[tuple[str, CongestionHistogram]]) -> str:
-    doc = {
-        "report": [
-            {"scenario": name, "bins": hist.counts()}
-            for name, hist in rows
-        ]
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return _emit(_REPORT, SimpleNamespace(rows=[SimpleNamespace(name=name, bins=hist.counts())
+                                                for name, hist in rows]))
 
 
 def parse_report_json(text: str) -> list[tuple[str, CongestionHistogram]]:
-    raw = _load_json(text, "report file")
-    errors: list[str] = []
-    doc = _Record(raw, "report", errors)
-    entries = doc.take("report", list, default=[])
-    doc.finish()
-    parsed = []
-    for i, entry in enumerate(entries or []):
-        rec = _Record(entry, f"report[{i}]", errors)
-        name = rec.take("scenario", str)
-        bins = rec.take("bins", dict, default={})
-        rec.finish()
-        if name is None:
-            continue
-        unknown = sorted(set(bins) - set(BIN_LABELS))
-        if unknown:
-            errors.append(f"report[{i}].bins: unknown bin label(s) {unknown}")
-            continue
-        for label, count in bins.items():
-            if type(count) is not int or count < 0:     # bool is not a count
-                errors.append(f"report[{i}].bins[{label!r}]: bin count must be an "
-                              f"integer >= 0, got {count!r}")
-        parsed.append((name, CongestionHistogram.from_counts(bins)))
-    if errors:
-        raise GridFileError(errors)
-    return parsed
+    return _parse(text, "report file", _REPORT, "report")
 
 
 DETAIL_COLUMNS = ("branch", "kind", "loading_percent", "bin")

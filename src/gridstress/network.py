@@ -290,6 +290,7 @@ def validate_network(net: Network) -> list[Violation]:
             violations.append(Violation("unknown-branch-kind", branch.id,
                                         f"kind must be one of {BRANCH_KINDS}, got {branch.kind!r}"))
             continue
+        checked = len(violations)
         if branch.rating_kva <= 0:
             violations.append(Violation("nonpositive-rating", branch.id,
                                         f"rating must be > 0 kVA, got {branch.rating_kva}"))
@@ -307,8 +308,11 @@ def validate_network(net: Network) -> list[Violation]:
                 violations.append(Violation("voltage-mismatch", branch.id,
                                             "cable endpoints have different base voltages"))
         if branch.series_impedance_pu is None:
-            violations.append(Violation("underived-impedance", branch.id,
-                                        "series_impedance_pu has not been derived"))
+            # derive_impedances leaves a branch underived on a bad system or
+            # from-bus base and on its own bad values; those are reported.
+            if net.s_base_mva > 0 and bus_kv[branch.from_bus] > 0 and len(violations) == checked:
+                violations.append(Violation("underived-impedance", branch.id,
+                                            "series_impedance_pu has not been derived"))
         elif abs(branch.series_impedance_pu) == 0.0:
             violations.append(Violation("zero-impedance", branch.id,
                                         "derived impedance magnitude must be > 0"))

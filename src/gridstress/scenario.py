@@ -133,8 +133,14 @@ class ParkingLot:
 
     def __post_init__(self) -> None:
         capacity = self.capacity
-        if (isinstance(capacity, bool) or not isinstance(capacity, numbers.Real)
-                or not math.isfinite(capacity) or int(capacity) != capacity or capacity <= 0):
+        try:
+            invalid = (isinstance(capacity, bool) or not isinstance(capacity, numbers.Real)
+                       or not math.isfinite(capacity) or int(capacity) != capacity
+                       or capacity <= 0)
+        except OverflowError:       # isfinite of an integer past the float range
+            raise ScenarioConfigError(
+                f"parking lot {self.name!r} capacity is too large for a float") from None
+        if invalid:
             raise ScenarioConfigError(
                 f"parking lot {self.name!r} capacity must be a positive integer, got {capacity!r}"
             )
@@ -189,6 +195,10 @@ class Scenario:
             raise ScenarioConfigError(
                 f"controller must be one of {CONTROLLERS}, got {self.controller!r}"
             )
+        for bus, kw in self.ev_connected_kw_by_bus().items():
+            if not math.isfinite(kw):
+                raise ScenarioConfigError(f"connected EV load at bus {bus!r} is not a finite "
+                                          f"number of kW ({kw})")
 
     def ev_connected_kw_by_bus(self) -> dict[str, float]:
         """Nominal connected EV power per bus at profile coefficient 1."""

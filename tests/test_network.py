@@ -22,8 +22,10 @@ from gridstress import (
     validate_network,
 )
 from gridstress.benchmark import CABLE_CATALOG
-from gridstress.fileio import emit_network_file, parse_network_file
+from gridstress.fileio import GridFileError, emit_network_file, parse_network_file
 from gridstress.network import DEFAULT_LOAD_POWER_FACTOR, reactive_kvar
+
+from helpers import NETWORK_TEXT
 
 
 class TestCableResistance:
@@ -208,6 +210,29 @@ class TestValidateNetwork:
         ))
         codes = [v.code for v in validate_network(net)]
         assert "nonpositive-rating" in codes
+
+    @pytest.mark.parametrize("old, new, diagnostic", [
+        ('"cable_type": "c"', '"cable_type": "nope"',
+         "unknown-cable-type: s -> a: cable type 'nope' not in catalog"),
+        ('"rating": 500.0', '"rating": -5',
+         "nonpositive-rating: a -> b: rating must be > 0 kVA, got -5.0"),
+        ('"s_base_mva": 10.0', '"s_base_mva": 0',
+         "nonpositive-system-base: network: s_base_mva must be > 0, got 0.0"),
+    ])
+    def test_unresolved_branch_is_one_diagnostic(self, old, new, diagnostic):
+        """A branch that derive_impedances leaves underived because of
+        another violation is reported for that violation only."""
+        with pytest.raises(GridFileError) as info:
+            parse_network_file(NETWORK_TEXT.replace(old, new))
+        assert info.value.diagnostics == [diagnostic]
+
+    def test_underived_network_is_reported(self):
+        net = parse_network_file(NETWORK_TEXT)
+        underived = dataclasses.replace(net, branches=tuple(
+            dataclasses.replace(b, series_impedance_pu=None) for b in net.branches))
+        assert [str(v) for v in validate_network(underived)] == [
+            "underived-impedance: s -> a: series_impedance_pu has not been derived",
+            "underived-impedance: a -> b: series_impedance_pu has not been derived"]
 
 
 class TestReactiveDefaults:
