@@ -44,6 +44,7 @@ from .scenario import (
     ev_load_kw,
     normalize_profile,
     one_third_stagger,
+    run_study,
     run_sweep,
 )
 
@@ -78,6 +79,7 @@ __all__ = [
     "ev_load_kw",
     "normalize_profile",
     "one_third_stagger",
+    "run_study",
     "run_sweep",
     "solve_gauss_seidel",
     "solve_newton_raphson",

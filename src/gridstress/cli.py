@@ -6,10 +6,10 @@ files), benchmark (materialize the bundled campus fixture and run its
 scenario set). Exit status: 0 success, 1 diagnostics (bad input or
 usage), 2 solver divergence in a requested interval.
 
-solve applies the scenario's nominal EV draw and ignores its
-controller. benchmark runs each scenario through run_sweep for the one
-interval, so a stagger controller acts there from an empty ledger, and
-the two commands can bin the same scenario and slot differently.
+solve is a study of the scenario with the null controller: its nominal
+EV draw. benchmark is one study of its scenarios for the one interval,
+so a stagger controller acts there from an empty ledger, and the two
+commands can bin the same scenario and slot differently.
 
 The simulator itself uses no randomness; output bytes depend only on
 the inputs.
@@ -18,6 +18,7 @@ the inputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -39,9 +40,11 @@ from .fileio import (
     parse_scenario_file,
 )
 from .network import Network
-from .powerflow import PowerFlowSolution, solve_newton_raphson
-from .scenario import (SLOTS_PER_DAY, LoadProfile, Scenario, ScenarioConfigError,
-                       build_injections, run_sweep)
+from .scenario import SLOTS_PER_DAY, LoadProfile, Scenario, ScenarioConfigError, run_study, run_sweep
+# Kept importable from this module: the benchmark's traced run
+# (perfbench/spans.py) binds cli.build_injections and cli.solve_newton_raphson by name.
+from .powerflow import solve_newton_raphson  # noqa: F401
+from .scenario import build_injections  # noqa: F401
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
@@ -145,24 +148,35 @@ def _summary(rows: list[tuple[str, CongestionHistogram]], fmt: str, out: str | N
         _write(Path(out) / filename, text)
 
 
-def _report_slot(name: str, interval: int, solution: PowerFlowSolution, s_base_mva: float,
-                 detail: Path | None) -> CongestionHistogram:
-    """Print one solved slot, bin it and write its detail CSV to detail, if given."""
-    hist = bin_loadings(solution.loading_by_branch())
-    status = "converged" if solution.converged else "DIVERGED"
-    vmin, vmax = solution.voltage_range()
-    print(f"{name} slot {interval}: {status} in {solution.iterations} iterations, "
-          f"slack {solution.slack_injection.real * s_base_mva:.3f} MW "
-          f"({solution.slack_injection.real:.4f} pu)")
-    print(f"  voltage band: {vmin:.4f} - {vmax:.4f} pu")
-    print(f"  loading bins: <40%: {hist.below_40}  "
-          + "  ".join(f"{label}: {count}" for label, count in hist.counts().items()))
-    worst = congested_elements(solution, 80.0)[:5]
-    for branch_id, loading in worst:
-        print(f"    {loading:7.1f}%  {branch_id}")
-    if detail is not None:
-        _write(detail, detail_csv_for_solution(solution))
-    return hist
+def _solve_slot(net: Network, scenarios: Sequence[Scenario], profiles: dict[str, LoadProfile],
+                interval: int, fmt: str, out: str | None, detail: str) -> int:
+    """Solve interval of every scenario as one study; print and bin each
+    slot. Under out, if given, write each slot's detail CSV at
+    detail.format(scenario name, interval) and the summary report."""
+    rows: list[tuple[str, CongestionHistogram]] = []
+    diverged = False
+    for result in run_study(net, scenarios, profiles, [interval]):
+        solution = result.records[0].solution
+        hist = bin_loadings(solution.loading_by_branch())
+        status = "converged" if solution.converged else "DIVERGED"
+        vmin, vmax = solution.voltage_range()
+        print(f"{result.scenario} slot {interval}: {status} in {solution.iterations} iterations, "
+              f"slack {solution.slack_injection.real * net.s_base_mva:.3f} MW "
+              f"({solution.slack_injection.real:.4f} pu)")
+        print(f"  voltage band: {vmin:.4f} - {vmax:.4f} pu")
+        print(f"  loading bins: <40%: {hist.below_40}  "
+              + "  ".join(f"{label}: {count}" for label, count in hist.counts().items()))
+        worst = congested_elements(solution, 80.0)[:5]
+        for branch_id, loading in worst:
+            print(f"    {loading:7.1f}%  {branch_id}")
+        if out:
+            _write(Path(out) / detail.format(result.scenario, interval),
+                   detail_csv_for_solution(solution))
+        rows.append((result.scenario, hist))
+        diverged = diverged or not solution.converged
+    if out:
+        _summary(rows, fmt, out)
+    return EXIT_DIVERGED if diverged else EXIT_OK
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -173,14 +187,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     net, scenario, profiles = _load_inputs(args)
-    injections = build_injections(net, scenario, profiles, args.interval)
-    solution = solve_newton_raphson(net, injections)
-    detail = (Path(args.out) / f"detail_{scenario.name}_slot{args.interval:02d}.csv"
-              if args.out else None)
-    hist = _report_slot(scenario.name, args.interval, solution, net.s_base_mva, detail)
-    if args.out:
-        _summary([(scenario.name, hist)], args.format, args.out)
-    return EXIT_OK if solution.converged else EXIT_DIVERGED
+    nominal = dataclasses.replace(scenario, controller="null")
+    return _solve_slot(net, [nominal], profiles, args.interval, args.format, args.out,
+                       "detail_{}_slot{:02d}.csv")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -227,20 +236,10 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     for scenario in bundle.scenarios:
         _write(out_dir / "scenarios" / f"{scenario.name}.json", emit_scenario_file(scenario))
 
-    rows: list[tuple[str, CongestionHistogram]] = []
-    diverged = False
-    for scenario in bundle.scenarios:
-        result = run_sweep(bundle.network, scenario, bundle.profiles,
-                           intervals=[args.interval])
-        solution = result.records[0].solution
-        diverged = diverged or not solution.converged
-        rows.append((scenario.name, _report_slot(
-            scenario.name, args.interval, solution, bundle.network.s_base_mva,
-            out_dir / "details" / f"{scenario.name}_slot{args.interval:02d}.csv")))
-
-    _summary(rows, args.format, args.out)
+    code = _solve_slot(bundle.network, bundle.scenarios, bundle.profiles, args.interval,
+                       args.format, args.out, "details/{}_slot{:02d}.csv")
     print(f"fixture and reports written to {out_dir}")
-    return EXIT_DIVERGED if diverged else EXIT_OK
+    return code
 
 
 _COMMANDS = {

@@ -9,6 +9,7 @@ system MVA base so every voltage level shares one numeric scale.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
@@ -200,8 +201,8 @@ def derive_impedances(net: Network) -> Network:
     """Return a copy of the network with series_impedance_pu filled in.
 
     Cable impedances are referred to the from-bus voltage base. Branches
-    whose references cannot be resolved are left underived; validation
-    reports them.
+    whose references cannot be resolved, or whose arithmetic overflows or
+    divides by zero, are left underived; validation reports them.
     """
     bus_kv = {bus.id: bus.base_voltage for bus in net.buses}
     derived = []
@@ -209,7 +210,7 @@ def derive_impedances(net: Network) -> Network:
         base_kv = bus_kv.get(branch.from_bus, 0.0)
         try:
             z_pu = to_per_unit(branch, base_kv, net.s_base_mva, net.cable_catalog)
-        except ValueError:
+        except (ValueError, ArithmeticError):
             derived.append(branch)
             continue
         derived.append(replace(branch, series_impedance_pu=z_pu))
@@ -233,6 +234,19 @@ def _connected_component(bus_ids: set[str], branches: tuple[Branch, ...]) -> set
                 seen.add(neighbor)
                 stack.append(neighbor)
     return seen
+
+
+def _usable_per_unit(branch: Branch, s_base_mva: float) -> bool:
+    """Whether the per-unit terms the power flow compiles for branch, y/tap**2,
+    y/tap and y = 1/series_impedance_pu, and its rating, are all finite and
+    non-zero. They take the solver's own expressions; an overflow or a
+    division by zero on the way counts as unusable."""
+    try:
+        y = 1.0 / branch.series_impedance_pu
+        terms = (y / branch.tap ** 2, y / branch.tap, y, branch.rating_kva / (1000.0 * s_base_mva))
+    except ArithmeticError:
+        return False
+    return all(cmath.isfinite(term) and term != 0 for term in terms)
 
 
 def validate_network(net: Network) -> list[Violation]:
@@ -313,9 +327,13 @@ def validate_network(net: Network) -> list[Violation]:
             if net.s_base_mva > 0 and bus_kv[branch.from_bus] > 0 and len(violations) == checked:
                 violations.append(Violation("underived-impedance", branch.id,
                                             "series_impedance_pu has not been derived"))
-        elif abs(branch.series_impedance_pu) == 0.0:
+        elif branch.series_impedance_pu == 0:
             violations.append(Violation("zero-impedance", branch.id,
                                         "derived impedance magnitude must be > 0"))
+        elif len(violations) == checked and not _usable_per_unit(branch, net.s_base_mva):
+            violations.append(Violation("degenerate-per-unit", branch.id,
+                                        "y/tap**2, y/tap, y (y = 1/impedance) and rating in pu "
+                                        "must be finite and non-zero"))
 
     for gen in net.generators:
         if gen.bus not in bus_kv:

@@ -124,7 +124,7 @@ def build_ybus(net: Network) -> np.ndarray:
         z = branch.series_impedance_pu
         if z is None:
             raise ValueError(f"branch {branch.id} has no derived impedance")
-        if abs(z) == 0.0:
+        if z == 0:
             raise ValueError(f"branch {branch.id} has zero impedance (singular)")
         y = 1.0 / z
         f, t = index[branch.from_bus], index[branch.to_bus]

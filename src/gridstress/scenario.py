@@ -5,23 +5,25 @@ A day is 96 slots of 15 minutes. Building loads scale their nominal kW
 by a normalized profile coefficient; EV charging load is penetration
 times parking capacity times per-charger kW, shaped by an EV profile;
 PV sites inject capacity times their profile coefficient as negative
-load at unity power factor. A sweep's controller first settles the EV
-draw of every interval; the sweep then resolves the scenario's bindings
-(lot buses, PV sites' and loaded buses' profiles) and evaluates the
-whole day once into one complex matrix, a row per interval ordered like
-net.buses (slack entry zero). That row is the one injection form:
-build_injections returns one, and the solvers take it. The sweep then
-solves the distinct rows, bit for bit, as one lockstep Newton-Raphson
-batch (see powerflow) and records each interval with the solution of its
-row: intervals whose rows are equal share one (immutable) solution. A
-single solve is a batch of one, so both take the same steps.
+load at unity power factor. A study (run_study) runs scenarios over the
+same intervals. Each scenario's controller first settles the EV draw of
+every interval; the study then resolves the scenario's bindings (lot
+buses, PV sites' and loaded buses' profiles) and evaluates its whole day
+once into one complex matrix, a row per interval ordered like net.buses
+(slack entry zero). That row is the one injection form: build_injections
+returns one, and the solvers take it. The study then solves the distinct
+rows of all its days, bit for bit, as one lockstep Newton-Raphson batch
+(see powerflow) and records each interval with the solution of its row:
+intervals whose rows are equal share one (immutable) solution. A sweep
+(run_sweep) is a study of one and a single solve is a batch of one, so
+all take the same steps.
 
 Sweeps with the null controller have independent intervals and may be
 evaluated concurrently by callers. The one-third stagger controller
 connects one of three fixed bus groups per interval and carries each
 bus's deferred energy across intervals as one exact backlog, so its
 ledger runs serially in sweep order; it never reads a solution, so it
-settles every interval before the day is evaluated. run_sweep itself is
+settles every interval before the day is evaluated. run_study itself is
 always single-threaded and never shares the mutable ledger.
 """
 
@@ -281,12 +283,16 @@ def build_injections(net: Network, scenario: Scenario, profiles: Mapping[str, Lo
                      interval: int) -> np.ndarray:
     """Net complex power injections in pu at interval with the scenario's
     nominal EV draw, the vector the solvers take: one entry per bus,
-    ordered like net.buses, with the slack entry zero.
+    ordered like net.buses, with the slack entry zero. This is the row a
+    study of the scenario with the null controller solves at interval.
 
     injection = -(building load * coefficient) - active EV kW + PV kW,
     divided by the system base. Building reactive load scales with the
     same coefficient; EV and PV are unity power factor.
     """
+    errors = placement_errors(net, scenario)
+    if errors:
+        raise ScenarioConfigError("; ".join(errors))
     ev_buses, ev_kw = _ev_demand(scenario, profiles, [interval])
     return _day_injections(net, scenario, profiles, [interval], ev_buses, ev_kw)[0]
 
@@ -298,16 +304,12 @@ def _day_injections(net: Network, scenario: Scenario, profiles: Mapping[str, Loa
     like net.buses with the slack entry zero; ev_kw[r, j] is the whole EV
     draw of bus ev_buses[j] at intervals[r].
 
-    Every binding is resolved before any coefficient is read, so a lot or
-    PV site that cannot be placed, then a missing PV or load binding, is
-    reported before a short profile's missing slot. Each element takes the
-    float steps of a per-interval scalar sum: the load term, then the EV
-    draw, then PV, each applied only where the bus has it, so +0.0 and
-    -0.0 stay apart.
+    Every PV and load binding is resolved before any coefficient is read,
+    so a missing one is reported before a short profile's missing slot.
+    Each element takes the float steps of a per-interval scalar sum: the
+    load term, then the EV draw, then PV, each applied only where the bus
+    has it, so +0.0 and -0.0 stay apart.
     """
-    errors = placement_errors(net, scenario)
-    if errors:
-        raise ScenarioConfigError("; ".join(errors))
     bindings = scenario.bindings
     slack = net.slack_id()
     position = {bus_id: i for i, bus_id in enumerate(net.bus_ids())}
@@ -451,54 +453,63 @@ class SweepResult:
         return tuple(r.interval for r in self.records if not r.solution.converged)
 
 
-def run_sweep(
-    net: Network,
-    scenario: Scenario,
-    profiles: Mapping[str, LoadProfile],
-    intervals: Iterable[int] = range(SLOTS_PER_DAY),
-) -> SweepResult:
-    """Run the controller over every interval, then solve them all, and record.
+def run_study(net: Network, scenarios: Sequence[Scenario], profiles: Mapping[str, LoadProfile],
+              intervals: Iterable[int] = range(SLOTS_PER_DAY)) -> list[SweepResult]:
+    """Run each scenario's controller over every interval, then solve them
+    all, and record: one SweepResult per scenario, in order.
 
-    For every interval the controller first settles the EV draw: the
-    deferral ledger runs serially in sweep order, and deferred EV energy
-    carries across intervals. The injections of every interval are then
-    evaluated once, as one matrix, with the settled draw. Its distinct
-    rows are solved once each, as one batch: an interval whose row equals
-    an earlier interval's bit for bit (so +0.0 and -0.0 differ) shares
-    its solution, which is immutable and exactly what solving again would
-    return. Nothing is kept across calls. Solver divergence is recorded
-    on the interval's solution.
+    A lot or PV site that cannot be placed is reported before any profile
+    is read. For every interval each controller then settles the EV draw:
+    the deferral ledger runs serially in sweep order, and deferred EV
+    energy carries across intervals. Each scenario's injections are then
+    evaluated once, as one matrix, with the settled draw. The distinct
+    rows of all of them are solved once each, as one batch: an interval
+    whose row equals another's bit for bit (so +0.0 and -0.0 differ), in
+    any scenario, shares its solution, which is immutable and exactly
+    what solving again would return. Nothing is kept across calls.
+    Solver divergence is recorded on the interval's solution.
     """
     intervals = list(intervals)
-    ev_buses, demanded = _ev_demand(scenario, profiles, intervals)
-    settled = demanded
-    state = None
-    if scenario.controller == "one_third_stagger" and ev_buses:
-        state = StaggerState(scenario.ev_connected_kw_by_bus())
-        settled = np.empty_like(demanded)
-        for r, (interval, row) in enumerate(zip(intervals, demanded.tolist())):
-            served = one_third_stagger(dict(zip(ev_buses, row)), interval, state)
-            settled[r] = [served[bus] for bus in ev_buses]
-    # Exact, in integer units: each distinct demanded kW times its count.
-    values, counts = np.unique(demanded, return_counts=True)
-    demanded_units = sum(_dyadic_units(value) * count
-                         for value, count in zip(values.tolist(), counts.tolist()))
+    days, ledgers = [], []
+    for scenario in scenarios:
+        errors = placement_errors(net, scenario)
+        if errors:
+            raise ScenarioConfigError("; ".join(errors))
+        ev_buses, demanded = _ev_demand(scenario, profiles, intervals)
+        settled = demanded
+        state = None
+        if scenario.controller == "one_third_stagger" and ev_buses:
+            state = StaggerState(scenario.ev_connected_kw_by_bus())
+            settled = np.empty_like(demanded)
+            for r, (interval, row) in enumerate(zip(intervals, demanded.tolist())):
+                served = one_third_stagger(dict(zip(ev_buses, row)), interval, state)
+                settled[r] = [served[bus] for bus in ev_buses]
+        # Exact, in integer units: each distinct demanded kW times its count.
+        values, counts = np.unique(demanded, return_counts=True)
+        demanded_units = sum(_dyadic_units(value) * count
+                             for value, count in zip(values.tolist(), counts.tolist()))
+        demanded_kw = Fraction(demanded_units, _DYADIC_UNIT)
+        # Whatever is still deferred at the horizon is unserved; the rest was served.
+        unserved_kw = state.unserved() if state is not None else Fraction(0)
+        per_slot_hours = Fraction(1, 4)
+        ledgers.append(EnergyLedger(demanded_kwh=demanded_kw * per_slot_hours,
+                                    served_kwh=(demanded_kw - unserved_kw) * per_slot_hours,
+                                    unserved_kwh=unserved_kw * per_slot_hours))
+        days.append(_day_injections(net, scenario, profiles, intervals, ev_buses, settled))
 
     # Each slot's row in the batch, keyed by the bytes of its injections:
     # slots equal bit for bit share a row; +0.0 and -0.0 differ.
-    day = _day_injections(net, scenario, profiles, intervals, ev_buses, settled)
     rows: dict[bytes, int] = {}
-    slots = [rows.setdefault(injections.tobytes(), len(rows)) for injections in day]
-    batch = np.frombuffer(b"".join(rows), dtype=complex).reshape(len(rows), day.shape[1])
+    slots = [[rows.setdefault(injections.tobytes(), len(rows)) for injections in day]
+             for day in days]
+    batch = np.frombuffer(b"".join(rows), dtype=complex).reshape(len(rows), len(net.buses))
     solutions = _newton_raphson(net, batch)
-    records = tuple(IntervalRecord(interval, solutions[row])
-                    for interval, row in zip(intervals, slots))
+    return [SweepResult(scenario.name, tuple(IntervalRecord(interval, solutions[row])
+                                             for interval, row in zip(intervals, day)), ledger)
+            for scenario, day, ledger in zip(scenarios, slots, ledgers)]
 
-    demanded_kw = Fraction(demanded_units, _DYADIC_UNIT)
-    # Whatever is still deferred at the horizon is unserved; the rest was served.
-    unserved_kw = state.unserved() if state is not None else Fraction(0)
-    per_slot_hours = Fraction(1, 4)
-    ledger = EnergyLedger(demanded_kwh=demanded_kw * per_slot_hours,
-                          served_kwh=(demanded_kw - unserved_kw) * per_slot_hours,
-                          unserved_kwh=unserved_kw * per_slot_hours)
-    return SweepResult(scenario.name, records, ledger)
+
+def run_sweep(net: Network, scenario: Scenario, profiles: Mapping[str, LoadProfile],
+              intervals: Iterable[int] = range(SLOTS_PER_DAY)) -> SweepResult:
+    """A study of one scenario (run_study)."""
+    return run_study(net, [scenario], profiles, intervals)[0]

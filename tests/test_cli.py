@@ -140,6 +140,26 @@ class TestSolve:
             (out / "detail_base_slot36.csv").read_text())
         assert all(loading < 80.0 for _, loading, _ in detail.values())
 
+    @pytest.mark.parametrize("name", ["base", "ev10", "ev25", "ev25_pv", "ev25_pv_lm"])
+    def test_solution_equals_a_direct_solve_of_the_nominal_draw(
+            self, fixture_dir, bench, monkeypatch, capsys, name):
+        """solve is a study of the scenario without its controller: the
+        nominal EV draw, the vector build_injections returns."""
+        studied = []
+
+        def spied(*args):
+            studied.extend(gridstress.run_study(*args))
+            return studied
+
+        monkeypatch.setattr(gridstress.cli, "run_study", spied)
+        assert cli_main(["solve", *_run_args(fixture_dir, name), "--interval", "36"]) == 0
+        capsys.readouterr()
+        (result,) = studied
+        direct = gridstress.solve_newton_raphson(bench.network, gridstress.build_injections(
+            bench.network, bench.scenario(name), bench.profiles, 36))
+        assert [record.interval for record in result.records] == [36]
+        assert repr(result.records[0].solution) == repr(direct)
+
     def test_interval_out_of_range_is_usage_error(self, fixture_dir, capsys):
         code = cli_main(["solve", *_run_args(fixture_dir, "base"),
                          "--interval", "96"])

@@ -19,6 +19,8 @@ from gridstress.fileio import (
     parse_scenario_file,
 )
 
+from helpers import NETWORK_TEXT
+
 
 def _text(doc: dict) -> str:
     """A document in the emitters' layout."""
@@ -142,7 +144,7 @@ class TestOversizedParkingLot:
 
 
 def test_solve_and_benchmark_bin_the_stagger_scenario_differently(fixture_dir, tmp_path):
-    """solve takes the nominal EV draw; benchmark's one-interval sweep lets
+    """solve takes the nominal EV draw; benchmark's one-interval study lets
     the stagger controller act, from an empty ledger (README, "Command line")."""
     argv = ["solve", "--network", str(fixture_dir / "network.json"),
             "--scenario", str(fixture_dir / "scenarios" / "ev25_pv_lm.json"),
@@ -153,3 +155,60 @@ def test_solve_and_benchmark_bin_the_stagger_scenario_differently(fixture_dir, t
     benchmarked = dict(parse_report_csv((fixture_dir / "report.csv").read_text()))
     assert list(solved["ev25_pv_lm"].counts().values()) == [9, 2, 9, 10]
     assert list(benchmarked["ev25_pv_lm"].counts().values()) == [10, 2, 0, 6]
+
+
+def _first_branch(doc: dict, kind: str) -> dict:
+    return next(branch for branch in doc["branches"] if branch["kind"] == kind)
+
+
+# Network values that once ended `solve` in a traceback, one per class:
+# (the element, its key, the value, the code of the diagnostic). The first
+# five are the classes of a 1,500-file mutation run of the campus fixture;
+# the last divides by zero while deriving the transformer's impedance.
+EXTREME_NETWORKS = [
+    pytest.param(lambda doc: doc["buses"][0], "base_voltage", 1e308, "voltage-mismatch",
+                 id="base-voltage-overflows-its-square"),
+    pytest.param(lambda doc: _first_branch(doc, "transformer"), "tap", 1e308,
+                 "degenerate-per-unit", id="tap-overflows-its-square"),
+    pytest.param(lambda doc: _first_branch(doc, "transformer"), "tap", 5e-324,
+                 "degenerate-per-unit", id="tap-square-underflows-to-zero"),
+    pytest.param(lambda doc: _first_branch(doc, "cable"), "rating", 5e-324,
+                 "degenerate-per-unit", id="rating-gives-infinite-loading"),
+    pytest.param(lambda doc: _first_branch(doc, "cable"), "length_miles", 1e-320,
+                 "degenerate-per-unit", id="length-gives-nan-loading"),
+    pytest.param(lambda doc: _first_branch(doc, "transformer"), "rating", 5e-324,
+                 "underived-impedance", id="transformer-rating-divides-by-zero"),
+]
+
+
+@pytest.mark.parametrize("element, key, value, code", EXTREME_NETWORKS)
+def test_extreme_network_value_is_a_diagnostic(fixture_dir, tmp_path, capsys,
+                                               element, key, value, code):
+    doc = json.loads((fixture_dir / "network.json").read_text())
+    element(doc)[key] = value
+    network = tmp_path / "network.json"
+    network.write_text(json.dumps(doc))
+    argv = ["solve", "--network", str(network),
+            "--scenario", str(fixture_dir / "scenarios" / "ev25_pv_lm.json"),
+            "--profiles", str(fixture_dir / "profiles"), "--out", str(tmp_path / "out")]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    first = captured.err.splitlines()[0]
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert first.startswith(f"{code}: ")
+    named = element(doc).get("id") or f"{element(doc).get('from')} -> {element(doc).get('to')}"
+    assert named in first
+    assert not (tmp_path / "out").exists()
+
+
+def test_impedance_past_abs_range_is_a_diagnostic(tmp_path, capsys):
+    """abs() of a finite impedance whose parts are both near the float
+    maximum overflows; validation no longer takes it."""
+    doc = json.loads(NETWORK_TEXT)
+    doc["cable_catalog"]["c"] = {"ohms_per_mile": 3e305, "reactance_per_mile": 3e305}
+    for bus in doc["buses"][:2]:
+        bus["base_voltage"] = 0.1
+    network = tmp_path / "network.json"
+    network.write_text(json.dumps(doc))
+    assert cli_main(["validate", "--network", str(network)]) == 1
+    assert capsys.readouterr().err.startswith("degenerate-per-unit: s -> a: ")

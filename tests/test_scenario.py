@@ -31,6 +31,7 @@ from gridstress import (
     ev_load_kw,
     normalize_profile,
     one_third_stagger,
+    run_study,
     run_sweep,
     solve_newton_raphson,
 )
@@ -694,6 +695,41 @@ class TestRunSweep:
         assert builds == [net]
 
 
+class TestRunStudy:
+    def test_campus_study_equals_five_sweeps(self, bench):
+        study = run_study(bench.network, bench.scenarios, bench.profiles)
+        sweeps = [run_sweep(bench.network, scenario, bench.profiles)
+                  for scenario in bench.scenarios]
+        assert [result.scenario for result in study] == [s.name for s in bench.scenarios]
+        assert [repr(result.records) for result in study] == [
+            repr(result.records) for result in sweeps]
+        assert [result.ledger for result in study] == [result.ledger for result in sweeps]
+
+    def test_campus_study_is_one_batch_of_its_distinct_rows(self, bench, monkeypatch):
+        calls = _count_solves(monkeypatch)
+        run_study(bench.network, bench.scenarios, bench.profiles)
+        # 240 rows when each scenario's day is deduplicated on its own.
+        assert calls.batches == [152]
+        assert len(set(calls)) == 152
+
+    def test_no_scenarios(self, bench):
+        assert run_study(bench.network, [], bench.profiles) == []
+
+    def test_no_intervals(self, bench):
+        results = run_study(bench.network, bench.scenarios, bench.profiles, intervals=[])
+        assert [(r.scenario, r.records) for r in results] == [
+            (s.name, ()) for s in bench.scenarios]
+        assert all(r.ledger == scenario_module.EnergyLedger(0, 0, 0) for r in results)
+
+    def test_a_scenario_given_twice_shares_its_rows(self, bench, monkeypatch):
+        calls = _count_solves(monkeypatch)
+        scenario = bench.scenario("ev25_pv_lm")
+        first, second = run_study(bench.network, [scenario, scenario], bench.profiles)
+        assert calls.batches == [66]
+        assert first == second
+        assert all(a.solution is b.solution for a, b in zip(first.records, second.records))
+
+
 def _feeder_cases(seed: int):
     """(network, scenario, profiles) of each perfbench feeder ramp day."""
     if str(PERFBENCH) not in sys.path:
@@ -874,6 +910,21 @@ class TestInjectionPlan:
         # With the missing binding supplied, the short profile is the error.
         with pytest.raises(ProfileError, match="profile 'short' has no slot 5"):
             call(supplied)
+
+
+    @pytest.mark.parametrize("run", ["build_injections", "run_sweep"])
+    def test_a_placement_error_comes_before_a_short_ev_profile(self, run):
+        """A lot that cannot be placed is reported before the EV profile is read."""
+        net = _mini_grid()
+        scenario = Scenario("s", 0.5, parking_lots=(ParkingLot("L", 10, "nowhere"),),
+                            bindings=ProfileBindings(ev="short"))
+        profiles = {"short": _flat_profile("short", slots=4)}
+        with pytest.raises(ScenarioConfigError) as info:
+            if run == "build_injections":
+                build_injections(net, scenario, profiles, 5)
+            else:
+                run_sweep(net, scenario, profiles, intervals=[5])
+        assert str(info.value) == "parking lot 'L' references unknown bus 'nowhere'"
 
 
 @settings(max_examples=300, deadline=None)
