@@ -25,7 +25,6 @@ from .network import (
     validate_network,
 )
 from .powerflow import (
-    BranchFlow,
     PowerFlowSolution,
     branch_flows,
     build_ybus,
@@ -53,7 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BenchmarkBundle",
     "Branch",
-    "BranchFlow",
     "Bus",
     "CableType",
     "CongestionHistogram",

@@ -4,7 +4,9 @@ Subcommands: validate (lint a network file), solve (one interval),
 sweep (a full 96-slot day), report (re-bin stored per-branch detail
 files), benchmark (materialize the bundled campus fixture and run its
 scenario set). Exit status: 0 success, 1 diagnostics (bad input or
-usage), 2 solver divergence in a requested interval.
+usage), 2 solver divergence in a requested interval. A slot that did not
+converge is printed with its stop reason and written to no report or
+detail file.
 
 solve is a study of the scenario with the null controller: its nominal
 EV draw. benchmark is one study of its scenarios for the one interval,
@@ -77,15 +79,18 @@ def _interval(text: str) -> int:
 
 
 def _add_run_arguments(parser: argparse.ArgumentParser, interval_default: int | None) -> None:
+    """The input and output options; with an interval_default (solve),
+    also --interval and the summary report's --format. sweep runs every
+    interval and writes no summary report."""
     parser.add_argument("--network", required=True, help="network JSON file")
     parser.add_argument("--scenario", required=True, help="scenario JSON file")
     parser.add_argument("--profiles", required=True, help="directory of profile CSV files")
+    parser.add_argument("--out", default=None, help="directory for report files")
     if interval_default is not None:
         parser.add_argument("--interval", type=_interval, default=interval_default,
                             help="15-minute slot index 0-95 (default: %(default)s, 09:00)")
-    parser.add_argument("--out", default=None, help="directory for report files")
-    parser.add_argument("--format", choices=REPORT_FORMATS, default="csv",
-                        help="summary report format (default: %(default)s)")
+        parser.add_argument("--format", choices=REPORT_FORMATS, default="csv",
+                            help="summary report format (default: %(default)s)")
 
 
 def _build_arg_parser() -> _Parser:
@@ -152,16 +157,23 @@ def _solve_slot(net: Network, scenarios: Sequence[Scenario], profiles: dict[str,
                 interval: int, fmt: str, out: str | None, detail: str) -> int:
     """Solve interval of every scenario as one study; print and bin each
     slot. Under out, if given, write each slot's detail CSV at
-    detail.format(scenario name, interval) and the summary report."""
+    detail.format(scenario name, interval) and the summary report. A slot
+    that did not converge is printed with its stop reason only: it gets
+    no detail CSV and no summary row."""
     rows: list[tuple[str, CongestionHistogram]] = []
     diverged = False
     for result in run_study(net, scenarios, profiles, [interval]):
         solution = result.records[0].solution
+        if not solution.converged:
+            print(f"{result.scenario} slot {interval}: DIVERGED ({solution.stop_reason}) in "
+                  f"{solution.iterations} iterations, max mismatch "
+                  f"{solution.max_mismatch:.3g} pu; no loadings reported")
+            diverged = True
+            continue
         hist = bin_loadings(solution.loading_by_branch())
-        status = "converged" if solution.converged else "DIVERGED"
         vmin, vmax = solution.voltage_range()
-        print(f"{result.scenario} slot {interval}: {status} in {solution.iterations} iterations, "
-              f"slack {solution.slack_injection.real * net.s_base_mva:.3f} MW "
+        print(f"{result.scenario} slot {interval}: converged in {solution.iterations} "
+              f"iterations, slack {solution.slack_injection.real * net.s_base_mva:.3f} MW "
               f"({solution.slack_injection.real:.4f} pu)")
         print(f"  voltage band: {vmin:.4f} - {vmax:.4f} pu")
         print(f"  loading bins: <40%: {hist.below_40}  "
@@ -173,8 +185,7 @@ def _solve_slot(net: Network, scenarios: Sequence[Scenario], profiles: dict[str,
             _write(Path(out) / detail.format(result.scenario, interval),
                    detail_csv_for_solution(solution))
         rows.append((result.scenario, hist))
-        diverged = diverged or not solution.converged
-    if out:
+    if out and rows:
         _summary(rows, fmt, out)
     return EXIT_DIVERGED if diverged else EXIT_OK
 
@@ -205,9 +216,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.out:
         _write(Path(args.out) / f"sweep_{scenario.name}.csv", emit_sweep_csv(result.records))
         for record in result.records:
-            _write(Path(args.out) / "details"
-                   / f"{scenario.name}_slot{record.interval:02d}.csv",
-                   detail_csv_for_solution(record.solution))
+            if record.solution.converged:
+                _write(Path(args.out) / "details"
+                       / f"{scenario.name}_slot{record.interval:02d}.csv",
+                       detail_csv_for_solution(record.solution))
     return EXIT_DIVERGED if diverged else EXIT_OK
 
 

@@ -82,6 +82,6 @@ def congested_elements(solution: PowerFlowSolution, threshold_percent: float) ->
     """Branches loaded at or above the threshold, worst first."""
     if threshold_percent <= 0:
         raise ValueError(f"threshold must be > 0, got {threshold_percent}")
-    over = [(f.branch_id, f.loading_percent) for f in solution.branch_flows
-            if f.loading_percent >= threshold_percent]
+    over = [item for item in zip(solution.branch_ids, solution.loading_percent)
+            if item[1] >= threshold_percent]
     return sorted(over, key=lambda item: (-item[1], item[0]))

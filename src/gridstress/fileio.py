@@ -446,9 +446,9 @@ DETAIL_COLUMNS = ("branch", "kind", "loading_percent", "bin")
 def detail_csv_for_solution(solution: PowerFlowSolution) -> str:
     """Per-branch loading detail. Percentages use repr so that re-parsing
     reproduces the exact float and therefore the exact bin."""
-    return _csv_text(DETAIL_COLUMNS, ([flow.branch_id, flow.kind, repr(flow.loading_percent),
-                                       bin_label(flow.loading_percent)]
-                                      for flow in solution.branch_flows))
+    rows = zip(solution.branch_ids, solution.branch_kinds, solution.loading_percent)
+    return _csv_text(DETAIL_COLUMNS, ([branch, kind, repr(loading), bin_label(loading)]
+                                      for branch, kind, loading in rows))
 
 
 def parse_branch_detail_csv(text: str) -> dict[str, tuple[str, float, str]]:
@@ -473,11 +473,14 @@ def parse_branch_detail_csv(text: str) -> dict[str, tuple[str, float, str]]:
 
 
 def emit_sweep_csv(records: Iterable[IntervalRecord]) -> str:
-    """Sweep status: one row per slot, with its peak loading at six decimals."""
+    """Sweep status: one row per slot, with its peak loading at six
+    decimals; a slot that did not converge leaves both loading cells empty."""
     def row(record: IntervalRecord) -> list[Any]:
         solution = record.solution
-        loadings = solution.loading_by_branch().values()
-        return [record.interval, int(solution.converged), solution.iterations,
+        if not solution.converged:
+            return [record.interval, 0, solution.iterations, "", ""]
+        loadings = solution.loading_percent
+        return [record.interval, 1, solution.iterations,
                 f"{max(loadings, default=0.0):.6f}", sum(1 for v in loadings if v >= 100.0)]
     return _csv_text(("interval", "converged", "iterations", "max_loading_percent",
                       "branches_ge_100"), map(row, records))

@@ -14,7 +14,11 @@ first step. The compiled form is kept on the instance. Solves are pure
 and deterministic: the same network and injections give bit-identical
 solutions. Non-convergence is a reportable outcome, not an exception,
 because overload studies intentionally push past feasibility; each
-solution records why its iteration stopped (STOP_REASONS).
+solution records why its iteration stopped (STOP_REASONS), and an
+iterate that overflows stops as non_finite rather than warning. Only a
+converged solution carries branch results: a non-solution keeps its best
+iterate's voltages, iterations and mismatch, and its branch columns are
+empty, so it can reach no loading bin and no report.
 
 Newton-Raphson runs in lockstep over a batch of operating points, one
 row of bus-ordered injections each: a sweep solves its distinct rows as
@@ -22,7 +26,10 @@ one batch and a single solve is a batch of one, so there is one NR loop.
 The mismatch, the stopping and best-iterate bookkeeping, the voltage
 update and the bus powers are computed once per step for all rows still
 iterating, a row leaves the batch when it stops, and the branch flows of
-the stopped rows are computed together. Rows go through the loop in
+the converged rows are computed together. Each solution holds them as
+columns ordered like net.branches (branch_ids, branch_kinds, s_from,
+s_to, loading_percent), Python values taken from the rows of those
+arrays, with no object per branch. Rows go through the loop in
 blocks of _BLOCK_ROWS, which bounds the memory a batch holds. Each row
 keeps the exact steps of a solve of it alone:
 
@@ -49,7 +56,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -71,30 +77,27 @@ GS_TOL = 1e-10
 GS_MAX_ITER = 50_000
 
 
-class BranchFlow(NamedTuple):
-    """Complex power entering a branch at each end, in pu, plus loading."""
-
-    branch_id: str
-    kind: str
-    s_from: complex
-    s_to: complex
-    loading_percent: float
-
-
 @dataclass(frozen=True)
 class PowerFlowSolution:
     """Solved state for one interval.
 
     Voltages are per-unit magnitude and radian angle, ordered like
-    bus_ids. loading_percent of a branch is
-    100 * max(|s_from|, |s_to|) / rating_pu. stop_reason is one of
-    STOP_REASONS; converged is stop_reason == "converged".
+    bus_ids. The branch columns are ordered like the network's branches:
+    the complex power entering each branch at its from and to end, in
+    pu, and its loading_percent, 100 * max(|s_from|, |s_to|) / rating_pu.
+    stop_reason is one of STOP_REASONS; converged is stop_reason ==
+    "converged". A solution that did not converge keeps its best iterate's
+    voltages but carries no branch: its five branch columns are empty.
     """
 
     bus_ids: tuple[str, ...]
     v_mag: tuple[float, ...]
     v_ang: tuple[float, ...]
-    branch_flows: tuple[BranchFlow, ...]
+    branch_ids: tuple[str, ...]
+    branch_kinds: tuple[str, ...]
+    s_from: tuple[complex, ...]
+    s_to: tuple[complex, ...]
+    loading_percent: tuple[float, ...]
     slack_injection: complex
     iterations: int
     max_mismatch: float
@@ -105,7 +108,7 @@ class PowerFlowSolution:
         return self.stop_reason == "converged"
 
     def loading_by_branch(self) -> dict[str, float]:
-        return {f.branch_id: f.loading_percent for f in self.branch_flows}
+        return dict(zip(self.branch_ids, self.loading_percent))
 
     def voltage_range(self) -> tuple[float, float]:
         return min(self.v_mag), max(self.v_mag)
@@ -331,22 +334,23 @@ def _cmul(a_re: np.ndarray, a_im: np.ndarray, b_re: np.ndarray,
     return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
 
 
-def branch_flows(net: Network, voltages: np.ndarray) -> tuple[BranchFlow, ...]:
-    """Per-branch complex power at both ends and the loading percentage.
-
-    voltages holds one complex per-unit voltage per bus, ordered like
-    net.buses.
+def branch_flows(net: Network, voltages: np.ndarray) -> tuple[tuple, tuple, tuple]:
+    """The s_from, s_to and loading_percent columns of the branches at
+    voltages, one complex per-unit voltage per bus ordered like net.buses.
     """
     c = _compiled(net)
     voltages = np.asarray(voltages, dtype=complex)
     if voltages.shape != (len(c.bus_ids),):
         raise ValueError(f"voltage vector has shape {voltages.shape}, "
                          f"expected ({len(c.bus_ids)},), one entry per bus")
-    return _branch_flows(c, voltages[None])[0]
+    s, loading = (a[0].tolist() for a in _branch_flows(c, voltages[None]))
+    m = len(c.branch_ids)
+    return tuple(s[:m]), tuple(s[m:]), tuple(loading)
 
 
-def _branch_flows(c: _Compiled, voltages: np.ndarray) -> list[tuple[BranchFlow, ...]]:
-    """branch_flows for each row of voltages (k, n)."""
+def _branch_flows(c: _Compiled, voltages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of voltages (k, n): the complex power entering each branch
+    end, from ends then to ends (k, 2m), and each branch's loading (k, m)."""
     # Each branch end k (from ends, then to ends) carries the current
     # y_near[k]*v[near] - y_far[k]*v[far]: i_from = y_ff*vf - y_ft*vt and
     # i_to = y_tt*vt - y_ft*vf.
@@ -364,51 +368,47 @@ def _branch_flows(c: _Compiled, voltages: np.ndarray) -> list[tuple[BranchFlow, 
     abs_f, abs_t = abs_s[:, :m], abs_s[:, m:]
     # np.where(t > f, t, f) is Python's max(f, t), NaN order included.
     loading = 100.0 * np.where(abs_t > abs_f, abs_t, abs_f) / c.rating_pu
-    return [tuple(map(_branch_flow, zip(c.branch_ids, c.branch_kinds, s[:m], s[m:], row)))
-            for s, row in zip(_complex_list(s_re, s_im), loading.tolist())]
-
-
-# BranchFlow._make without its Python-level call per branch: every
-# zipped row has the five fields that _make would check for.
-_branch_flow = partial(tuple.__new__, BranchFlow)
-
-
-def _complex_list(re: np.ndarray, im: np.ndarray) -> list:
-    """complex(re[..., k], im[..., k]) for each k, nested like re, signed zeros kept."""
-    z = np.empty(re.shape, dtype=complex)
-    z.real = re
-    z.imag = im
-    return z.tolist()
+    # The complex s from its parts, signed zeros kept.
+    return np.stack((s_re, s_im), axis=-1).view(complex)[..., 0], loading
 
 
 def total_losses(net: Network, solution: PowerFlowSolution) -> complex:
     """Network series losses in MW + jMvar, summed over branch ends."""
-    s_loss_pu = sum((f.s_from + f.s_to for f in solution.branch_flows), 0j)
+    s_loss_pu = sum((f + t for f, t in zip(solution.s_from, solution.s_to)), 0j)
     return s_loss_pu * net.s_base_mva
+
+
+_NO_FLOWS = dict.fromkeys(("branch_ids", "branch_kinds", "s_from", "s_to", "loading_percent"), ())
 
 
 def _finish(c: _Compiled, voltages: np.ndarray, iterations: np.ndarray, stops: np.ndarray,
             mismatches: np.ndarray) -> list[PowerFlowSolution]:
-    """One solution per row of the C-contiguous voltages (k, n), with its stop record."""
+    """One solution per row of the C-contiguous voltages (k, n), with its
+    stop record; only the converged rows get branch columns."""
     # The slack bus's injection: one dot product per row (over contiguous
     # rows, as in a solve of one), then Python's complex product, which
     # rounds like numpy's scalar one.
     slack_currents = np.matmul(voltages[:, None, :], c.ybus[c.slack][:, None])[:, 0, 0]
+    s, loading = _branch_flows(c, voltages[stops == _CONVERGED])
+    m = len(c.branch_ids)
+    # The branch columns of each converged row, in row order.
+    flows = iter([dict(branch_ids=c.branch_ids, branch_kinds=c.branch_kinds, s_from=tuple(z[:m]),
+                       s_to=tuple(z[m:]), loading_percent=tuple(percent))
+                  for z, percent in zip(s.tolist(), loading.tolist())])
     return [
         PowerFlowSolution(
             bus_ids=c.bus_ids,
             v_mag=tuple(v_mag),
             v_ang=tuple(map(cmath.phase, v)),
-            branch_flows=flows,
+            **(next(flows) if stop == _CONVERGED else _NO_FLOWS),
             slack_injection=v[c.slack] * i_slack.conjugate(),
             iterations=its,
             max_mismatch=mismatch,
             stop_reason=STOP_REASONS[stop],
         )
-        for v, v_mag, flows, i_slack, its, stop, mismatch in zip(
+        for v, v_mag, i_slack, its, stop, mismatch in zip(
             voltages.tolist(), np.hypot(voltages.real, voltages.imag).tolist(),
-            _branch_flows(c, voltages), slack_currents.tolist(), iterations.tolist(),
-            stops.tolist(), mismatches.tolist())
+            slack_currents.tolist(), iterations.tolist(), stops.tolist(), mismatches.tolist())
     ]
 
 
@@ -447,6 +447,8 @@ def _newton_raphson(net: Network, s_spec: np.ndarray) -> list[PowerFlowSolution]
             for solution in _finish(c, *_iterate(c, s_spec[start:start + _BLOCK_ROWS]))]
 
 
+# An iterate that overflows is a stop reason (non_finite), not a warning.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _iterate(c: _Compiled, s_spec: np.ndarray) -> tuple[np.ndarray, ...]:
     """The Newton-Raphson steps of every row of s_spec (k, n); returns, per
     row, the voltages it reports, its step count, stop code and mismatch.

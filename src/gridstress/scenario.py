@@ -252,7 +252,7 @@ def _ev_demand(scenario: Scenario, profiles: Mapping[str, LoadProfile],
     if ev is None:
         raise ScenarioConfigError("scenario has EV load but no EV profile binding")
     if ev not in profiles:
-        raise ScenarioConfigError(f"EV profile {ev!r} not found")
+        raise ScenarioConfigError(f"bindings.ev: EV profile {ev!r} not found")
     kw = np.array(list(ev_nominal.values()), dtype=float)
     return list(ev_nominal), kw * _coefficients(profiles[ev], intervals)[:, None]
 

@@ -1,20 +1,23 @@
 """Shared builders and checks for tests: tiny and randomly generated
 networks, a small network document, injection vectors from mappings by
-bus id, no-load injections, overload counts, stagger service and
-backlog in kW, and reference models of one slot's injections and of the
-stagger controller."""
+bus id, the benchmark's seeded feeder days, no-load injections, overload
+counts, stagger service and backlog in kW, and reference models of one
+slot's injections and of the stagger controller."""
 
 from __future__ import annotations
 
 import json
 import os
 import random
+import sys
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
+import gridstress
 from gridstress import (
     Branch,
     Bus,
@@ -111,6 +114,17 @@ def make_radial_network(rng: random.Random, n_buses: int,
         branches.append(Branch(*ends, "cable", 10000.0, cable_type=name, length_miles=1.0))
     net = derive_impedances(Network(S_BASE, tuple(buses), tuple(branches), (), catalog))
     return net, bus_vector(net, injections)
+
+
+def feeder_days(seed: int) -> tuple[Network, tuple[Scenario, ...], dict[str, LoadProfile]]:
+    """The seeded 60-bus feeder of the benchmark (perfbench/feeder.py):
+    its network, its EV ramp scenarios and its profiles."""
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    import feeder
+
+    return feeder.to_program_inputs(feeder.generate(seed), gridstress)
 
 
 def no_load_injections(net: Network) -> np.ndarray:

@@ -112,8 +112,9 @@ def test_criterion_3_flat_no_load_case(bench):
     ok = solution.converged
     ok = ok and max(abs(v - 1.0) for v in solution.v_mag) <= 1e-10
     ok = ok and max(abs(a) for a in solution.v_ang) <= 1e-10
-    for flow in solution.branch_flows:
-        ok = ok and abs(flow.s_from) <= 1e-10 and abs(flow.s_to) <= 1e-10
+    ok = ok and len(solution.s_from) == len(solution.s_to) == len(bench.network.branches)
+    for s_from, s_to in zip(solution.s_from, solution.s_to):
+        ok = ok and abs(s_from) <= 1e-10 and abs(s_to) <= 1e-10
     _report(3, "no-load fixture is flat: |V|=1, zero flows, within 1e-10", ok)
     assert ok
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -16,12 +17,13 @@ from gridstress.benchmark import PARKING_LOTS
 from gridstress.cli import cli_main
 from gridstress.fileio import (
     emit_network_file,
+    emit_profile_csv,
     emit_scenario_file,
     parse_branch_detail_csv,
     parse_report_csv,
 )
 
-from helpers import NETWORK_TEXT, at_or_above_100
+from helpers import NETWORK_TEXT, at_or_above_100, feeder_days
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +201,7 @@ class TestUnresolvedBindings:
                           lambda doc: doc["bindings"].update(ev="missing"))
         assert cli_main(argv) == 1
         captured = capsys.readouterr()
-        assert captured.err == "EV profile 'missing' not found\n"
+        assert captured.err == "bindings.ev: EV profile 'missing' not found\n"
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
@@ -291,6 +293,16 @@ class TestSweep:
         assert status[1] == "0,1,0,0.000000,0"
         assert "solo: 96 intervals, 0 diverged" in capsys.readouterr().out
 
+    def test_format_is_not_an_option(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = cli_main(["sweep", *_run_args(fixture_dir, "base"), "--out", str(out),
+                         "--format", "json-text"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --format json-text" in err
+        assert "usage:" in err
+        assert not out.exists()
+
     def test_stagger_sweep_reports_ledger(self, fixture_dir, capsys):
         code = cli_main(["sweep", *_run_args(fixture_dir, "ev25_pv_lm")])
         assert code in (0, 2)
@@ -335,3 +347,61 @@ class TestReport:
         out = capsys.readouterr().out
         assert out.startswith("scenario,bin_40_80")
         assert len(out.strip().splitlines()) == 6
+
+
+def _overflowing_network(fixture_dir, tmp_path) -> Path:
+    """The campus network with its HV tie cable at 1e306 ohm/mile: it
+    passes validation, and Newton-Raphson overflows on it."""
+    doc = json.loads((fixture_dir / "network.json").read_text())
+    doc["cable_catalog"]["HV-tie-336"]["ohms_per_mile"] = 1e306
+    network = tmp_path / "network.json"
+    network.write_text(json.dumps(doc))
+    return network
+
+
+class TestDivergedSlot:
+    """A slot that does not converge is printed with its stop reason and
+    reaches no report, no detail file and no bin."""
+
+    def test_solve_writes_neither_file_and_warns_nothing(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["solve", "--network", str(_overflowing_network(fixture_dir, tmp_path)),
+                "--scenario", str(fixture_dir / "scenarios" / "ev25.json"),
+                "--profiles", str(fixture_dir / "profiles"), "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            code = cli_main(argv)
+        assert code == 2
+        assert caught == []
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("ev25 slot 36: DIVERGED (non_finite) in ")
+        assert captured.out.endswith("; no loadings reported\n")
+
+    def test_sweep_withholds_only_the_diverged_slots(self, tmp_path, capsys):
+        """The benchmark feeder's top ramp step diverges at slots 32-39."""
+        net, scenarios, profiles = feeder_days(1)
+        scenario = scenarios[-1]
+        (tmp_path / "profiles").mkdir()
+        for profile in profiles.values():
+            (tmp_path / "profiles" / f"{profile.id}.csv").write_text(emit_profile_csv(profile))
+        (tmp_path / "network.json").write_text(emit_network_file(net))
+        (tmp_path / "scenario.json").write_text(emit_scenario_file(scenario))
+        out = tmp_path / "out"
+        code = cli_main(["sweep", "--network", str(tmp_path / "network.json"),
+                         "--scenario", str(tmp_path / "scenario.json"),
+                         "--profiles", str(tmp_path / "profiles"), "--out", str(out)])
+        assert code == 2
+        assert f"{scenario.name}: 96 intervals, 8 diverged" in capsys.readouterr().out
+        details = sorted(p.name for p in (out / "details").glob("*.csv"))
+        assert details == [f"{scenario.name}_slot{k:02d}.csv" for k in range(96)
+                           if not 32 <= k < 40]
+        status = (out / f"sweep_{scenario.name}.csv").read_text().splitlines()[1:]
+        for k, row in enumerate(status):
+            cells = row.split(",")
+            assert cells[0] == str(k)
+            if 32 <= k < 40:
+                assert cells[1] == "0" and cells[3:] == ["", ""]
+            else:
+                assert cells[1] == "1" and cells[3] and cells[4]

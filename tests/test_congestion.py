@@ -115,5 +115,5 @@ class TestCongestedElements:
             build_injections(bench.network, bench.scenario("ev10"), bench.profiles, 36))
         listed = congested_elements(solution, 100.0)
         assert listed
-        kinds = {f.branch_id: f.kind for f in solution.branch_flows}
+        kinds = dict(zip(solution.branch_ids, solution.branch_kinds))
         assert any(kinds[branch] == "transformer" for branch, _ in listed)

@@ -20,14 +20,21 @@ from gridstress import (
     branch_flows,
     build_ybus,
     derive_impedances,
+    run_sweep,
     solve_gauss_seidel,
     solve_newton_raphson,
     total_losses,
 )
 from gridstress import powerflow as powerflow_module
-from gridstress.powerflow import BranchFlow, PowerFlowSolution
+from gridstress.powerflow import PowerFlowSolution
 
-from helpers import bus_vector, make_radial_network, no_load_injections, two_bus_network
+from helpers import (
+    bus_vector,
+    feeder_days,
+    make_radial_network,
+    no_load_injections,
+    two_bus_network,
+)
 
 # Reference solution of the two-bus case (slack 1.0 at angle 0, series
 # z = 0.01+0.05j pu, load 0.5+0.2j pu), computed beforehand by iterating
@@ -91,9 +98,10 @@ class TestNewtonRaphson:
         assert solution.iterations == 0
         assert max(abs(v - 1.0) for v in solution.v_mag) <= 1e-10
         assert max(abs(a) for a in solution.v_ang) <= 1e-10
-        for flow in solution.branch_flows:
-            assert abs(flow.s_from) <= 1e-10
-            assert abs(flow.s_to) <= 1e-10
+        assert len(solution.s_from) == len(solution.s_to) == len(bench.network.branches)
+        for s_from, s_to in zip(solution.s_from, solution.s_to):
+            assert abs(s_from) <= 1e-10
+            assert abs(s_to) <= 1e-10
 
     def test_two_bus_matches_fixed_point_oracle(self):
         net = two_bus_network(TWO_BUS_Z)
@@ -110,7 +118,8 @@ class TestNewtonRaphson:
                                       bench.profiles, 36)
         solution = solve_newton_raphson(bench.network, injections)
         assert solution.converged
-        assert all(f.loading_percent < 80.0 for f in solution.branch_flows)
+        assert len(solution.loading_percent) == len(bench.network.branches)
+        assert all(loading < 80.0 for loading in solution.loading_percent)
 
     def test_non_finite_injection_rejected(self):
         net = two_bus_network(TWO_BUS_Z)
@@ -148,6 +157,10 @@ class TestNewtonRaphson:
         assert not solution.converged
         assert solution.max_mismatch > 0.0
         assert len(solution.v_mag) == 2  # best iterate still reported
+        # A non-solution carries no branch results.
+        assert (solution.branch_ids, solution.branch_kinds, solution.s_from, solution.s_to,
+                solution.loading_percent) == ((),) * 5
+        assert solution.loading_by_branch() == {}
 
     def test_deterministic_bit_identical(self, bench):
         from gridstress import build_injections
@@ -158,8 +171,7 @@ class TestNewtonRaphson:
         assert a.v_mag == b.v_mag
         assert a.v_ang == b.v_ang
         assert a.slack_injection == b.slack_injection
-        assert [f.loading_percent for f in a.branch_flows] == \
-               [f.loading_percent for f in b.branch_flows]
+        assert a.loading_percent == b.loading_percent
 
     def test_monotone_voltage_drop_with_load(self):
         net = two_bus_network(TWO_BUS_Z)
@@ -215,8 +227,8 @@ class TestGaussSeidel:
 class TestBranchFlows:
     def test_zero_flow(self):
         net = two_bus_network(TWO_BUS_Z)
-        flows = branch_flows(net, np.array([1 + 0j, 1 + 0j]))
-        assert flows[0].loading_percent == 0.0
+        _, _, loading = branch_flows(net, np.array([1 + 0j, 1 + 0j]))
+        assert loading == (0.0,)
 
     def test_loading_is_definitional_at_rating(self):
         # rating 10000 kVA = 1.0 pu on the 10 MVA base; drive exactly
@@ -226,8 +238,8 @@ class TestBranchFlows:
         v_from = 1.0 + 0j
         i_line = 1.0 + 0j  # S_from = V * conj(I) = 1.0 pu
         v_to = v_from - 0.1 * i_line
-        flows = branch_flows(net, np.array([v_from, v_to]))
-        assert flows[0].loading_percent == 100.0
+        _, _, loading = branch_flows(net, np.array([v_from, v_to]))
+        assert loading == (100.0,)
 
     def test_voltages_need_one_entry_per_bus(self):
         net = two_bus_network(TWO_BUS_Z)
@@ -237,13 +249,13 @@ class TestBranchFlows:
     def test_two_bus_flow_matches_oracle(self):
         net = two_bus_network(TWO_BUS_Z)
         solution = solve_gauss_seidel(net, bus_vector(net, {"load": -TWO_BUS_LOAD}))
-        flow = solution.branch_flows[0]
-        assert flow.s_from == pytest.approx(TWO_BUS_S_FROM, abs=1e-8)
-        assert flow.s_to == pytest.approx(-TWO_BUS_LOAD, abs=1e-8)
+        assert solution.s_from[0] == pytest.approx(TWO_BUS_S_FROM, abs=1e-8)
+        assert solution.s_to[0] == pytest.approx(-TWO_BUS_LOAD, abs=1e-8)
 
 
-def _scalar_branch_flows(net, voltages):
-    """Reference: one branch at a time on Python complex scalars."""
+def _scalar_branch_columns(net, voltages):
+    """Reference: one branch at a time on Python complex scalars; the
+    branch_ids, branch_kinds, s_from, s_to and loading_percent columns."""
     flows = []
     for branch in net.branches:
         y = 1.0 / branch.series_impedance_pu
@@ -256,8 +268,8 @@ def _scalar_branch_flows(net, voltages):
         s_to = complex(vt * i_to.conjugate())
         rating_pu = branch.rating_kva / (1000.0 * net.s_base_mva)
         loading = float(100.0 * max(abs(s_from), abs(s_to)) / rating_pu)
-        flows.append(BranchFlow(branch.id, branch.kind, s_from, s_to, loading))
-    return tuple(flows)
+        flows.append((branch.id, branch.kind, s_from, s_to, loading))
+    return tuple(zip(*flows))
 
 
 def _tapped_radial_networks(rng, count=12, ties=0):
@@ -309,24 +321,32 @@ class TestBitExactVectorisation:
                              {b: complex(rng.uniform(0.8, 1.1), rng.uniform(-0.2, 0.2))
                               for b in solution.bus_ids}):
                 vector = np.array([voltages[b] for b in solution.bus_ids])
-                assert branch_flows(net, vector) == _scalar_branch_flows(net, voltages)
+                assert branch_flows(net, vector) == _scalar_branch_columns(net, voltages)[2:]
 
     def test_solution_voltages_are_exact_magnitude_and_phase(self, bench, rng, monkeypatch):
         seen = []
-        flows = powerflow_module._branch_flows
+        finish = powerflow_module._finish
 
-        def capture(c, voltages):
+        def capture(c, voltages, *stop_record):
             seen.append(voltages)
-            return flows(c, voltages)
+            return finish(c, voltages, *stop_record)
 
-        monkeypatch.setattr(powerflow_module, "_branch_flows", capture)
+        monkeypatch.setattr(powerflow_module, "_finish", capture)
+        converged = 0
         for net, injections in _solved_cases(bench, rng):
             solution = solve_newton_raphson(net, injections)
             (voltages,) = seen[-1].tolist()
             assert solution.v_mag == tuple(abs(v) for v in voltages)
             assert solution.v_ang == tuple(cmath.phase(v) for v in voltages)
-            assert solution.branch_flows == _scalar_branch_flows(
-                net, dict(zip(solution.bus_ids, voltages)))
+            columns = (solution.branch_ids, solution.branch_kinds, solution.s_from,
+                       solution.s_to, solution.loading_percent)
+            if solution.converged:
+                converged += 1
+                assert columns == _scalar_branch_columns(
+                    net, dict(zip(solution.bus_ids, voltages)))
+            else:
+                assert columns == ((),) * 5
+        assert converged >= 3
 
     def test_compiled_ybus_is_read_only(self):
         net = two_bus_network(TWO_BUS_Z)
@@ -389,7 +409,6 @@ class TestBitExactVectorisation:
                 assert largest[k] == float(np.max(np.abs(stacked)))
 
     def test_sweep_assembles_one_jacobian_per_step_after_the_first(self, bench, monkeypatch):
-        from gridstress import run_sweep
         from gridstress import scenario as scenario_module
         net = dataclasses.replace(bench.network)    # a fresh, never-compiled instance
         assembled = []
@@ -419,19 +438,12 @@ class TestBitExactVectorisation:
 
 def _feeder_top_day(seed: int):
     """(network, scenario, profiles) of the top ramp step of a perfbench feeder."""
-    import gridstress
-    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
-    if perfbench not in sys.path:
-        sys.path.insert(0, perfbench)
-    import feeder
-
-    net, scenarios, profiles = feeder.to_program_inputs(feeder.generate(seed), gridstress)
+    net, scenarios, profiles = feeder_days(seed)
     return net, scenarios[-1], profiles
 
 
 class TestStopReason:
     def test_feeder_top_step_surge_stops_at_max_iter(self):
-        from gridstress import run_sweep
         result = run_sweep(*_feeder_top_day(1))
         reasons = {r.interval: r.solution.stop_reason for r in result.records}
         assert result.diverged_intervals() == tuple(range(32, 40))
@@ -440,13 +452,32 @@ class TestStopReason:
         assert all(r.solution.iterations == powerflow_module.NR_MAX_ITER
                    for r in result.records if 32 <= r.interval < 40)
 
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_feeder_surge_slots_carry_no_branch_and_bin_nothing(self, seed):
+        from gridstress import bin_loadings
+        net, scenario, profiles = _feeder_top_day(seed)
+        result = run_sweep(net, scenario, profiles)
+        assert result.diverged_intervals() == tuple(range(32, 40))
+        for record in result.records:
+            solution = record.solution
+            columns = (solution.branch_ids, solution.branch_kinds, solution.s_from,
+                       solution.s_to, solution.loading_percent)
+            hist = bin_loadings(solution.loading_by_branch())
+            if 32 <= record.interval < 40:
+                assert columns == ((),) * 5
+                assert (hist.below_40, *hist.counts().values()) == (0, 0, 0, 0, 0)
+                assert len(solution.v_mag) == len(net.buses)    # the best iterate
+            else:
+                assert [len(column) for column in columns] == [len(net.branches)] * 5
+                assert hist.below_40 + sum(hist.counts().values()) == len(net.branches)
+
     def test_huge_injection_is_a_non_finite_iterate(self, bench):
         net = bench.network
         bus = min(bus_id for bus_id in net.bus_ids() if bus_id != net.slack_id())
         injections = no_load_injections(net)
         injections[net.bus_ids().index(bus)] = complex(-1e300, 0.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            solution = solve_newton_raphson(net, injections)
+        # The overflow is the stop reason: pytest turns a numpy warning into an error.
+        solution = solve_newton_raphson(net, injections)
         assert solution.stop_reason == "non_finite"
         assert not solution.converged
         assert solution.iterations >= 1
@@ -496,16 +527,15 @@ class TestLockstepBatch:
                                                   bench.profiles, 36))
         cases = [campus, *_tapped_radial_networks(rng), *_tapped_radial_networks(rng, ties=3)]
         reasons = set()
-        with np.errstate(over="ignore", invalid="ignore"):
-            for net, injections in cases:
-                rows = self._rows(net, injections)
-                batch = powerflow_module._newton_raphson(net, rows)
-                assert len(batch) == len(rows)
-                for row, solution in zip(rows, batch):
-                    alone = solve_newton_raphson(net, row)
-                    assert solution == alone
-                    assert repr(solution) == repr(alone)
-                    reasons.add(solution.stop_reason)
+        for net, injections in cases:
+            rows = self._rows(net, injections)
+            batch = powerflow_module._newton_raphson(net, rows)
+            assert len(batch) == len(rows)
+            for row, solution in zip(rows, batch):
+                alone = solve_newton_raphson(net, row)
+                assert solution == alone
+                assert repr(solution) == repr(alone)
+                reasons.add(solution.stop_reason)
         assert {"converged", "max_iter", "non_finite"} <= reasons
 
     def test_rows_past_one_block_keep_their_order(self, bench):
@@ -526,7 +556,8 @@ class TestLockstepBatch:
                 True, 0, "converged")
             assert solution.max_mismatch == 0.0
             assert solution.v_mag == (1.0,)
-            assert solution.branch_flows == ()
+            assert (solution.branch_ids, solution.branch_kinds, solution.s_from,
+                    solution.s_to, solution.loading_percent) == ((),) * 5
 
     def test_empty_batch(self, bench):
         n = len(bench.network.buses)

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
 import random
 import re
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +17,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import gridstress
 from gridstress import (
     Branch,
     Bus,
@@ -49,10 +48,16 @@ from gridstress.scenario import (
     pv_clear_day_profile,
 )
 
-from helpers import FifoStagger, backlog_kw, bus_vector, slot_injections, stagger_served
+from helpers import (
+    FifoStagger,
+    backlog_kw,
+    bus_vector,
+    feeder_days,
+    slot_injections,
+    stagger_served,
+)
 
 DATA = Path(__file__).parent / "data"
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 class TestNormalizeProfile:
@@ -303,7 +308,7 @@ class TestBuildInjections:
          "scenario has EV load but no EV profile binding"),
         (0.0, 0.0, Scenario("s", 0.5, parking_lots=(ParkingLot("L", 10, "town"),),
                             bindings=ProfileBindings(ev="gone")),
-         "EV profile 'gone' not found"),
+         "bindings.ev: EV profile 'gone' not found"),
         (0.0, 0.0, Scenario("s", 0.5, parking_lots=(ParkingLot("L", 10, "nowhere"),),
                             bindings=ProfileBindings(ev="flat")),
          "parking lot 'L' references unknown bus 'nowhere'"),
@@ -541,9 +546,9 @@ class TestRunSweep:
             bench.network,
             build_injections(bench.network, base, bench.profiles, 36))
         sweep_loadings = result.records[0].solution.loading_by_branch()
-        for flow in direct.branch_flows:
-            assert sweep_loadings[flow.branch_id] == pytest.approx(
-                flow.loading_percent, abs=1e-9)
+        assert len(direct.branch_ids) == len(bench.network.branches)
+        for branch, loading in zip(direct.branch_ids, direct.loading_percent):
+            assert sweep_loadings[branch] == pytest.approx(loading, abs=1e-9)
 
     def test_stagger_demo_ledger(self):
         net = _stagger_demo_network()
@@ -695,7 +700,26 @@ class TestRunSweep:
         assert builds == [net]
 
 
+# SHA-256 of the five-scenario campus day (test_campus_study_bits_are_pinned).
+# A change that keeps every bit keeps it; one that moves the numbers on
+# purpose states so and updates it.
+CAMPUS_STUDY_SHA256 = "31fe0bd7e9cfa0f874c70dcb8985223aaad9a61dfffb330846768fe52f7809fb"
+
+
 class TestRunStudy:
+    def test_campus_study_bits_are_pinned(self, bench):
+        """Each scenario's ledger, then each record's interval, voltages,
+        branch columns, slack injection and stop record, by repr."""
+        digest = hashlib.sha256()
+        for result in run_study(bench.network, bench.scenarios, bench.profiles):
+            digest.update(repr(result.ledger).encode())
+            for record in result.records:
+                s = record.solution
+                digest.update(repr((record.interval, s.v_mag, s.v_ang, s.branch_ids, s.s_from,
+                                    s.s_to, s.loading_percent, s.slack_injection, s.iterations,
+                                    s.max_mismatch, s.stop_reason)).encode())
+        assert digest.hexdigest() == CAMPUS_STUDY_SHA256
+
     def test_campus_study_equals_five_sweeps(self, bench):
         study = run_study(bench.network, bench.scenarios, bench.profiles)
         sweeps = [run_sweep(bench.network, scenario, bench.profiles)
@@ -732,11 +756,7 @@ class TestRunStudy:
 
 def _feeder_cases(seed: int):
     """(network, scenario, profiles) of each perfbench feeder ramp day."""
-    if str(PERFBENCH) not in sys.path:
-        sys.path.insert(0, str(PERFBENCH))
-    import feeder
-
-    net, scenarios, profiles = feeder.to_program_inputs(feeder.generate(seed), gridstress)
+    net, scenarios, profiles = feeder_days(seed)
     return [(net, scenario, profiles) for scenario in scenarios]
 
 
