@@ -257,9 +257,18 @@ def validate_network(net: Network) -> list[Violation]:
     """
     violations: list[Violation] = []
 
+    # Every per-unit value divides by the system base or by 1000 times it;
+    # a base that makes either infinite is reported once, not per branch.
+    base_ok = False
     if net.s_base_mva <= 0:
         violations.append(Violation("nonpositive-system-base", "network",
                                     f"s_base_mva must be > 0, got {net.s_base_mva}"))
+    elif not (math.isfinite(1000.0 * net.s_base_mva) and math.isfinite(1.0 / net.s_base_mva)):
+        violations.append(Violation("degenerate-system-base", "network",
+                                    "1000 * s_base_mva and 1 / s_base_mva must be finite, "
+                                    f"got s_base_mva {net.s_base_mva}"))
+    else:
+        base_ok = True
 
     for name, cable in net.cable_catalog.items():
         if cable.ohms_per_mile < 0 or cable.reactance_per_mile < 0:
@@ -321,10 +330,13 @@ def validate_network(net: Network) -> list[Violation]:
             elif bus_kv[branch.from_bus] != bus_kv[branch.to_bus]:
                 violations.append(Violation("voltage-mismatch", branch.id,
                                             "cable endpoints have different base voltages"))
+        if not base_ok:
+            # The system base explains any per-unit value of the branch.
+            continue
         if branch.series_impedance_pu is None:
-            # derive_impedances leaves a branch underived on a bad system or
-            # from-bus base and on its own bad values; those are reported.
-            if net.s_base_mva > 0 and bus_kv[branch.from_bus] > 0 and len(violations) == checked:
+            # derive_impedances leaves a branch underived on a bad from-bus
+            # base and on its own bad values; those are reported.
+            if bus_kv[branch.from_bus] > 0 and len(violations) == checked:
                 violations.append(Violation("underived-impedance", branch.id,
                                             "series_impedance_pu has not been derived"))
         elif branch.series_impedance_pu == 0:

@@ -33,12 +33,24 @@ arrays, with no object per branch. Rows go through the loop in
 blocks of _BLOCK_ROWS, which bounds the memory a batch holds. Each row
 keeps the exact steps of a solve of it alone:
 
-- Its Jacobian is assembled and solved on its own. The Jacobian keeps
-  its dense products with diagonal matrices: OpenBLAS zgemm rounds its
-  last n mod 4 columns unlike the elementwise O(n^2) form, so that
-  faster form would move the last bits of the reported loadings. The
-  Jacobians are not stacked into one (k, m, m) array for a batched
-  solve either: every row still needs its own factorisation, and that
+- Its Jacobian is built at the pattern of its structural nonzeros only
+  (the PQ pairs where Ybus is nonzero, plus the diagonal), as in the
+  sparse dSbus_dV of MATPOWER, and each entry rounds like the dense
+  products with diagonal matrices that define it. Those products are
+  OpenBLAS zgemm calls, whose main kernel rounds each complex product
+  like _cmul: the entries in the first n - n mod 4 bus columns are
+  computed elementwise, one set of numpy operations for every row still
+  iterating. zgemm rounds its last r = n mod 4 columns with a fused
+  multiply-add, which numpy has no operation for, so the entries there
+  are cut, per row, from the same products over the last min(n, 4 + r)
+  columns, an (n x n) @ (n x (4 + r)) product that runs the same
+  remainder kernel. Only r columns would not do: an (n x 1) operand is
+  dispatched to zgemv, which rounds unlike zgemm. Entries off the
+  pattern are +0.0 where the dense products left either zero; the sign
+  of a zero entry does not change the solve of a nonsingular Jacobian.
+  Each row's values are written into one zeroed buffer and solved on
+  their own. The Jacobians are not stacked into one (k, m, m) array for
+  a batched solve: every row still needs its own factorisation, and that
   stack measured 0.92-1.07x of solving the rows one by one.
 - Bus currents come from np.matmul over the stacked (k, n, 1) columns,
   one matrix-vector product per row, which rounds like ybus @ v. The
@@ -47,9 +59,10 @@ keeps the exact steps of a solve of it alone:
 Injections take one form: a complex vector in pu ordered like net.buses
 with the slack entry zero, one row of the day matrix a sweep evaluates
 (see scenario). Voltages keep the same bus order from the iteration to
-branch_flows. The mismatch and the Jacobian blocks are gathered from the
-float view of complex arrays at compiled indices, the Jacobian in column
-order, the layout LAPACK factorises without a strided copy.
+branch_flows. The mismatch is gathered from the float view of complex
+arrays at compiled indices, and the Jacobian's entries are written at
+compiled positions in column order, the layout LAPACK factorises
+without a strided copy.
 """
 
 from __future__ import annotations
@@ -139,19 +152,39 @@ def build_ybus(net: Network) -> np.ndarray:
     return ybus
 
 
+class _Pattern(NamedTuple):
+    """The structural nonzeros of a network's Newton-Raphson Jacobian.
+
+    An entry is a pair of PQ buses (row bus a, column bus b) with
+    ybus[a, b] != 0, or a == b; each gives one entry of each of the four
+    Jacobian blocks. Entries are ordered by column bus, then row bus, so
+    the first `main` have columns below n - n mod 4 and the rest lie in
+    the remainder columns (see _JacobianWork). y holds the real then the
+    imaginary parts of ybus[a, b], diagonal the positions of the entries
+    with a == b among the first `main`, and positions the flat positions
+    in the transposed (m, m) Jacobian of the real angle block's entries,
+    then the reactive angle, real magnitude and reactive magnitude ones.
+    """
+
+    rows: np.ndarray
+    columns: np.ndarray
+    y: np.ndarray
+    main: int
+    diagonal: np.ndarray
+    positions: np.ndarray
+
+
 class _Compiled(NamedTuple):
     """A Network's solver inputs as index arrays, built once per instance.
 
     The branch admittance terms y/tap**2, y/tap and y are computed with
-    the same scalar expressions as build_ybus uses. mismatch_index and
-    jacobian_index are flat positions in the float view of complex bus
-    arrays: the first gathers the real then the imaginary parts of a
-    power mismatch at the PQ buses, the second the four Jacobian blocks
-    from the stacked angle and magnitude derivatives, transposed:
-    jacobian_index[j, i] is the position of Jacobian entry (i, j).
-    flat_voltages, flat_power and flat_jacobian are the voltages, bus
-    powers and (column-ordered) Jacobian at the flat start, computed by
-    the same code as every later Newton-Raphson step's.
+    the same scalar expressions as build_ybus uses. mismatch_index holds
+    the flat positions, in the float view of a complex bus array, of the
+    real then the imaginary parts of a power mismatch at the PQ buses;
+    pattern is the Jacobian's structural nonzeros. flat_voltages,
+    flat_power and flat_jacobian are the voltages, bus powers and
+    (column-ordered) Jacobian at the flat start, computed by the same code
+    as every later Newton-Raphson step's.
     """
 
     ybus: np.ndarray
@@ -159,7 +192,7 @@ class _Compiled(NamedTuple):
     slack: int
     pq: np.ndarray
     mismatch_index: np.ndarray
-    jacobian_index: np.ndarray
+    pattern: _Pattern
     branch_ids: tuple[str, ...]
     branch_kinds: tuple[str, ...]
     near_index: np.ndarray
@@ -212,15 +245,13 @@ def _compile(net: Network) -> _Compiled:
     slack = bus_ids.index(net.slack_id())
     pq = np.array([i for i in range(n) if i != slack], dtype=int)
     # Float view of a complex (n,) array: Re z[i] at 2i, Im z[i] at 2i + 1.
-    # Of the stacked (2, n, n) derivatives: block b, row i, column j at
-    # 2n(n*b + i) + 2j, its imaginary part one further.
     mismatch_index = np.concatenate([2 * pq, 2 * pq + 1])
-    rows = np.concatenate([2 * n * pq, 2 * n * pq + 1])
-    columns = np.concatenate([2 * pq, 2 * n * n + 2 * pq])
-    jacobian_index = columns[:, None] + rows[None, :]
+    pattern = _pattern(ybus, pq)
     flat_voltages = _polar(np.ones(n), np.zeros(n))
-    flat_power, flat_currents = (a[0] for a in _power(ybus, flat_voltages[None]))
-    flat_jacobian = _JacobianWork(ybus, jacobian_index)(flat_voltages, flat_currents)
+    flat_power, flat_currents = _power(ybus, flat_voltages[None])
+    jacobian = _JacobianWork(ybus, pattern)
+    flat_jacobian = jacobian.assemble(jacobian(flat_voltages[None], flat_currents)[0])
+    flat_power = flat_power[0]
     for array in (flat_voltages, flat_power, flat_jacobian):
         array.setflags(write=False)
     index = {bus_id: i for i, bus_id in enumerate(bus_ids)}
@@ -240,7 +271,7 @@ def _compile(net: Network) -> _Compiled:
         slack=slack,
         pq=pq,
         mismatch_index=mismatch_index,
-        jacobian_index=jacobian_index,
+        pattern=pattern,
         branch_ids=tuple(b.id for b in net.branches),
         branch_kinds=tuple(b.kind for b in net.branches),
         near_index=np.array(from_index + to_index, dtype=int),
@@ -269,57 +300,124 @@ def _power(ybus: np.ndarray, voltages: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.multiply(voltages, s, out=s), i_bus
 
 
-class _JacobianWork:
-    """Buffers for the polar Newton-Raphson Jacobian of one network, reused
-    by every row and step of a solve.
+def _pattern(ybus: np.ndarray, pq: np.ndarray) -> _Pattern:
+    """The Jacobian's structural nonzeros over the PQ buses of ybus."""
+    npq, n = len(pq), len(ybus)
+    linked = ybus[np.ix_(pq, pq)] != 0
+    np.fill_diagonal(linked, True)
+    # Column-major order: by column, then by row.
+    j, i = np.nonzero(linked.T)
+    rows, columns = pq[i], pq[j]
+    main = int(np.count_nonzero(columns < n - n % 4))
+    # Entry (i, j) of the Jacobian is entry (j, i) of its transpose; the
+    # angle blocks hold columns j, the magnitude blocks columns npq + j,
+    # the real parts rows i and the reactive parts rows npq + i.
+    real_angle = 2 * npq * j + i
+    y = ybus[rows, columns]
+    return _Pattern(
+        rows=rows,
+        columns=columns,
+        y=np.array([y.real, y.imag]),
+        main=main,
+        diagonal=np.flatnonzero(i[:main] == j[:main]),
+        positions=real_angle + np.array([[0], [npq], [2 * npq * npq], [2 * npq * npq + npq]]),
+    )
 
-    Each diagonal matrix of the dense products is a zero buffer whose
-    diagonal is overwritten per assembly, so the products see the same
-    operands as with np.diag: diag(v), 1j * diag(v), diag(i), conj(diag(i))
-    (its off-diagonal zeros have imaginary part -0.0) and diag(v / |v|).
+
+class _JacobianWork:
+    """The polar Newton-Raphson Jacobians of one network at its pattern,
+    and the buffer they are assembled in, reused by every row and step of
+    a solve.
+
+    The entries are those of the dense products that define them,
+      dS/dangle = 1j * diag(v) @ conj(diag(i) - ybus @ diag(v))
+      dS/dmagnitude = diag(v) @ conj(ybus @ diag(vnorm)) + conj(diag(i)) @ diag(vnorm)
+    with vnorm = v / |v|, rounded as the module docstring describes. The
+    products for the remainder columns take zero buffers whose diagonals
+    are overwritten per row, so they see the operands np.diag would give;
+    the right-hand ones hold only their last w columns.
     """
 
-    def __init__(self, ybus: np.ndarray, index: np.ndarray):
+    def __init__(self, ybus: np.ndarray, pattern: _Pattern):
         n = len(ybus)
-        self.ybus, self.index = ybus, index
-        diagonal = np.zeros((5, n, n), dtype=complex)
-        diagonal[3].imag = -0.0
-        self.diag_v, self.diag_jv, self.diag_i, self.diag_conj_i, self.diag_vnorm = diagonal
-        # Writable views of each buffer's diagonal, in the same order.
-        self.diagonals = diagonal.reshape(5, -1)[:, ::n + 1]
-        self.product = np.empty((n, n), dtype=complex)
-        self.derivatives = np.empty((2, n, n), dtype=complex)
-        self.out = np.empty((len(index), len(index)))
+        self.ybus, self.pattern = ybus, pattern
+        # The transposed Jacobian, over the n - 1 PQ buses; entries off
+        # the pattern stay zero.
+        self.out = np.zeros((2 * (n - 1), 2 * (n - 1)))
+        self.remainder = len(pattern.rows) > pattern.main
+        if not self.remainder:
+            return
+        w = min(n, 4 + n % 4)
+        left = np.zeros((3, n, n), dtype=complex)
+        # conj(diag(i)): its off-diagonal zeros have imaginary part -0.0.
+        left[2].imag = -0.0
+        self.diag_v, self.diag_jv, self.diag_conj_i = left
+        right = np.zeros((3, n, w), dtype=complex)
+        self.slab_v, self.slab_i, self.slab_vnorm = right
+        # Writable views of each buffer's diagonal, in the same order;
+        # column c of a right-hand buffer holds bus n - w + c.
+        self.left = left.reshape(3, -1)[:, ::n + 1]
+        self.right = right.reshape(3, -1)[:, (n - w) * w::w + 1]
+        self.tail = slice(n - w, n)
+        self.slab_entries = (pattern.rows[pattern.main:], pattern.columns[pattern.main:] - (n - w))
 
     def __call__(self, voltages: np.ndarray, i_bus: np.ndarray) -> np.ndarray:
-        """The Jacobian at voltages with bus currents i_bus, in column order:
-        the transpose of self.out.
+        """Per row of voltages (k, n) with bus currents i_bus: the values
+        at the pattern's positions, (k, 4, entries)."""
+        p, main = self.pattern, self.pattern.main
+        rows, columns, diagonal = p.rows[:main], p.columns[:main], p.diagonal
+        at = rows[diagonal]
+        y_re, y_im = p.y[:, :main]
+        jv = 1j * voltages
+        vnorm = voltages / np.abs(voltages)
+        values = np.empty((len(voltages), 4, len(p.rows)))
+        # dS/dangle: 1j * v_a * conj(i_a - y v_b), with i_a at the diagonal only.
+        v_b = voltages[:, columns]
+        yv_re, yv_im = _cmul(y_re, y_im, v_b.real, v_b.imag)
+        d_re, d_im = np.negative(yv_re, out=yv_re), np.negative(yv_im, out=yv_im)
+        d_re[:, diagonal] += i_bus.real[:, at]
+        d_im[:, diagonal] += i_bus.imag[:, at]
+        jv_a = jv[:, rows]
+        values[:, 0, :main], values[:, 1, :main] = _cmul(jv_a.real, jv_a.imag, d_re, -d_im)
+        # dS/dmagnitude: v_a * conj(y vnorm_b), plus conj(i_a) * vnorm_a at the diagonal.
+        vnorm_b = vnorm[:, columns]
+        yn_re, yn_im = _cmul(y_re, y_im, vnorm_b.real, vnorm_b.imag)
+        v_a = voltages[:, rows]
+        d_re, d_im = _cmul(v_a.real, v_a.imag, yn_re, -yn_im)
+        vnorm_a = vnorm[:, at]
+        c_re, c_im = _cmul(i_bus.real[:, at], -i_bus.imag[:, at], vnorm_a.real, vnorm_a.imag)
+        d_re[:, diagonal] += c_re
+        d_im[:, diagonal] += c_im
+        values[:, 2, :main], values[:, 3, :main] = d_re, d_im
+        if self.remainder:
+            for k, row in enumerate(values):
+                row[:, main:] = self._slab(voltages[k], i_bus[k], jv[k], vnorm[k])
+        return values
 
-        derivatives receives the complex power's derivatives with respect
-        to voltage angle and magnitude; the transposed index gathers the
-        real and imaginary parts of their PQ rows and columns into self.out
-        as the four blocks of the transposed Jacobian. np.linalg.solve hands
-        LAPACK a column-ordered copy of its matrix, which it then copies
-        contiguously rather than with a strided gather.
-        """
-        v, jv, i, conj_i, vnorm = self.diagonals
+    def _slab(self, voltages: np.ndarray, i_bus: np.ndarray, jv: np.ndarray,
+              vnorm: np.ndarray) -> np.ndarray:
+        """The real and reactive angle then magnitude derivatives of one
+        row at the pattern's entries in the remainder columns."""
+        v, diag_jv, conj_i = self.left
         v[:] = voltages
-        jv[:] = 1j * voltages
-        i[:] = i_bus
+        diag_jv[:] = jv
         conj_i[:] = np.conj(i_bus)
-        vnorm[:] = voltages / np.abs(voltages)
-        ybus, product, derivatives = self.ybus, self.product, self.derivatives
-        # dS/dangle = 1j * diag(v) @ conj(diag(i) - ybus @ diag(v))
-        np.matmul(ybus, self.diag_v, out=product)
-        np.subtract(self.diag_i, product, out=product)
-        np.matmul(self.diag_jv, np.conj(product, out=product), out=derivatives[0])
-        # dS/dmagnitude = diag(v) @ conj(ybus @ diag(vnorm)) + conj(diag(i)) @ diag(vnorm)
-        np.matmul(ybus, self.diag_vnorm, out=product)
-        np.matmul(self.diag_v, np.conj(product, out=product), out=derivatives[1])
-        np.matmul(self.diag_conj_i, self.diag_vnorm, out=product)
-        np.add(derivatives[1], product, out=derivatives[1])
-        # Every index is in range; mode="clip" only spares take a buffered copy.
-        return np.take(derivatives.view(float), self.index, out=self.out, mode="clip").T
+        tail = self.tail
+        for diagonal, vector in zip(self.right, (voltages, i_bus, vnorm)):
+            diagonal[:] = vector[tail]
+        ybus = self.ybus
+        d_angle = self.diag_jv @ np.conj(self.slab_i - ybus @ self.slab_v)
+        d_mag = self.diag_v @ np.conj(ybus @ self.slab_vnorm) + self.diag_conj_i @ self.slab_vnorm
+        d_angle, d_mag = d_angle[self.slab_entries], d_mag[self.slab_entries]
+        return np.array([d_angle.real, d_angle.imag, d_mag.real, d_mag.imag])
+
+    def assemble(self, values: np.ndarray) -> np.ndarray:
+        """The Jacobian of one row's values (4, entries), in column order:
+        the transpose of self.out. np.linalg.solve hands LAPACK a
+        column-ordered copy of its matrix, which it then copies
+        contiguously rather than with a strided gather."""
+        self.out.reshape(-1)[self.pattern.positions] = values
+        return self.out.T
 
 
 def _cmul(a_re: np.ndarray, a_im: np.ndarray, b_re: np.ndarray,
@@ -461,7 +559,7 @@ def _iterate(c: _Compiled, s_spec: np.ndarray) -> tuple[np.ndarray, ...]:
     """
     k, n = s_spec.shape
     pq, npq = c.pq, len(c.pq)
-    jacobian = _JacobianWork(c.ybus, c.jacobian_index)
+    jacobian = _JacobianWork(c.ybus, c.pattern)
 
     # Per row of s_spec: what it reports once stopped. Every row stops
     # within the loop, the last ones at step NR_MAX_ITER.
@@ -506,8 +604,11 @@ def _iterate(c: _Compiled, s_spec: np.ndarray) -> tuple[np.ndarray, ...]:
         # Each moving row's Newton step overwrites its mismatch; a row
         # that stopped steps by zero until it leaves the batch below.
         moved = ~converged
-        for r in np.flatnonzero(moved).tolist():
-            jac = c.flat_jacobian if step == 0 else jacobian(voltages[r], i_bus[r])
+        moving = np.flatnonzero(moved)
+        if step:
+            values = jacobian(voltages[moving], i_bus[moving])
+        for t, r in enumerate(moving.tolist()):
+            jac = jacobian.assemble(values[t]) if step else c.flat_jacobian
             try:
                 mis[r] = np.linalg.solve(jac, mis[r])
             except np.linalg.LinAlgError:

@@ -201,6 +201,26 @@ def test_extreme_network_value_is_a_diagnostic(fixture_dir, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", [
+    pytest.param(5e-324, id="base-reciprocal-overflows"),
+    pytest.param(1e-320, id="subnormal-base-reciprocal-overflows"),
+    pytest.param(1e306, id="base-kva-overflows"),
+    pytest.param(1e308, id="base-near-float-max"),
+])
+def test_extreme_system_base_is_one_network_diagnostic(fixture_dir, tmp_path, capsys, value):
+    """Every branch's per-unit values divide by the base; the base is named
+    once, at the network, and no branch is blamed for it."""
+    doc = json.loads((fixture_dir / "network.json").read_text())
+    doc["s_base_mva"] = value
+    network = tmp_path / "network.json"
+    network.write_text(json.dumps(doc))
+    assert cli_main(["validate", "--network", str(network)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("degenerate-system-base: network: 1000 * s_base_mva and "
+                            f"1 / s_base_mva must be finite, got s_base_mva {value}\n")
+
+
 def test_impedance_past_abs_range_is_a_diagnostic(tmp_path, capsys):
     """abs() of a finite impedance whose parts are both near the float
     maximum overflows; validation no longer takes it."""

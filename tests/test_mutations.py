@@ -155,8 +155,9 @@ def locations(campus: Path, document: str, where, path: Path) -> set[str]:
     """What a diagnostic can name to say where a mutation is: the file by
     its path or its kind, a row, a key on the path to the value, or an
     element of the document (a validation diagnostic names the bus or
-    branch whose derived values fail, such as each branch's per-unit
-    impedance when the system base is extreme)."""
+    branch whose derived values fail, such as a branch's per-unit
+    impedance when its cable is extreme, or the network when the system
+    base is, with s_base_mva on the key path)."""
     names = {str(path), document, " row "}
     if document in ("network", "scenario"):
         name = "network.json" if document == "network" else f"scenarios/{SCENARIO}.json"

@@ -218,6 +218,12 @@ class TestValidateNetwork:
          "nonpositive-rating: a -> b: rating must be > 0 kVA, got -5.0"),
         ('"s_base_mva": 10.0', '"s_base_mva": 0',
          "nonpositive-system-base: network: s_base_mva must be > 0, got 0.0"),
+        ('"s_base_mva": 10.0', '"s_base_mva": 5e-324',
+         "degenerate-system-base: network: 1000 * s_base_mva and 1 / s_base_mva must be "
+         "finite, got s_base_mva 5e-324"),
+        ('"s_base_mva": 10.0', '"s_base_mva": 1e306',
+         "degenerate-system-base: network: 1000 * s_base_mva and 1 / s_base_mva must be "
+         "finite, got s_base_mva 1e+306"),
     ])
     def test_unresolved_branch_is_one_diagnostic(self, old, new, diagnostic):
         """A branch that derive_impedances leaves underived because of

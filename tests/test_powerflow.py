@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import hashlib
 import math
+import random
 import re
 import sys
 from pathlib import Path
@@ -293,6 +295,29 @@ def _solved_cases(bench, rng):
     return cases + _tapped_radial_networks(rng)
 
 
+def _residue_networks():
+    """Seeded networks of 2-21 buses, so every n mod 4: for each size one
+    radial, one with up to three tie branches and one radial with
+    off-nominal taps, each with its injection vector. OpenBLAS zgemm
+    rounds the last n mod 4 columns of a product with its own kernel."""
+    rng = random.Random(19)
+    cases = []
+    for n in range(2, 22):
+        for ties, tapped in ((0, False), (3, False), (0, True)):
+            net, injections = make_radial_network(rng, n, ties)
+            if tapped:
+                net = dataclasses.replace(net, branches=tuple(
+                    dataclasses.replace(b, tap=rng.uniform(0.9, 1.1)) for b in net.branches))
+            cases.append((net, injections))
+    return cases
+
+
+def _jacobian_cases(bench, rng):
+    cases = _solved_cases(bench, rng) + _residue_networks()
+    assert {len(net.buses) % 4 for net, _ in cases} == {0, 1, 2, 3}
+    return cases
+
+
 def _block_jacobian(ybus, pq, voltages):
     """Reference: the polar Jacobian's four blocks cut from the dense
     diagonal products with np.ix_ and assigned one by one."""
@@ -358,13 +383,17 @@ class TestBitExactVectorisation:
         assert np.array_equal(ybus, build_ybus(net))
 
     def test_compiled_flat_jacobian_is_the_flat_start_assembly(self, bench, rng):
-        for net, _ in _solved_cases(bench, rng):
+        for net, s_spec in _jacobian_cases(bench, rng):
             c = powerflow_module._compiled(net)
             n = len(c.bus_ids)
             flat = powerflow_module._polar(np.ones(n), np.zeros(n))
             assert c.flat_voltages.tobytes() == flat.tobytes()
             assert c.flat_power.tobytes() == (flat * np.conj(c.ybus @ flat)).tobytes()
-            assert c.flat_jacobian.tobytes() == _block_jacobian(c.ybus, c.pq, flat).tobytes()
+            reference = _block_jacobian(c.ybus, c.pq, flat)
+            assert np.array_equal(c.flat_jacobian, reference)
+            mismatch, _ = powerflow_module._mismatch(s_spec[None], c.flat_power[None],
+                                                     c.mismatch_index)
+            _assert_same_step(c.flat_jacobian, reference, mismatch[0])
             for array in (c.flat_voltages, c.flat_power, c.flat_jacobian):
                 assert not array.flags.writeable
 
@@ -387,22 +416,27 @@ class TestBitExactVectorisation:
         assert all(column_ordered)
 
     def test_gathered_jacobian_and_mismatch_equal_the_block_assembly(self, bench, rng):
-        for net, s_spec in _solved_cases(bench, rng):
+        for net, s_spec in _jacobian_cases(bench, rng):
             c = powerflow_module._compiled(net)
             n = len(c.bus_ids)
             # One set of buffers serves every assembly, as in a solve.
-            assemble = powerflow_module._JacobianWork(c.ybus, c.jacobian_index)
+            jacobian = powerflow_module._JacobianWork(c.ybus, c.pattern)
             v_mag = np.array([[rng.uniform(0.8, 1.1) for _ in range(n)] for _ in range(3)])
             v_ang = np.array([[rng.uniform(-0.3, 0.3) for _ in range(n)] for _ in range(3)])
             voltages = powerflow_module._polar(v_mag, v_ang)
             s_calc, i_bus = powerflow_module._power(c.ybus, voltages)
             mismatch, largest = powerflow_module._mismatch(
                 np.tile(s_spec, (3, 1)), s_calc, c.mismatch_index)
+            # The three rows are one block, as the rows still iterating are.
+            values = jacobian(voltages, i_bus)
             for k, v in enumerate(voltages):
                 # Each row's currents round like a matrix-vector product of it alone.
                 assert i_bus[k].tobytes() == (c.ybus @ v).tobytes()
-                gathered = assemble(v, i_bus[k])
-                assert gathered.tobytes() == _block_jacobian(c.ybus, c.pq, v).tobytes()
+                reference = _block_jacobian(c.ybus, c.pq, v)
+                assembled = jacobian.assemble(values[k])
+                assert assembled.flags.f_contiguous
+                assert np.array_equal(assembled, reference)
+                _assert_same_step(assembled, reference, mismatch[k])
                 ds = s_spec - v * np.conj(c.ybus @ v)
                 stacked = np.concatenate([ds[c.pq].real, ds[c.pq].imag])
                 assert mismatch[k].tobytes() == stacked.tobytes()
@@ -414,9 +448,9 @@ class TestBitExactVectorisation:
         assembled = []
         assemble = powerflow_module._JacobianWork.__call__
 
-        def counted(*args):
-            assembled.append(1)
-            return assemble(*args)
+        def counted(work, voltages, i_bus):
+            assembled.append(len(voltages))
+            return assemble(work, voltages, i_bus)
 
         iterations = []
         solve = scenario_module._newton_raphson
@@ -433,7 +467,53 @@ class TestBitExactVectorisation:
         # One flat-start Jacobian at compile time, then one per step after
         # a row's first.
         assert sum(iterations) > len(iterations) > 0
-        assert len(assembled) == 1 + sum(its - 1 for its in iterations if its >= 1)
+        assert sum(assembled) == 1 + sum(its - 1 for its in iterations if its >= 1)
+
+
+# SHA-256 over the repr of every solution of _residue_networks at three
+# load scales, computed with the dense diagonal-product Jacobian.
+RESIDUE_SOLUTIONS_SHA256 = "bb96bbbc0f892d7eaff6121e30e521efa9ae3daa8d415076b401b35ac214424a"
+
+
+class TestJacobianPattern:
+    def test_solutions_on_every_residue_are_pinned(self):
+        cases = _residue_networks()
+        assert {len(net.buses) % 4 for net, _ in cases} == {0, 1, 2, 3}
+        digest = hashlib.sha256()
+        stops = set()
+        for net, injections in cases:
+            for scale in (0.5, 1.0, 3.0):
+                solution = solve_newton_raphson(net, scale * injections)
+                stops.add(solution.stop_reason)
+                digest.update(repr(solution).encode())
+        assert stops == {"converged", "max_iter"}
+        assert digest.hexdigest() == RESIDUE_SOLUTIONS_SHA256
+
+    def test_pattern_is_the_pq_block_of_ybus_plus_the_diagonal(self, bench):
+        for net, _ in [(bench.network, None)] + _residue_networks():
+            c = powerflow_module._compiled(net)
+            p = c.pattern
+            n, npq = len(c.bus_ids), len(c.pq)
+            linked = c.ybus != 0
+            np.fill_diagonal(linked, True)
+            linked[c.slack] = linked[:, c.slack] = False
+            # In column order, and exactly the linked PQ pairs.
+            assert sorted(zip(p.columns.tolist(), p.rows.tolist())) == list(
+                zip(p.columns.tolist(), p.rows.tolist()))
+            assert set(zip(p.rows.tolist(), p.columns.tolist())) == set(
+                zip(*map(np.ndarray.tolist, np.nonzero(linked))))
+            assert (p.columns[:p.main] < n - n % 4).all()
+            assert (p.columns[p.main:] >= n - n % 4).all()
+            # Four distinct positions per entry, inside the (m, m) Jacobian.
+            assert len(set(p.positions.ravel().tolist())) == p.positions.size
+            assert p.positions.min() >= 0 and p.positions.max() < (2 * npq) ** 2
+
+
+def _assert_same_step(jacobian, reference, mismatch):
+    """np.linalg.solve gives the same bytes for both matrices, which are
+    equal by value and may differ in the sign of a zero entry."""
+    assert np.linalg.solve(jacobian, mismatch).tobytes() == (
+        np.linalg.solve(reference, mismatch).tobytes())
 
 
 def _feeder_top_day(seed: int):
