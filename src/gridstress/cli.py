@@ -123,15 +123,23 @@ def _build_arg_parser() -> _Parser:
     return parser
 
 
+def _read(path: Path) -> str:
+    """The text of an input file, which must be UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GridFileError([f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}"]) from exc
+
+
 def _load_inputs(args: argparse.Namespace) -> tuple[Network, Scenario, dict[str, LoadProfile]]:
-    net = parse_network_file(Path(args.network).read_text())
-    scenario = parse_scenario_file(Path(args.scenario).read_text(), net)
+    net = parse_network_file(_read(Path(args.network)))
+    scenario = parse_scenario_file(_read(Path(args.scenario)), net)
     profiles_dir = Path(args.profiles)
     if not profiles_dir.is_dir():
         raise GridFileError([f"profiles directory not found: {profiles_dir}"])
     profiles: dict[str, LoadProfile] = {}
     for path in sorted(profiles_dir.glob("*.csv")):
-        profiles[path.stem] = parse_profile_csv(path.read_text(), path.stem)
+        profiles[path.stem] = parse_profile_csv(_read(path), path.stem)
     return net, scenario, profiles
 
 
@@ -191,7 +199,7 @@ def _solve_slot(net: Network, scenarios: Sequence[Scenario], profiles: dict[str,
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    parse_network_file(Path(args.network).read_text())
+    parse_network_file(_read(Path(args.network)))
     print(f"{args.network}: OK")
     return EXIT_OK
 
@@ -227,8 +235,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     rows: list[tuple[str, CongestionHistogram]] = []
     for path_text in args.details:
         path = Path(path_text)
+        text = _read(path)
         try:
-            detail = parse_branch_detail_csv(path.read_text())
+            detail = parse_branch_detail_csv(text)
         except GridFileError as exc:
             raise GridFileError([f"{path}: {d}" for d in exc.diagnostics]) from exc
         # The parser has checked every row's bin against its loading.

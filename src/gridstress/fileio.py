@@ -64,6 +64,8 @@ def _load_json(text: str, what: str) -> Any:
         raise GridFileError(
             [f"{what}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         ) from exc
+    except RecursionError as exc:
+        raise GridFileError([f"{what}: JSON nested too deeply"]) from exc
     except ValueError as exc:       # int() refuses literals past the digit limit
         raise GridFileError([f"{what}: integer literal has more than "
                              f"{sys.get_int_max_str_digits()} digits"]) from exc

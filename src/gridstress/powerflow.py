@@ -37,15 +37,12 @@ keeps the exact steps of a solve of it alone:
   (the PQ pairs where Ybus is nonzero, plus the diagonal), as in the
   sparse dSbus_dV of MATPOWER, and each entry rounds like the dense
   products with diagonal matrices that define it. Those products are
-  OpenBLAS zgemm calls, whose main kernel rounds each complex product
-  like _cmul: the entries in the first n - n mod 4 bus columns are
-  computed elementwise, one set of numpy operations for every row still
-  iterating. zgemm rounds its last r = n mod 4 columns with a fused
-  multiply-add, which numpy has no operation for, so the entries there
-  are cut, per row, from the same products over the last min(n, 4 + r)
-  columns, an (n x n) @ (n x (4 + r)) product that runs the same
-  remainder kernel. Only r columns would not do: an (n x 1) operand is
-  dispatched to zgemv, which rounds unlike zgemm. Entries off the
+  OpenBLAS zgemm calls. Its main kernel rounds each complex product like
+  _cmul, which gives the entries in the first n - n mod 4 bus columns;
+  its kernel for the last n mod 4 columns uses a fused multiply-add, as
+  numpy's complex multiply of arrays does (a product of numpy scalars
+  does not fuse), which gives the entries there. Either way one set of
+  numpy operations serves every row still iterating. Entries off the
   pattern are +0.0 where the dense products left either zero; the sign
   of a zero entry does not change the solve of a nonsingular Jacobian.
   Each row's values are written into one zeroed buffer and solved on
@@ -159,10 +156,9 @@ class _Pattern(NamedTuple):
     ybus[a, b] != 0, or a == b; each gives one entry of each of the four
     Jacobian blocks. Entries are ordered by column bus, then row bus, so
     the first `main` have columns below n - n mod 4 and the rest lie in
-    the remainder columns (see _JacobianWork). y holds the real then the
-    imaginary parts of ybus[a, b], diagonal the positions of the entries
-    with a == b among the first `main`, and positions the flat positions
-    in the transposed (m, m) Jacobian of the real angle block's entries,
+    the last n mod 4 bus columns, which round apart (see the module
+    docstring). y holds ybus[a, b], and positions the flat positions in
+    the transposed (m, m) Jacobian of the real angle block's entries,
     then the reactive angle, real magnitude and reactive magnitude ones.
     """
 
@@ -170,7 +166,6 @@ class _Pattern(NamedTuple):
     columns: np.ndarray
     y: np.ndarray
     main: int
-    diagonal: np.ndarray
     positions: np.ndarray
 
 
@@ -249,7 +244,7 @@ def _compile(net: Network) -> _Compiled:
     pattern = _pattern(ybus, pq)
     flat_voltages = _polar(np.ones(n), np.zeros(n))
     flat_power, flat_currents = _power(ybus, flat_voltages[None])
-    jacobian = _JacobianWork(ybus, pattern)
+    jacobian = _JacobianWork(pattern)
     flat_jacobian = jacobian.assemble(jacobian(flat_voltages[None], flat_currents)[0])
     flat_power = flat_power[0]
     for array in (flat_voltages, flat_power, flat_jacobian):
@@ -313,13 +308,11 @@ def _pattern(ybus: np.ndarray, pq: np.ndarray) -> _Pattern:
     # angle blocks hold columns j, the magnitude blocks columns npq + j,
     # the real parts rows i and the reactive parts rows npq + i.
     real_angle = 2 * npq * j + i
-    y = ybus[rows, columns]
     return _Pattern(
         rows=rows,
         columns=columns,
-        y=np.array([y.real, y.imag]),
+        y=ybus[rows, columns],
         main=main,
-        diagonal=np.flatnonzero(i[:main] == j[:main]),
         positions=real_angle + np.array([[0], [npq], [2 * npq * npq], [2 * npq * npq + npq]]),
     )
 
@@ -332,48 +325,40 @@ class _JacobianWork:
     The entries are those of the dense products that define them,
       dS/dangle = 1j * diag(v) @ conj(diag(i) - ybus @ diag(v))
       dS/dmagnitude = diag(v) @ conj(ybus @ diag(vnorm)) + conj(diag(i)) @ diag(vnorm)
-    with vnorm = v / |v|, rounded as the module docstring describes. The
-    products for the remainder columns take zero buffers whose diagonals
-    are overwritten per row, so they see the operands np.diag would give;
-    the right-hand ones hold only their last w columns.
+    with vnorm = v / |v|, computed elementwise with the same formulas in
+    both column ranges: on real and imaginary parts with _cmul in the
+    first n - n mod 4 bus columns (the main range) and with numpy's
+    complex multiply, left operand first, in the last n mod 4 (the
+    remainder), as the module docstring explains.
     """
 
-    def __init__(self, ybus: np.ndarray, pattern: _Pattern):
-        n = len(ybus)
-        self.ybus, self.pattern = ybus, pattern
-        # The transposed Jacobian, over the n - 1 PQ buses; entries off
-        # the pattern stay zero.
-        self.out = np.zeros((2 * (n - 1), 2 * (n - 1)))
-        self.remainder = len(pattern.rows) > pattern.main
-        if not self.remainder:
-            return
-        w = min(n, 4 + n % 4)
-        left = np.zeros((3, n, n), dtype=complex)
-        # conj(diag(i)): its off-diagonal zeros have imaginary part -0.0.
-        left[2].imag = -0.0
-        self.diag_v, self.diag_jv, self.diag_conj_i = left
-        right = np.zeros((3, n, w), dtype=complex)
-        self.slab_v, self.slab_i, self.slab_vnorm = right
-        # Writable views of each buffer's diagonal, in the same order;
-        # column c of a right-hand buffer holds bus n - w + c.
-        self.left = left.reshape(3, -1)[:, ::n + 1]
-        self.right = right.reshape(3, -1)[:, (n - w) * w::w + 1]
-        self.tail = slice(n - w, n)
-        self.slab_entries = (pattern.rows[pattern.main:], pattern.columns[pattern.main:] - (n - w))
+    def __init__(self, pattern: _Pattern):
+        self.positions = pattern.positions
+        # The transposed Jacobian, over the PQ buses (one diagonal entry
+        # each); entries off the pattern stay zero.
+        m = 2 * int(np.count_nonzero(pattern.rows == pattern.columns))
+        self.out = np.zeros((m, m))
+        # Per column range, main then remainder: the row and column buses
+        # of its entries, their ybus values, and the positions and bus of
+        # its diagonal entries.
+        ranges = []
+        for part in (slice(pattern.main), slice(pattern.main, None)):
+            rows, columns = pattern.rows[part], pattern.columns[part]
+            diagonal = np.flatnonzero(rows == columns)
+            ranges.append((rows, columns, pattern.y[part], diagonal, rows[diagonal]))
+        self.main, self.remainder = ranges
 
     def __call__(self, voltages: np.ndarray, i_bus: np.ndarray) -> np.ndarray:
         """Per row of voltages (k, n) with bus currents i_bus: the values
         at the pattern's positions, (k, 4, entries)."""
-        p, main = self.pattern, self.pattern.main
-        rows, columns, diagonal = p.rows[:main], p.columns[:main], p.diagonal
-        at = rows[diagonal]
-        y_re, y_im = p.y[:, :main]
+        rows, columns, y, diagonal, at = self.main
+        main = len(rows)
         jv = 1j * voltages
         vnorm = voltages / np.abs(voltages)
-        values = np.empty((len(voltages), 4, len(p.rows)))
+        values = np.empty((len(voltages), *self.positions.shape))
         # dS/dangle: 1j * v_a * conj(i_a - y v_b), with i_a at the diagonal only.
         v_b = voltages[:, columns]
-        yv_re, yv_im = _cmul(y_re, y_im, v_b.real, v_b.imag)
+        yv_re, yv_im = _cmul(y.real, y.imag, v_b.real, v_b.imag)
         d_re, d_im = np.negative(yv_re, out=yv_re), np.negative(yv_im, out=yv_im)
         d_re[:, diagonal] += i_bus.real[:, at]
         d_im[:, diagonal] += i_bus.imag[:, at]
@@ -381,7 +366,7 @@ class _JacobianWork:
         values[:, 0, :main], values[:, 1, :main] = _cmul(jv_a.real, jv_a.imag, d_re, -d_im)
         # dS/dmagnitude: v_a * conj(y vnorm_b), plus conj(i_a) * vnorm_a at the diagonal.
         vnorm_b = vnorm[:, columns]
-        yn_re, yn_im = _cmul(y_re, y_im, vnorm_b.real, vnorm_b.imag)
+        yn_re, yn_im = _cmul(y.real, y.imag, vnorm_b.real, vnorm_b.imag)
         v_a = voltages[:, rows]
         d_re, d_im = _cmul(v_a.real, v_a.imag, yn_re, -yn_im)
         vnorm_a = vnorm[:, at]
@@ -389,34 +374,24 @@ class _JacobianWork:
         d_re[:, diagonal] += c_re
         d_im[:, diagonal] += c_im
         values[:, 2, :main], values[:, 3, :main] = d_re, d_im
-        if self.remainder:
-            for k, row in enumerate(values):
-                row[:, main:] = self._slab(voltages[k], i_bus[k], jv[k], vnorm[k])
+        rows, columns, y, diagonal, at = self.remainder
+        if len(rows):
+            # The same formulas on complex arrays.
+            d = np.negative(y * voltages[:, columns])
+            d[:, diagonal] += i_bus[:, at]
+            d_angle = jv[:, rows] * np.conj(d)
+            d_mag = voltages[:, rows] * np.conj(y * vnorm[:, columns])
+            d_mag[:, diagonal] += np.conj(i_bus[:, at]) * vnorm[:, at]
+            values[:, 0, main:], values[:, 1, main:] = d_angle.real, d_angle.imag
+            values[:, 2, main:], values[:, 3, main:] = d_mag.real, d_mag.imag
         return values
-
-    def _slab(self, voltages: np.ndarray, i_bus: np.ndarray, jv: np.ndarray,
-              vnorm: np.ndarray) -> np.ndarray:
-        """The real and reactive angle then magnitude derivatives of one
-        row at the pattern's entries in the remainder columns."""
-        v, diag_jv, conj_i = self.left
-        v[:] = voltages
-        diag_jv[:] = jv
-        conj_i[:] = np.conj(i_bus)
-        tail = self.tail
-        for diagonal, vector in zip(self.right, (voltages, i_bus, vnorm)):
-            diagonal[:] = vector[tail]
-        ybus = self.ybus
-        d_angle = self.diag_jv @ np.conj(self.slab_i - ybus @ self.slab_v)
-        d_mag = self.diag_v @ np.conj(ybus @ self.slab_vnorm) + self.diag_conj_i @ self.slab_vnorm
-        d_angle, d_mag = d_angle[self.slab_entries], d_mag[self.slab_entries]
-        return np.array([d_angle.real, d_angle.imag, d_mag.real, d_mag.imag])
 
     def assemble(self, values: np.ndarray) -> np.ndarray:
         """The Jacobian of one row's values (4, entries), in column order:
         the transpose of self.out. np.linalg.solve hands LAPACK a
         column-ordered copy of its matrix, which it then copies
         contiguously rather than with a strided gather."""
-        self.out.reshape(-1)[self.pattern.positions] = values
+        self.out.reshape(-1)[self.positions] = values
         return self.out.T
 
 
@@ -424,10 +399,12 @@ def _cmul(a_re: np.ndarray, a_im: np.ndarray, b_re: np.ndarray,
           b_im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise complex product on real and imaginary parts.
 
-    Spelled out because numpy's vectorised complex multiply may round
-    differently from the scalar one; this form rounds like it, which
-    keeps branch flows (and every report built from them) bit-identical
-    to a per-branch scalar loop.
+    Spelled out because numpy's complex multiply of arrays fuses a
+    multiply-add, and so rounds unlike a scalar product and unlike
+    zgemm's main kernel; this form rounds like both. It keeps branch
+    flows (and every report built from them) bit-identical to a
+    per-branch scalar loop, and the Jacobian's main columns to the
+    dense products that define them.
     """
     return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
 
@@ -559,7 +536,7 @@ def _iterate(c: _Compiled, s_spec: np.ndarray) -> tuple[np.ndarray, ...]:
     """
     k, n = s_spec.shape
     pq, npq = c.pq, len(c.pq)
-    jacobian = _JacobianWork(c.ybus, c.pattern)
+    jacobian = _JacobianWork(c.pattern)
 
     # Per row of s_spec: what it reports once stopped. Every row stops
     # within the loop, the last ones at step NR_MAX_ITER.
@@ -601,8 +578,8 @@ def _iterate(c: _Compiled, s_spec: np.ndarray) -> tuple[np.ndarray, ...]:
             if converged.all():
                 break
 
-        # Each moving row's Newton step overwrites its mismatch; a row
-        # that stopped steps by zero until it leaves the batch below.
+        # Each moving row's Newton step overwrites its mismatch; a row that
+        # did not move (converged or singular) has reported and leaves the batch below.
         moved = ~converged
         moving = np.flatnonzero(moved)
         if step:
@@ -614,8 +591,6 @@ def _iterate(c: _Compiled, s_spec: np.ndarray) -> tuple[np.ndarray, ...]:
             except np.linalg.LinAlgError:
                 moved[r] = False
                 stop(r, _SINGULAR, step)
-        if not moved.all():
-            mis[~moved] = 0.0
         polar += mis.reshape(len(mis), 2, npq)
         going = moved & np.isfinite(polar).all(axis=(1, 2))
         if not going.all():

@@ -1,10 +1,12 @@
 """Network and scenario documents through the parsers and the CLI: every
-optional key round-trips, an oversized parking lot is a diagnostic, and
-solve and benchmark bin the stagger scenario as the README says."""
+optional key round-trips, an oversized parking lot, a file that is not
+UTF-8 and deeply nested JSON are diagnostics, and solve and benchmark bin
+the stagger scenario as the README says."""
 
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -16,6 +18,7 @@ from gridstress.fileio import (
     emit_scenario_file,
     parse_network_file,
     parse_report_csv,
+    parse_report_json,
     parse_scenario_file,
 )
 
@@ -232,3 +235,50 @@ def test_impedance_past_abs_range_is_a_diagnostic(tmp_path, capsys):
     network.write_text(json.dumps(doc))
     assert cli_main(["validate", "--network", str(network)]) == 1
     assert capsys.readouterr().err.startswith("degenerate-per-unit: s -> a: ")
+
+
+# Each file the command line reads: (the command, and the file in its
+# inputs, under a copy of the benchmark fixture, that is not UTF-8).
+NOT_UTF8_INPUTS = [
+    pytest.param("validate", "network.json", id="network"),
+    pytest.param("solve", "scenarios/ev25.json", id="scenario"),
+    pytest.param("solve", "profiles/ev_workday.csv", id="profile"),
+    pytest.param("report", "details/ev25_slot36.csv", id="detail-file"),
+]
+
+
+@pytest.mark.parametrize("command, name", NOT_UTF8_INPUTS)
+def test_input_that_is_not_utf8_is_a_diagnostic(fixture_dir, tmp_path, capsys, command, name):
+    inputs = tmp_path / "inputs"
+    shutil.copytree(fixture_dir, inputs)
+    bad = inputs / name
+    assert bad.exists()
+    bad.write_bytes(b"\xff\xfe")
+    argv = {"validate": ["validate", "--network", str(inputs / "network.json")],
+            "solve": ["solve", "--network", str(inputs / "network.json"),
+                      "--scenario", str(inputs / "scenarios" / "ev25.json"),
+                      "--profiles", str(inputs / "profiles")],
+            "report": ["report", str(bad)]}[command]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"{bad}: not UTF-8 text: invalid start byte at byte 0\n")
+
+
+@pytest.mark.parametrize("parse, what", [
+    pytest.param(parse_network_file, "network file", id="network"),
+    pytest.param(parse_scenario_file, "scenario file", id="scenario"),
+    pytest.param(parse_report_json, "report file", id="report"),
+])
+def test_deeply_nested_json_is_a_diagnostic(parse, what):
+    with pytest.raises(GridFileError) as info:
+        parse("[" * 100_000)
+    assert info.value.diagnostics == [f"{what}: JSON nested too deeply"]
+
+
+def test_cli_reports_a_deeply_nested_network(tmp_path, capsys):
+    network = tmp_path / "network.json"
+    network.write_text("[" * 100_000)
+    assert cli_main(["validate", "--network", str(network)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "network file: JSON nested too deeply\n")

@@ -5,7 +5,9 @@ A name listed in the module's __all__, or imported on a line marked
 ``# noqa: F401`` (kept for a caller that binds it by name), is exempt.
 The one path: the command line solves only through scenario.run_study
 and run_sweep, and only run_study and solve_newton_raphson (a batch of
-one) call the Newton-Raphson batch, powerflow._newton_raphson.
+one) call the Newton-Raphson batch, powerflow._newton_raphson. The
+Newton-Raphson Jacobian, powerflow._JacobianWork, is built elementwise
+at its pattern, with no matrix product.
 """
 
 from __future__ import annotations
@@ -99,3 +101,28 @@ def test_calls_are_found_by_function():
               "        return self.solve()\n")
     assert calls_by_function(source) == {"<module>": {"zeros"}, "f": {"_newton_raphson", "inner"},
                                           "C": {"solve"}}
+
+
+def matrix_products(source: str, name: str) -> list[str]:
+    """The matrix products that the top-level function or class name of
+    source takes: each call of matmul, dot or diag, and each @."""
+    node = next(node for node in ast.parse(source).body if getattr(node, "name", None) == name)
+    found = sorted(calls_by_function(ast.unparse(node))[name] & {"matmul", "dot", "diag"})
+    return found + ["@" for op in ast.walk(node)
+                    if isinstance(op, (ast.BinOp, ast.AugAssign)) and isinstance(op.op, ast.MatMult)]
+
+
+def test_the_jacobian_takes_no_matrix_product():
+    assert matrix_products((PACKAGE / "powerflow.py").read_text(), "_JacobianWork") == []
+
+
+def test_matrix_products_are_found():
+    source = ("import numpy as np\n"
+              "class W:\n"
+              "    def slab(self, v, y):\n"
+              "        d = np.diag(v) @ y\n"
+              "        d @= np.matmul(y, y)\n"
+              "        return d.dot(v)\n"
+              "def f(v):\n"
+              "    return v @ v\n")
+    assert matrix_products(source, "W") == ["diag", "dot", "matmul", "@", "@"]

@@ -420,7 +420,7 @@ class TestBitExactVectorisation:
             c = powerflow_module._compiled(net)
             n = len(c.bus_ids)
             # One set of buffers serves every assembly, as in a solve.
-            jacobian = powerflow_module._JacobianWork(c.ybus, c.pattern)
+            jacobian = powerflow_module._JacobianWork(c.pattern)
             v_mag = np.array([[rng.uniform(0.8, 1.1) for _ in range(n)] for _ in range(3)])
             v_ang = np.array([[rng.uniform(-0.3, 0.3) for _ in range(n)] for _ in range(3)])
             voltages = powerflow_module._polar(v_mag, v_ang)
@@ -488,6 +488,26 @@ class TestJacobianPattern:
                 digest.update(repr(solution).encode())
         assert stops == {"converged", "max_iter"}
         assert digest.hexdigest() == RESIDUE_SOLUTIONS_SHA256
+
+    @pytest.mark.parametrize("n", range(2, 22))
+    def test_diagonal_products_round_like_the_elementwise_forms(self, n):
+        """The premise of the elementwise Jacobian: a zgemm product with a
+        diagonal matrix rounds like _cmul in its first n - n mod 4 columns
+        and like numpy's complex multiply of arrays, left operand first,
+        in the last n mod 4. A product of numpy scalars does not fuse, so
+        the operands stay arrays."""
+        gen = np.random.default_rng(n)
+        a = gen.standard_normal(n) + 1j * gen.standard_normal(n)
+        b = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+        main, tail = slice(n - n % 4), slice(n - n % 4, n)
+        left, right = np.diag(a) @ b, b @ np.diag(a)
+        assert left[:, tail].tobytes() == (a[:, None] * b[:, tail]).tobytes()
+        assert right[:, tail].tobytes() == (b[:, tail] * a[tail]).tobytes()
+        cmul = powerflow_module._cmul
+        for product, (re, im) in ((left, cmul(a.real[:, None], a.imag[:, None], b.real, b.imag)),
+                                  (right, cmul(b.real, b.imag, a.real, a.imag))):
+            assert product.real[:, main].tobytes() == re[:, main].tobytes()
+            assert product.imag[:, main].tobytes() == im[:, main].tobytes()
 
     def test_pattern_is_the_pq_block_of_ybus_plus_the_diagonal(self, bench):
         for net, _ in [(bench.network, None)] + _residue_networks():
