@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -93,7 +94,9 @@ def _add_run_arguments(parser: argparse.ArgumentParser, interval_default: int | 
                             help="summary report format (default: %(default)s)")
 
 
+@functools.cache
 def _build_arg_parser() -> _Parser:
+    """The one parser of every cli_main call, built on the first."""
     parser = _Parser(prog="gridstress",
                      description="Distribution-grid stress studies for EV charging")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -145,7 +148,7 @@ def _load_inputs(args: argparse.Namespace) -> tuple[Network, Scenario, dict[str,
 
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
 
 
 def _summary(rows: list[tuple[str, CongestionHistogram]], fmt: str, out: str | None,

@@ -176,7 +176,8 @@ class _Compiled(NamedTuple):
     the same scalar expressions as build_ybus uses. mismatch_index holds
     the flat positions, in the float view of a complex bus array, of the
     real then the imaginary parts of a power mismatch at the PQ buses;
-    pattern is the Jacobian's structural nonzeros. flat_voltages,
+    pattern is the Jacobian's structural nonzeros and jacobian computes
+    and assembles the Jacobian's values there. flat_voltages,
     flat_power and flat_jacobian are the voltages, bus powers and
     (column-ordered) Jacobian at the flat start, computed by the same code
     as every later Newton-Raphson step's.
@@ -188,6 +189,7 @@ class _Compiled(NamedTuple):
     pq: np.ndarray
     mismatch_index: np.ndarray
     pattern: _Pattern
+    jacobian: _JacobianWork
     branch_ids: tuple[str, ...]
     branch_kinds: tuple[str, ...]
     near_index: np.ndarray
@@ -245,7 +247,8 @@ def _compile(net: Network) -> _Compiled:
     flat_voltages = _polar(np.ones(n), np.zeros(n))
     flat_power, flat_currents = _power(ybus, flat_voltages[None])
     jacobian = _JacobianWork(pattern)
-    flat_jacobian = jacobian.assemble(jacobian(flat_voltages[None], flat_currents)[0])
+    flat_jacobian = jacobian.assemble(jacobian(flat_voltages[None], flat_currents)[0],
+                                      jacobian.buffer())
     flat_power = flat_power[0]
     for array in (flat_voltages, flat_power, flat_jacobian):
         array.setflags(write=False)
@@ -267,6 +270,7 @@ def _compile(net: Network) -> _Compiled:
         pq=pq,
         mismatch_index=mismatch_index,
         pattern=pattern,
+        jacobian=jacobian,
         branch_ids=tuple(b.id for b in net.branches),
         branch_kinds=tuple(b.kind for b in net.branches),
         near_index=np.array(from_index + to_index, dtype=int),
@@ -318,9 +322,9 @@ def _pattern(ybus: np.ndarray, pq: np.ndarray) -> _Pattern:
 
 
 class _JacobianWork:
-    """The polar Newton-Raphson Jacobians of one network at its pattern,
-    and the buffer they are assembled in, reused by every row and step of
-    a solve.
+    """The polar Newton-Raphson Jacobians of one network at its pattern.
+    It holds index arrays only, so concurrent solves can share it; each
+    solve assembles into a buffer() of its own.
 
     The entries are those of the dense products that define them,
       dS/dangle = 1j * diag(v) @ conj(diag(i) - ybus @ diag(v))
@@ -334,10 +338,8 @@ class _JacobianWork:
 
     def __init__(self, pattern: _Pattern):
         self.positions = pattern.positions
-        # The transposed Jacobian, over the PQ buses (one diagonal entry
-        # each); entries off the pattern stay zero.
-        m = 2 * int(np.count_nonzero(pattern.rows == pattern.columns))
-        self.out = np.zeros((m, m))
+        # The Jacobian's order: two per PQ bus (one diagonal entry each).
+        self.size = 2 * int(np.count_nonzero(pattern.rows == pattern.columns))
         # Per column range, main then remainder: the row and column buses
         # of its entries, their ybus values, and the positions and bus of
         # its diagonal entries.
@@ -386,13 +388,17 @@ class _JacobianWork:
             values[:, 2, main:], values[:, 3, main:] = d_mag.real, d_mag.imag
         return values
 
-    def assemble(self, values: np.ndarray) -> np.ndarray:
-        """The Jacobian of one row's values (4, entries), in column order:
-        the transpose of self.out. np.linalg.solve hands LAPACK a
-        column-ordered copy of its matrix, which it then copies
-        contiguously rather than with a strided gather."""
-        self.out.reshape(-1)[self.positions] = values
-        return self.out.T
+    def buffer(self) -> np.ndarray:
+        """A transposed Jacobian to assemble in; entries off the pattern stay zero."""
+        return np.zeros((self.size, self.size))
+
+    def assemble(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The Jacobian of one row's values (4, entries), written into the
+        buffer out, in column order: the transpose of out. np.linalg.solve
+        hands LAPACK a column-ordered copy of its matrix, which it then
+        copies contiguously rather than with a strided gather."""
+        out.reshape(-1)[self.positions] = values
+        return out.T
 
 
 def _cmul(a_re: np.ndarray, a_im: np.ndarray, b_re: np.ndarray,
@@ -536,7 +542,7 @@ def _iterate(c: _Compiled, s_spec: np.ndarray) -> tuple[np.ndarray, ...]:
     """
     k, n = s_spec.shape
     pq, npq = c.pq, len(c.pq)
-    jacobian = _JacobianWork(c.pattern)
+    jacobian, out = c.jacobian, c.jacobian.buffer()
 
     # Per row of s_spec: what it reports once stopped. Every row stops
     # within the loop, the last ones at step NR_MAX_ITER.
@@ -585,7 +591,7 @@ def _iterate(c: _Compiled, s_spec: np.ndarray) -> tuple[np.ndarray, ...]:
         if step:
             values = jacobian(voltages[moving], i_bus[moving])
         for t, r in enumerate(moving.tolist()):
-            jac = jacobian.assemble(values[t]) if step else c.flat_jacobian
+            jac = jacobian.assemble(values[t], out) if step else c.flat_jacobian
             try:
                 mis[r] = np.linalg.solve(jac, mis[r])
             except np.linalg.LinAlgError:

@@ -349,6 +349,56 @@ class TestReport:
         assert len(out.strip().splitlines()) == 6
 
 
+class TestRepeatedCalls:
+    """cli_main builds its parser once per process; no call's options or
+    failure carry over into the next."""
+
+    def test_parser_is_built_once(self):
+        assert gridstress.cli._build_arg_parser() is gridstress.cli._build_arg_parser()
+
+    def test_format_does_not_carry_over(self, fixture_dir, tmp_path, capsys):
+        first, second = tmp_path / "A", tmp_path / "B"
+        assert cli_main(["solve", *_run_args(fixture_dir, "ev10"), "--format", "json-text",
+                         "--out", str(first)]) == 0
+        assert cli_main(["solve", *_run_args(fixture_dir, "ev10"), "--out", str(second)]) == 0
+        capsys.readouterr()
+        assert (first / "report.json").is_file() and not (first / "report.csv").exists()
+        assert (second / "report.csv").is_file() and not (second / "report.json").exists()
+
+    def test_usage_error_between_valid_calls(self, fixture_dir, capsys):
+        argv = ["solve", *_run_args(fixture_dir, "base")]
+        assert cli_main(argv) == 0
+        assert cli_main([*argv, "--interval", "99"]) == 1
+        assert "--interval must be in [0, 95], got 99" in capsys.readouterr().err
+        assert cli_main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("base slot 36: converged")
+        assert captured.err == ""
+
+
+def test_outputs_are_utf8_under_an_ascii_locale(fixture_dir, tmp_path):
+    """A bus id outside ASCII reaches the detail file's branch ids; solve
+    writes it as UTF-8, the encoding every input is read in, whatever the
+    locale's, and report reads it back."""
+    network = tmp_path / "network.json"
+    network.write_text((fixture_dir / "network.json").read_text()
+                       .replace('"SubB"', '"SubB-\\u00e9"'))
+    out = tmp_path / "out"
+    env = {**os.environ, "LC_ALL": "POSIX", "PYTHONUTF8": "0",
+           "PYTHONPATH": str(Path(gridstress.__file__).parents[1])}
+    env.pop("PYTHONIOENCODING", None)
+    solve = ["solve", "--network", str(network),
+             "--scenario", str(fixture_dir / "scenarios" / "ev25.json"),
+             "--profiles", str(fixture_dir / "profiles"), "--out", str(out)]
+    detail = out / "detail_ev25_slot36.csv"
+    for argv in (solve, ["report", str(detail), "--out", str(tmp_path / "report")]):
+        done = subprocess.run([sys.executable, "-m", "gridstress.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+    assert "SubB-\u00e9 -> SubB (LV)" in parse_branch_detail_csv(
+        detail.read_text(encoding="utf-8"))
+
+
 def _overflowing_network(fixture_dir, tmp_path) -> Path:
     """The campus network with its HV tie cable at 1e306 ohm/mile: it
     passes validation, and Newton-Raphson overflows on it."""

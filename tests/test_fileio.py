@@ -502,6 +502,14 @@ ERROR_CASES = [
      f"{_DETAIL_HEADER}\na,cable,1e400,>150\nb,cable\nc,cable,x,<40\nd,cable,1.0,??\n",
      ["detail row 1: not a finite number: 1e400", "detail row 2: expected 4 columns",
       "detail row 3: non-numeric loading", "detail row 4: unknown bin '??'"]),
+    # A valid row between bad ones joins the rows, so its duplicate is the
+    # one reported.
+    ("detail-bad-rows-around-a-valid-one", parse_branch_detail_csv,
+     f"{_DETAIL_HEADER}\na,cable\nb,cable,x,<40\nc,cable,50.0,40-80\nc,cable,50.0,40-80\n"
+     "d,cable,85.0,40-80\n",
+     ["detail row 1: expected 4 columns", "detail row 2: non-numeric loading",
+      "detail row 4: duplicate branch 'c'",
+      "detail row 5: loading 85.0 is in bin '80-100', not '40-80'"]),
     ("network-nan-load", parse_network_file,
      NETWORK_TEXT.replace('"kw": 100.0', '"kw": NaN'),
      _not_finite("buses[1].nominal_load.kw")),
@@ -522,6 +530,15 @@ ERROR_CASES = [
                           '"kind": "cable", "rating": 1000.0, "cable_type": "c", '
                           '"length_miles": 0.5}, '),
      ["duplicate-branch: s -> a: branch id is not unique"]),
+    # A bad tag reads the branch's own keys only: every variant key is unknown.
+    ("network-branch-kind-not-a-string", parse_network_file,
+     NETWORK_TEXT.replace('"kind": "cable", "rating": 1000.0, "cable_type": "c"',
+                          '"kind": 7, "rating": 1000.0, "cable_type": "c", '
+                          '"impedance_percent": 5.0'),
+     ["branches[0].kind: expected str, got int", "branches[0]: unknown key 'cable_type'",
+      "branches[0]: unknown key 'impedance_percent'",
+      "branches[0]: unknown key 'length_miles'",
+      "branches[0].kind: expected 'cable' or 'transformer', got None"]),
     ("scenario-infinite-charger", parse_scenario_file,
      _SCENARIO_TEXT.replace("10.0", "Infinity"),
      _not_finite("scenario.per_charger_kw")),

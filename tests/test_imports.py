@@ -7,12 +7,16 @@ The one path: the command line solves only through scenario.run_study
 and run_sweep, and only run_study and solve_newton_raphson (a batch of
 one) call the Newton-Raphson batch, powerflow._newton_raphson. The
 Newton-Raphson Jacobian, powerflow._JacobianWork, is built elementwise
-at its pattern, with no matrix product.
+at its pattern, with no matrix product. Importing the package and its
+command line builds no argument parser.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -126,3 +130,30 @@ def test_matrix_products_are_found():
               "def f(v):\n"
               "    return v @ v\n")
     assert matrix_products(source, "W") == ["diag", "dot", "matmul", "@", "@"]
+
+
+# Counts the argparse parsers built by importing the package and its
+# command line, then by one call of the parser builder.
+_COUNT_PARSERS = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+import gridstress, gridstress.fileio, gridstress.cli
+print(len(built))
+gridstress.cli._build_arg_parser()
+print(len(built) > 0)
+"""
+
+
+def test_importing_the_command_line_builds_no_parser():
+    """The parser is built by the first cli_main call, so a process that
+    imports the package without running a command never builds one."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", _COUNT_PARSERS], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "True"]

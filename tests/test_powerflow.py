@@ -9,6 +9,7 @@ import math
 import random
 import re
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -421,6 +422,7 @@ class TestBitExactVectorisation:
             n = len(c.bus_ids)
             # One set of buffers serves every assembly, as in a solve.
             jacobian = powerflow_module._JacobianWork(c.pattern)
+            out = jacobian.buffer()
             v_mag = np.array([[rng.uniform(0.8, 1.1) for _ in range(n)] for _ in range(3)])
             v_ang = np.array([[rng.uniform(-0.3, 0.3) for _ in range(n)] for _ in range(3)])
             voltages = powerflow_module._polar(v_mag, v_ang)
@@ -433,7 +435,7 @@ class TestBitExactVectorisation:
                 # Each row's currents round like a matrix-vector product of it alone.
                 assert i_bus[k].tobytes() == (c.ybus @ v).tobytes()
                 reference = _block_jacobian(c.ybus, c.pq, v)
-                assembled = jacobian.assemble(values[k])
+                assembled = jacobian.assemble(values[k], out)
                 assert assembled.flags.f_contiguous
                 assert np.array_equal(assembled, reference)
                 _assert_same_step(assembled, reference, mismatch[k])
@@ -468,6 +470,54 @@ class TestBitExactVectorisation:
         # a row's first.
         assert sum(iterations) > len(iterations) > 0
         assert sum(assembled) == 1 + sum(its - 1 for its in iterations if its >= 1)
+
+    def test_solves_share_the_compiled_jacobian_index_arrays(self, bench, monkeypatch):
+        """A network's one _JacobianWork is built with its compiled form;
+        each solve allocates only its own assembly buffer."""
+        from gridstress import build_injections
+        net = dataclasses.replace(bench.network)    # a fresh, never-compiled instance
+        built = []
+        init = powerflow_module._JacobianWork.__init__
+
+        def counted(work, pattern):
+            built.append(pattern)
+            init(work, pattern)
+
+        monkeypatch.setattr(powerflow_module._JacobianWork, "__init__", counted)
+        s_spec = build_injections(net, bench.scenario("ev25"), bench.profiles, 36)
+        for _ in range(3):
+            solve_newton_raphson(net, s_spec)
+        assert len(built) == 1
+
+    def test_concurrent_solves_on_one_network_match_serial_ones(self, bench):
+        """Null-controller sweeps may run concurrently on one Network: the
+        shared compiled form holds no buffer that solves write to."""
+        from gridstress import build_injections
+        net = dataclasses.replace(bench.network)
+        rows = [build_injections(net, bench.scenario(name), bench.profiles, slot)
+                for name in ("ev10", "ev25", "ev25_pv") for slot in (30, 36, 44)]
+        serial = [repr(solve_newton_raphson(net, s_spec)) for s_spec in rows]
+        results: list[tuple[int, str]] = []
+
+        def worker(w: int) -> None:
+            # Each worker solves every row, starting at its own.
+            for i in range(len(rows)):
+                k = (w + i) % len(rows)
+                results.append((k, repr(solve_newton_raphson(net, rows[k]))))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(w,)) for w in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 4 * len(rows)
+        assert [k for k, text in results if text != serial[k]] == []
 
 
 # SHA-256 over the repr of every solution of _residue_networks at three
