@@ -147,8 +147,10 @@ def _load_inputs(args: argparse.Namespace) -> tuple[Network, Scenario, dict[str,
 
 
 def _write(path: Path, text: str) -> None:
+    """Write text as UTF-8; a file name the locale could not decode goes
+    back to its own bytes."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    path.write_text(text, encoding="utf-8", errors="surrogateescape")
 
 
 def _summary(rows: list[tuple[str, CongestionHistogram]], fmt: str, out: str | None,
@@ -293,6 +295,9 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
+    # An id the locale's encoding lacks is printed escaped, as on stderr,
+    # rather than failing the command midway.
+    sys.stdout.reconfigure(errors="backslashreplace")  # type: ignore[union-attr]
     sys.exit(cli_main())
 
 

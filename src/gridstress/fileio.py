@@ -18,11 +18,10 @@ import io
 import json
 import math
 import sys
-from bisect import bisect_right
 from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Mapping, Sequence, get_args, get_origin
 
-from .congestion import _EDGES, _LABELS, BELOW_LABEL, BIN_LABELS, CongestionHistogram, bin_label
+from .congestion import BELOW_LABEL, BIN_LABELS, CongestionHistogram, bin_label
 from .network import (
     Branch,
     Bus,
@@ -75,20 +74,13 @@ def _load_json(text: str, what: str) -> Any:
 class _Table:
     """A JSON object: its keys in document order, and make, which builds
     the object from the keys' attributes given as keywords. A tagged table
-    also has the keys of variants[its tag key's value], after its own:
-    plans[tag] holds those keys, their names and the nested ones, and
-    plans[None] the table's own, for no tag or a missing or bad one."""
+    also has the keys of variants[its tag key's value], after its own."""
 
-    __slots__ = ("keys", "make", "tag", "variants", "plans")
+    __slots__ = ("keys", "make", "tag", "variants")
 
     def __init__(self, keys: tuple[_Key, ...], make: Callable[..., Any], tag: str | None = None,
                  variants: Mapping[str, tuple[_Key, ...]] | None = None):
         self.keys, self.make, self.tag, self.variants = keys, make, tag, variants
-        self.plans: dict[str | None, tuple] = {}
-        for value, variant in [(None, ()), *(variants or {}).items()]:
-            all_keys = keys + variant
-            self.plans[value] = (all_keys, frozenset(key.name for key in all_keys),
-                                 tuple(key for key in all_keys if key.nested))
 
 
 class _Key:
@@ -136,11 +128,13 @@ def _read(table: _Table, raw: Any, path: str, errors: list[str],
     if not isinstance(raw, dict):
         errors.append(f"{path}: expected an object, got {type(raw).__name__}")
         raw = {}
-    tag = raw.get(table.tag) if table.tag else None
-    known = not table.tag or isinstance(tag, str) and tag in table.variants
-    keys, names, nested = table.plans[tag if known else None]
+    variant: tuple[_Key, ...] | None = ()
+    if table.tag:
+        tag = raw.get(table.tag)
+        variant = table.variants.get(tag) if isinstance(tag, str) else None
+    keys = table.keys + (variant or ())
     values: dict[str, Any] = {}
-    complete = known
+    complete = variant is not None
     for key in keys:
         kind = key.json_type
         value = raw.get(key.name)
@@ -154,14 +148,15 @@ def _read(table: _Table, raw: Any, path: str, errors: list[str],
             complete = complete and not key.required
             value = kind() if key.nested else None if key.required else key.default
         values[key.attr] = value
-    for name in sorted(raw.keys() - names):
+    for name in sorted(set(raw) - {key.name for key in keys}):
         errors.append(f"{path}: unknown key {name!r}")
-    if not known:
+    if variant is None:
         errors.append(f"{path}.{table.tag}: expected {' or '.join(map(repr, table.variants))}, "
                       f"got {values[table.tag]!r}")
     nest = path + "." if nest is None else nest
-    for key in nested:
-        values[key.attr] = _value(key.kind, values[key.attr], nest + key.name, errors)
+    for key in keys:
+        if key.nested:
+            values[key.attr] = _value(key.kind, values[key.attr], nest + key.name, errors)
     return values if complete else None
 
 
@@ -206,8 +201,9 @@ def _parse(text: str, what: str, table: _Table, path: str) -> Any:
 def _dump(kind: Any, value: Any) -> Any:
     """value as the JSON data that _value reads back as kind."""
     if isinstance(kind, _Table):
+        keys = kind.keys + (kind.variants[getattr(value, kind.tag)] if kind.tag else ())
         doc = {}
-        for key in kind.plans[getattr(value, kind.tag) if kind.tag else None][0]:
+        for key in keys:
             item = getattr(value, key.attr)
             if not (key.sparse and item == key.default):
                 doc[key.name] = _dump(key.kind, item) if key.nested else item
@@ -473,22 +469,8 @@ def parse_branch_detail_csv(text: str) -> dict[str, tuple[str, float, str]]:
             raise ValueError(f"duplicate branch {branch!r}")
         detail[branch] = (kind, loading, label)
 
-    rows = _csv_rows(text, "detail", DETAIL_COLUMNS)[1:]
-    for row in rows:        # add_row's checks inline, up to the first row they fail
-        try:
-            branch, kind, loading_raw, label = row
-            loading = float(loading_raw)
-        except ValueError:
-            break
-        if not (0.0 <= loading < math.inf and label == _LABELS[bisect_right(_EDGES, loading)]
-                and branch not in detail):
-            break
-        detail[branch] = (kind, loading, label)
-    else:
-        return detail
-    # A bad row: add_row reads every row again and raises all their diagnostics.
-    detail.clear()
-    _convert_rows(rows, "detail", 4, add_row)
+    rows = _csv_rows(text, "detail", DETAIL_COLUMNS)
+    _convert_rows(rows[1:], "detail", 4, add_row)
     return detail
 
 

@@ -176,8 +176,8 @@ class _Compiled(NamedTuple):
     the same scalar expressions as build_ybus uses. mismatch_index holds
     the flat positions, in the float view of a complex bus array, of the
     real then the imaginary parts of a power mismatch at the PQ buses;
-    pattern is the Jacobian's structural nonzeros and jacobian computes
-    and assembles the Jacobian's values there. flat_voltages,
+    jacobian computes and assembles the Jacobian's values at its
+    structural nonzeros. flat_voltages,
     flat_power and flat_jacobian are the voltages, bus powers and
     (column-ordered) Jacobian at the flat start, computed by the same code
     as every later Newton-Raphson step's.
@@ -188,7 +188,6 @@ class _Compiled(NamedTuple):
     slack: int
     pq: np.ndarray
     mismatch_index: np.ndarray
-    pattern: _Pattern
     jacobian: _JacobianWork
     branch_ids: tuple[str, ...]
     branch_kinds: tuple[str, ...]
@@ -243,10 +242,9 @@ def _compile(net: Network) -> _Compiled:
     pq = np.array([i for i in range(n) if i != slack], dtype=int)
     # Float view of a complex (n,) array: Re z[i] at 2i, Im z[i] at 2i + 1.
     mismatch_index = np.concatenate([2 * pq, 2 * pq + 1])
-    pattern = _pattern(ybus, pq)
     flat_voltages = _polar(np.ones(n), np.zeros(n))
     flat_power, flat_currents = _power(ybus, flat_voltages[None])
-    jacobian = _JacobianWork(pattern)
+    jacobian = _JacobianWork(_pattern(ybus, pq))
     flat_jacobian = jacobian.assemble(jacobian(flat_voltages[None], flat_currents)[0],
                                       jacobian.buffer())
     flat_power = flat_power[0]
@@ -269,7 +267,6 @@ def _compile(net: Network) -> _Compiled:
         slack=slack,
         pq=pq,
         mismatch_index=mismatch_index,
-        pattern=pattern,
         jacobian=jacobian,
         branch_ids=tuple(b.id for b in net.branches),
         branch_kinds=tuple(b.kind for b in net.branches),

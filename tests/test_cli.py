@@ -376,27 +376,40 @@ class TestRepeatedCalls:
         assert captured.err == ""
 
 
-def test_outputs_are_utf8_under_an_ascii_locale(fixture_dir, tmp_path):
-    """A bus id outside ASCII reaches the detail file's branch ids; solve
-    writes it as UTF-8, the encoding every input is read in, whatever the
-    locale's, and report reads it back."""
-    network = tmp_path / "network.json"
-    network.write_text((fixture_dir / "network.json").read_text()
-                       .replace('"SubB"', '"SubB-\\u00e9"'))
-    out = tmp_path / "out"
+def test_non_ascii_ids_under_an_ascii_locale(fixture_dir, tmp_path):
+    """Under a locale whose encoding is ASCII, a bus id outside ASCII is
+    written to the detail file as UTF-8, the encoding every input is read
+    in, and printed escaped among solve's worst branches; report reads
+    the file back, and a file name outside ASCII is echoed escaped and
+    written to the summary with its own bytes."""
+    rename = '"Chrisholm Hall"', '"Chrisholm Hall-\\u00e9"'
+    network, scenario = tmp_path / "network.json", tmp_path / "ev25.json"
+    network.write_text((fixture_dir / "network.json").read_text().replace(*rename))
+    scenario.write_text((fixture_dir / "scenarios" / "ev25.json").read_text().replace(*rename))
     env = {**os.environ, "LC_ALL": "POSIX", "PYTHONUTF8": "0",
            "PYTHONPATH": str(Path(gridstress.__file__).parents[1])}
     env.pop("PYTHONIOENCODING", None)
-    solve = ["solve", "--network", str(network),
-             "--scenario", str(fixture_dir / "scenarios" / "ev25.json"),
-             "--profiles", str(fixture_dir / "profiles"), "--out", str(out)]
-    detail = out / "detail_ev25_slot36.csv"
-    for argv in (solve, ["report", str(detail), "--out", str(tmp_path / "report")]):
+
+    def run(*argv: str) -> str:
         done = subprocess.run([sys.executable, "-m", "gridstress.cli", *argv],
                               capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
-    assert "SubB-\u00e9 -> SubB (LV)" in parse_branch_detail_csv(
+        return done.stdout
+
+    out = tmp_path / "out"
+    printed = run("solve", "--network", str(network), "--scenario", str(scenario),
+                  "--profiles", str(fixture_dir / "profiles"), "--out", str(out))
+    assert "311.2%  Chrisholm Hall-\\xe9 -> Parking G3\n" in printed
+    detail = out / "detail_ev25_slot36.csv"
+    assert "Chrisholm Hall-\u00e9 -> Parking G3" in parse_branch_detail_csv(
         detail.read_text(encoding="utf-8"))
+    renamed = tmp_path / "d\u00e9tail.csv"
+    renamed.write_bytes(detail.read_bytes())
+    echoed = run("report", str(detail), str(renamed), "--out", str(tmp_path / "report"))
+    assert echoed.splitlines()[1:] == ["detail_ev25_slot36,7,2,11,10",
+                                       "d\\udcc3\\udca9tail,7,2,11,10"]
+    assert (tmp_path / "report" / "report.csv").read_text(encoding="utf-8").splitlines()[1:] == [
+        "detail_ev25_slot36,7,2,11,10", "d\u00e9tail,7,2,11,10"]
 
 
 def _overflowing_network(fixture_dir, tmp_path) -> Path:

@@ -420,8 +420,8 @@ class TestBitExactVectorisation:
         for net, s_spec in _jacobian_cases(bench, rng):
             c = powerflow_module._compiled(net)
             n = len(c.bus_ids)
-            # One set of buffers serves every assembly, as in a solve.
-            jacobian = powerflow_module._JacobianWork(c.pattern)
+            # One buffer serves every assembly, as in a solve.
+            jacobian = c.jacobian
             out = jacobian.buffer()
             v_mag = np.array([[rng.uniform(0.8, 1.1) for _ in range(n)] for _ in range(3)])
             v_ang = np.array([[rng.uniform(-0.3, 0.3) for _ in range(n)] for _ in range(3)])
@@ -562,7 +562,7 @@ class TestJacobianPattern:
     def test_pattern_is_the_pq_block_of_ybus_plus_the_diagonal(self, bench):
         for net, _ in [(bench.network, None)] + _residue_networks():
             c = powerflow_module._compiled(net)
-            p = c.pattern
+            p = powerflow_module._pattern(c.ybus, c.pq)
             n, npq = len(c.bus_ids), len(c.pq)
             linked = c.ybus != 0
             np.fill_diagonal(linked, True)
