@@ -19,7 +19,6 @@ from .network import (
     Network,
     NominalLoad,
     Violation,
-    cable_resistance,
     derive_impedances,
     to_per_unit,
     validate_network,
@@ -28,9 +27,7 @@ from .powerflow import (
     PowerFlowSolution,
     branch_flows,
     build_ybus,
-    solve_gauss_seidel,
     solve_newton_raphson,
-    total_losses,
 )
 from .scenario import (
     LoadProfile,
@@ -71,7 +68,6 @@ __all__ = [
     "build_benchmark",
     "build_injections",
     "build_ybus",
-    "cable_resistance",
     "congested_elements",
     "derive_impedances",
     "ev_load_kw",
@@ -79,9 +75,7 @@ __all__ = [
     "one_third_stagger",
     "run_study",
     "run_sweep",
-    "solve_gauss_seidel",
     "solve_newton_raphson",
     "to_per_unit",
-    "total_losses",
     "validate_network",
 ]

@@ -148,18 +148,6 @@ class Violation:
         return f"{self.code}: {self.element}: {self.message}"
 
 
-def cable_resistance(cable: CableType, length_miles: float) -> complex:
-    """Series impedance of a cable run in ohms, R + jX.
-
-    Multiplies the catalog ohm/mile and reactance/mile values by the
-    run length.
-    """
-    if length_miles < 0:
-        raise ValueError(f"cable length must be >= 0, got {length_miles}")
-    return complex(cable.ohms_per_mile * length_miles,
-                   cable.reactance_per_mile * length_miles)
-
-
 def to_per_unit(
     branch: Branch,
     bus_base_kv: float,
@@ -168,7 +156,8 @@ def to_per_unit(
 ) -> complex:
     """Series impedance of a branch in per-unit on the system base.
 
-    Cables: Z_pu = Z_ohm / (kV^2 / MVA). Transformers: nameplate percent
+    Cables: Z_pu = Z_ohm / (kV^2 / MVA), with Z_ohm = R + jX the catalog
+    ohm/mile values times a length >= 0. Transformers: nameplate percent
     impedance on the unit's own rating, rebased to the system MVA base
     and modeled as pure reactance (no-load losses and R ignored).
     """
@@ -182,7 +171,10 @@ def to_per_unit(
             raise ValueError(f"unknown cable type {branch.cable_type!r} on {branch.id}")
         if branch.length_miles is None:
             raise ValueError(f"cable branch {branch.id} has no length")
-        z_ohm = cable_resistance(cable_catalog[branch.cable_type], branch.length_miles)
+        cable, length = cable_catalog[branch.cable_type], branch.length_miles
+        if length < 0:
+            raise ValueError(f"cable length must be >= 0, got {length}")
+        z_ohm = complex(cable.ohms_per_mile * length, cable.reactance_per_mile * length)
         z_base = bus_base_kv ** 2 / s_base_mva
         return z_ohm / z_base
     if branch.kind == "transformer":
@@ -236,14 +228,20 @@ def _connected_component(bus_ids: set[str], branches: tuple[Branch, ...]) -> set
     return seen
 
 
+def admittance_terms(branch: Branch) -> tuple[complex, complex, complex]:
+    """A branch's Ybus terms in the pi model, off-nominal tap on the from
+    side: (y/tap**2, y/tap, y) with y = 1/series_impedance_pu. It adds
+    y/tap**2 at the from bus, y at the to bus and -y/tap between them."""
+    y = 1.0 / branch.series_impedance_pu
+    return y / branch.tap ** 2, y / branch.tap, y
+
+
 def _usable_per_unit(branch: Branch, s_base_mva: float) -> bool:
-    """Whether the per-unit terms the power flow compiles for branch, y/tap**2,
-    y/tap and y = 1/series_impedance_pu, and its rating, are all finite and
-    non-zero. They take the solver's own expressions; an overflow or a
-    division by zero on the way counts as unusable."""
+    """Whether the admittance_terms of branch and its rating in pu are all
+    finite and non-zero; an overflow or a division by zero on the way
+    counts as unusable."""
     try:
-        y = 1.0 / branch.series_impedance_pu
-        terms = (y / branch.tap ** 2, y / branch.tap, y, branch.rating_kva / (1000.0 * s_base_mva))
+        terms = (*admittance_terms(branch), branch.rating_kva / (1000.0 * s_base_mva))
     except ArithmeticError:
         return False
     return all(cmath.isfinite(term) and term != 0 for term in terms)

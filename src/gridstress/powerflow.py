@@ -1,11 +1,11 @@
-"""AC power-flow solvers over the network model.
+"""AC power-flow solver over the network model.
 
 Solves for bus voltages given per-bus complex power injections, then
 computes branch flows and loading percentages against branch ratings.
-Two independent solvers are provided: full-Jacobian Newton-Raphson in
-polar form (the production path) and Gauss-Seidel per-bus fixed-point
-iteration (slower, used as a cross-check). Every non-slack bus is a PQ
-node; PV generation enters as negative load upstream of this module.
+The solver is full-Jacobian Newton-Raphson in polar form; the tests
+cross-check it against a Gauss-Seidel oracle of their own. Every
+non-slack bus is a PQ node; PV generation enters as negative load
+upstream of this module.
 
 Each Network is compiled into arrays on its first solve: Ybus, bus and
 branch indices, and the bus powers and Newton-Raphson Jacobian at the
@@ -70,7 +70,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .network import Network
+from .network import Network, admittance_terms
 
 # Why an iteration stopped, by code: within tolerance, out of iterations,
 # a singular Newton-Raphson Jacobian, or a non-finite iterate.
@@ -79,12 +79,9 @@ _CONVERGED, _MAX_ITER, _SINGULAR, _NON_FINITE = range(len(STOP_REASONS))
 
 
 # Newton-Raphson stops once max(|dP|, |dQ|) <= NR_TOL pu, or after
-# NR_MAX_ITER steps. Gauss-Seidel converges linearly; its tolerance applies
-# to the largest per-sweep voltage change rather than the power mismatch.
+# NR_MAX_ITER steps.
 NR_TOL = 1e-8
 NR_MAX_ITER = 30
-GS_TOL = 1e-10
-GS_MAX_ITER = 50_000
 
 
 @dataclass(frozen=True)
@@ -125,11 +122,8 @@ class PowerFlowSolution:
 
 
 def build_ybus(net: Network) -> np.ndarray:
-    """Dense bus admittance matrix ordered like net.buses.
-
-    Diagonal entries sum the series admittances incident to the bus;
-    off-diagonals are the negated series admittance of the connecting
-    branch. Off-nominal transformer taps enter on the from side.
+    """Dense bus admittance matrix ordered like net.buses: the sum of the
+    admittance_terms of every branch (pi model, taps on the from side).
     """
     index = {bus.id: i for i, bus in enumerate(net.buses)}
     ybus = np.zeros((len(net.buses), len(net.buses)), dtype=complex)
@@ -139,13 +133,12 @@ def build_ybus(net: Network) -> np.ndarray:
             raise ValueError(f"branch {branch.id} has no derived impedance")
         if z == 0:
             raise ValueError(f"branch {branch.id} has zero impedance (singular)")
-        y = 1.0 / z
+        y_ff, y_ft, y_tt = admittance_terms(branch)
         f, t = index[branch.from_bus], index[branch.to_bus]
-        tap = branch.tap
-        ybus[f, f] += y / tap ** 2
-        ybus[t, t] += y
-        ybus[f, t] -= y / tap
-        ybus[t, f] -= y / tap
+        ybus[f, f] += y_ff
+        ybus[t, t] += y_tt
+        ybus[f, t] -= y_ft
+        ybus[t, f] -= y_ft
     return ybus
 
 
@@ -172,12 +165,10 @@ class _Pattern(NamedTuple):
 class _Compiled(NamedTuple):
     """A Network's solver inputs as index arrays, built once per instance.
 
-    The branch admittance terms y/tap**2, y/tap and y are computed with
-    the same scalar expressions as build_ybus uses. mismatch_index holds
-    the flat positions, in the float view of a complex bus array, of the
-    real then the imaginary parts of a power mismatch at the PQ buses;
-    jacobian computes and assembles the Jacobian's values at its
-    structural nonzeros. flat_voltages,
+    mismatch_index holds the flat positions, in the float view of a
+    complex bus array, of the real then the imaginary parts of a power
+    mismatch at the PQ buses; jacobian computes and assembles the
+    Jacobian's values at its structural nonzeros. flat_voltages,
     flat_power and flat_jacobian are the voltages, bus powers and
     (column-ordered) Jacobian at the flat start, computed by the same code
     as every later Newton-Raphson step's.
@@ -253,14 +244,10 @@ def _compile(net: Network) -> _Compiled:
     index = {bus_id: i for i, bus_id in enumerate(bus_ids)}
     from_index = [index[b.from_bus] for b in net.branches]
     to_index = [index[b.to_bus] for b in net.branches]
-    y_ff, y_ft, y_tt = [], [], []
-    for branch in net.branches:
-        y = 1.0 / branch.series_impedance_pu
-        y_ff.append(y / branch.tap ** 2)
-        y_ft.append(y / branch.tap)
-        y_tt.append(y)
-    y_near = np.array(y_ff + y_tt, dtype=complex)
-    y_far = np.array(y_ft + y_ft, dtype=complex)
+    y_ff, y_ft, y_tt = np.array([admittance_terms(b) for b in net.branches],
+                                dtype=complex).reshape(-1, 3).T
+    y_near = np.concatenate([y_ff, y_tt])
+    y_far = np.concatenate([y_ft, y_ft])
     return _Compiled(
         ybus=ybus,
         bus_ids=bus_ids,
@@ -450,12 +437,6 @@ def _branch_flows(c: _Compiled, voltages: np.ndarray) -> tuple[np.ndarray, np.nd
     return np.stack((s_re, s_im), axis=-1).view(complex)[..., 0], loading
 
 
-def total_losses(net: Network, solution: PowerFlowSolution) -> complex:
-    """Network series losses in MW + jMvar, summed over branch ends."""
-    s_loss_pu = sum((f + t for f, t in zip(solution.s_from, solution.s_to)), 0j)
-    return s_loss_pu * net.s_base_mva
-
-
 _NO_FLOWS = dict.fromkeys(("branch_ids", "branch_kinds", "s_from", "s_to", "loading_percent"), ())
 
 
@@ -606,39 +587,3 @@ def _iterate(c: _Compiled, s_spec: np.ndarray) -> tuple[np.ndarray, ...]:
         s_calc, i_bus = _power(c.ybus, voltages)
 
     return final_voltages, iterations, stops, mismatches
-
-
-def solve_gauss_seidel(net: Network, injections: np.ndarray) -> PowerFlowSolution:
-    """Gauss-Seidel power flow: sweep per-bus fixed-point voltage updates.
-
-    Converged means the largest voltage change in a sweep is <= GS_TOL.
-    Independent of the Newton path, which makes it a usable oracle.
-    """
-    c = _compiled(net)
-    ybus = c.ybus
-    s_spec = np.asarray(injections, dtype=complex)[None]
-    c.check_rows(s_spec)
-    pq = c.pq.tolist()
-
-    voltages = np.ones(len(c.bus_ids), dtype=complex)
-    iterations = 0
-    stop = _MAX_ITER
-
-    for _ in range(GS_MAX_ITER):
-        max_dv = 0.0
-        for i in pq:
-            coupled = ybus[i, :] @ voltages - ybus[i, i] * voltages[i]
-            updated = (np.conj(s_spec[0, i] / voltages[i]) - coupled) / ybus[i, i]
-            max_dv = max(max_dv, abs(updated - voltages[i]))
-            voltages[i] = updated
-        iterations += 1
-        if max_dv <= GS_TOL:
-            stop = _CONVERGED
-            break
-        if not np.all(np.isfinite(voltages)):
-            stop = _NON_FINITE
-            break
-
-    rows = voltages[None]
-    _, max_mis = _mismatch(s_spec, _power(ybus, rows)[0], c.mismatch_index)
-    return _finish(c, rows, np.array([iterations]), np.array([stop]), max_mis)[0]

@@ -11,7 +11,7 @@ every interval; the study then resolves the scenario's bindings (lot
 buses, PV sites' and loaded buses' profiles) and evaluates its whole day
 once into one complex matrix, a row per interval ordered like net.buses
 (slack entry zero). That row is the one injection form: build_injections
-returns one, and the solvers take it. The study then solves the distinct
+returns one, and the solver takes it. The study then solves the distinct
 rows of all its days, bit for bit, as one lockstep Newton-Raphson batch
 (see powerflow) and records each interval with the solution of its row:
 intervals whose rows are equal share one (immutable) solution. A sweep
@@ -80,9 +80,6 @@ class LoadProfile:
                 raise ProfileError(f"profile {self.id!r} slot {i}: {c} outside [0, 1]")
         if max(self.coefficients) != 1.0:
             raise ProfileError(f"profile {self.id!r}: max must be exactly 1")
-
-    def __len__(self) -> int:
-        return len(self.coefficients)
 
     def coefficient(self, slot: int) -> float:
         if not 0 <= slot < len(self.coefficients):
@@ -282,7 +279,7 @@ def placement_errors(net: Network, scenario: Scenario) -> list[str]:
 def build_injections(net: Network, scenario: Scenario, profiles: Mapping[str, LoadProfile],
                      interval: int) -> np.ndarray:
     """Net complex power injections in pu at interval with the scenario's
-    nominal EV draw, the vector the solvers take: one entry per bus,
+    nominal EV draw, the vector the solver takes: one entry per bus,
     ordered like net.buses, with the slack entry zero. This is the row a
     study of the scenario with the null controller solves at interval.
 

@@ -1,11 +1,14 @@
 """Shared builders and checks for tests: tiny and randomly generated
 networks, a small network document, injection vectors from mappings by
 bus id, the benchmark's seeded feeder days, no-load injections, overload
-counts, stagger service and backlog in kW, and reference models of one
-slot's injections and of the stagger controller."""
+counts, stagger service and backlog in kW, and reference models: the
+Gauss-Seidel oracle of the Newton-Raphson solver, a solution's series
+losses from its branch columns, one slot's injections and the stagger
+controller."""
 
 from __future__ import annotations
 
+import cmath
 import json
 import os
 import random
@@ -26,8 +29,11 @@ from gridstress import (
     LoadProfile,
     Network,
     NominalLoad,
+    PowerFlowSolution,
     Scenario,
     StaggerState,
+    branch_flows,
+    build_ybus,
     derive_impedances,
     one_third_stagger,
 )
@@ -114,6 +120,70 @@ def make_radial_network(rng: random.Random, n_buses: int,
         branches.append(Branch(*ends, "cable", 10000.0, cable_type=name, length_miles=1.0))
     net = derive_impedances(Network(S_BASE, tuple(buses), tuple(branches), (), catalog))
     return net, bus_vector(net, injections)
+
+
+# The Gauss-Seidel oracle converges linearly. It stops once no voltage
+# moves more than GS_TOL pu in a sweep, or after GS_MAX_ITER sweeps.
+GS_TOL = 1e-10
+GS_MAX_ITER = 50_000
+
+
+def solve_gauss_seidel(net: Network, injections: np.ndarray) -> PowerFlowSolution:
+    """Gauss-Seidel power flow, the oracle of the Newton-Raphson solver:
+    per-bus fixed-point voltage updates, swept from a flat start.
+
+    It shares only build_ybus and branch_flows with the solver and takes
+    the same bus-ordered injections. Converged means the largest voltage
+    change in a sweep is <= GS_TOL; max_mismatch is the largest |dP| or
+    |dQ| at a PQ bus at the last iterate. Only a converged solution
+    carries branch columns.
+    """
+    ybus = build_ybus(net)
+    s_spec = np.asarray(injections, dtype=complex)
+    slack = net.bus_ids().index(net.slack_id())
+    pq = [i for i in range(len(net.buses)) if i != slack]
+    voltages = np.ones(len(net.buses), dtype=complex)
+    iterations, stop = 0, "max_iter"
+    while iterations < GS_MAX_ITER:
+        max_dv = 0.0
+        for i in pq:
+            coupled = ybus[i, :] @ voltages - ybus[i, i] * voltages[i]
+            updated = (np.conj(s_spec[i] / voltages[i]) - coupled) / ybus[i, i]
+            max_dv = max(max_dv, abs(updated - voltages[i]))
+            voltages[i] = updated
+        iterations += 1
+        if max_dv <= GS_TOL:
+            stop = "converged"
+            break
+        if not np.all(np.isfinite(voltages)):
+            stop = "non_finite"
+            break
+
+    currents = ybus @ voltages
+    mismatch = (s_spec - voltages * np.conj(currents))[pq].view(float)
+    converged = stop == "converged"
+    s_from, s_to, loading = branch_flows(net, voltages) if converged else ((), (), ())
+    v = voltages.tolist()
+    return PowerFlowSolution(
+        bus_ids=net.bus_ids(),
+        v_mag=tuple(map(abs, v)),
+        v_ang=tuple(map(cmath.phase, v)),
+        branch_ids=tuple(b.id for b in net.branches) if converged else (),
+        branch_kinds=tuple(b.kind for b in net.branches) if converged else (),
+        s_from=s_from,
+        s_to=s_to,
+        loading_percent=loading,
+        slack_injection=v[slack] * complex(currents[slack]).conjugate(),
+        iterations=iterations,
+        max_mismatch=float(np.abs(mismatch).max(initial=0.0)),
+        stop_reason=stop,
+    )
+
+
+def series_losses_pu(solution: PowerFlowSolution) -> complex:
+    """A solution's series losses in pu, P + jQ: the power entering its
+    branches at both ends, sum(s_from) + sum(s_to)."""
+    return sum(solution.s_from, 0j) + sum(solution.s_to, 0j)
 
 
 def feeder_days(seed: int) -> tuple[Network, tuple[Scenario, ...], dict[str, LoadProfile]]:

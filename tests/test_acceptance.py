@@ -20,9 +20,7 @@ from gridstress import (
     ev_load_kw,
     normalize_profile,
     run_sweep,
-    solve_gauss_seidel,
     solve_newton_raphson,
-    total_losses,
 )
 from gridstress.benchmark import PARKING_LOTS
 from gridstress.fileio import (
@@ -40,7 +38,7 @@ from gridstress.fileio import (
 from gridstress.scenario import StaggerState
 
 from helpers import (SEED, at_or_above_100, make_radial_network, no_load_injections,
-                     stagger_served)
+                     series_losses_pu, solve_gauss_seidel, stagger_served)
 
 
 def _report(number: int, description: str, passed: bool) -> None:
@@ -88,7 +86,7 @@ def test_criterion_2_conservation(bench):
         if not nr.converged:
             continue
         loads = -sum(injections)
-        losses_pu = total_losses(net, nr) / net.s_base_mva
+        losses_pu = series_losses_pu(nr)
         ok = ok and abs(nr.slack_injection - loads - losses_pu) <= 1e-6
         ok = ok and losses_pu.real >= -1e-9
         checked += 1
@@ -99,7 +97,7 @@ def test_criterion_2_conservation(bench):
         if not solution.converged:
             continue
         loads = -sum(injections)
-        losses_pu = total_losses(bench.network, solution) / bench.network.s_base_mva
+        losses_pu = series_losses_pu(solution)
         ok = ok and abs(solution.slack_injection - loads - losses_pu) <= 1e-6
         ok = ok and losses_pu.real >= -1e-9
         checked += 1

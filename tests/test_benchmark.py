@@ -84,5 +84,5 @@ class TestDeterminism:
 
     def test_profiles_cover_the_day(self, bench):
         for profile in bench.profiles.values():
-            assert len(profile) == 96
+            assert len(profile.coefficients) == 96
         assert bench.profiles["campus_buildings"].coefficient(36) == 1.0

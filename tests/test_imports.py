@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and every
-power flow the package solves goes through one path.
+"""No module of the package imports a name it never uses, it exports
+no name that only tests use, and every power flow the package solves
+goes through one path.
 
 A name listed in the module's __all__, or imported on a line marked
 ``# noqa: F401`` (kept for a caller that binds it by name), is exempt.
@@ -9,19 +10,24 @@ one) call the Newton-Raphson batch, powerflow._newton_raphson. The
 Newton-Raphson Jacobian, powerflow._JacobianWork, is built elementwise
 at its pattern, with no matrix product. Importing the package and its
 command line builds no argument parser.
+
+An export is used when code outside the tests reads it: a package module
+other than __init__.py, a perfbench script, or a word of README.md.
 """
 
 from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gridstress"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "gridstress"
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -65,6 +71,41 @@ def test_an_unused_import_is_found():
               "def f(net: Network) -> Mapping:\n"
               "    return {}\n")
     assert unused_imports(source) == ["2: math", "4: Generator"]
+
+
+def names_read(source: str) -> set[str]:
+    """The names source reads, as names, attributes or imported names;
+    a definition or an assignment is not a read."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_export_is_used_outside_the_tests():
+    scripts = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    scripts += [path for path in sorted((ROOT / "perfbench").rglob("*.py"))
+                if "tests" not in path.relative_to(ROOT).parts]
+    used = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    for path in scripts:
+        used |= names_read(path.read_text())
+    exported = _exported(ast.parse((PACKAGE / "__init__.py").read_text()))
+    assert sorted(exported - used) == []
+
+
+def test_names_read_skip_definitions():
+    source = ("from .network import Network as Net\n"
+              "class Solver:\n"
+              "    pass\n"
+              "def solve(net):\n"
+              "    limit = 3\n"
+              "    return net.branches, limit\n")
+    assert names_read(source) == {"Network", "branches", "net", "limit"}
 
 
 def calls_by_function(source: str) -> dict[str, set[str]]:

@@ -16,7 +16,6 @@ from gridstress import (
     Generator,
     Network,
     NominalLoad,
-    cable_resistance,
     derive_impedances,
     to_per_unit,
     validate_network,
@@ -28,23 +27,30 @@ from gridstress.network import DEFAULT_LOAD_POWER_FACTOR, reactive_kvar
 from helpers import NETWORK_TEXT
 
 
-class TestCableResistance:
+def cable_ohms(cable: CableType, length_miles: float) -> complex:
+    """A cable run's series impedance R + jX in ohms: to_per_unit on a
+    1 kV, 1 MVA base, where Z_base is exactly 1 ohm."""
+    branch = Branch("a", "b", "cable", 1000.0, cable_type=cable.name, length_miles=length_miles)
+    return to_per_unit(branch, 1.0, 1.0, {cable.name: cable})
+
+
+class TestCableImpedance:
     def test_forced_arithmetic(self):
         cable = CableType("c", 0.5, 0.1)
-        assert cable_resistance(cable, 0.2) == pytest.approx(0.1 + 0.02j)
+        assert cable_ohms(cable, 0.2) == pytest.approx(0.1 + 0.02j)
 
     def test_zero_length(self):
         cable = CableType("c", 0.7, 0.3)
-        assert cable_resistance(cable, 0.0) == 0j
+        assert cable_ohms(cable, 0.0) == 0j
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError, match="length"):
-            cable_resistance(CableType("c", 0.5, 0.1), -0.1)
+            cable_ohms(CableType("c", 0.5, 0.1), -0.1)
 
     def test_benchmark_feeder_cable_expected_value(self):
         # Hand-recomputed: 0.095 ohm/mi * 0.08 mi and 0.141 ohm/mi * 0.08 mi.
         cable = CABLE_CATALOG["MV-feeder-A"]
-        z = cable_resistance(cable, 0.08)
+        z = cable_ohms(cable, 0.08)
         assert z.real == pytest.approx(0.0076, abs=1e-12)
         assert z.imag == pytest.approx(0.01128, abs=1e-12)
 
@@ -53,8 +59,8 @@ class TestCableResistance:
         for _ in range(50):
             a = rng.uniform(0.0, 3.0)
             b = rng.uniform(0.0, 3.0)
-            whole = cable_resistance(cable, a + b)
-            parts = cable_resistance(cable, a) + cable_resistance(cable, b)
+            whole = cable_ohms(cable, a + b)
+            parts = cable_ohms(cable, a) + cable_ohms(cable, b)
             assert whole == pytest.approx(parts, rel=1e-12)
 
 

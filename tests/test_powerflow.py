@@ -1,4 +1,5 @@
-"""Solver tests: Y-bus assembly, the two independent solvers, flows, losses."""
+"""Solver tests: Y-bus assembly, Newton-Raphson against the Gauss-Seidel
+oracle, flows, losses."""
 
 from __future__ import annotations
 
@@ -24,18 +25,19 @@ from gridstress import (
     build_ybus,
     derive_impedances,
     run_sweep,
-    solve_gauss_seidel,
     solve_newton_raphson,
-    total_losses,
 )
 from gridstress import powerflow as powerflow_module
 from gridstress.powerflow import PowerFlowSolution
 
+import helpers
 from helpers import (
     bus_vector,
     feeder_days,
     make_radial_network,
     no_load_injections,
+    series_losses_pu,
+    solve_gauss_seidel,
     two_bus_network,
 )
 
@@ -219,7 +221,7 @@ class TestGaussSeidel:
             for an, ag in zip(nr.v_ang, gs.v_ang):
                 assert an == pytest.approx(ag, abs=1e-6)
             for solution in (nr, gs):
-                losses_pu = total_losses(net, solution) / net.s_base_mva
+                losses_pu = series_losses_pu(solution)
                 assert abs(solution.slack_injection + sum(injections)
                            - losses_pu) <= 1e-6
             kinds.add((any(b.tap != 1.0 for b in net.branches),
@@ -655,7 +657,7 @@ class TestStopReason:
         net = two_bus_network(TWO_BUS_Z)
         load = bus_vector(net, {"load": -TWO_BUS_LOAD})
         assert solve_gauss_seidel(net, load).stop_reason == "converged"
-        monkeypatch.setattr(powerflow_module, "GS_MAX_ITER", 3)
+        monkeypatch.setattr(helpers, "GS_MAX_ITER", 3)
         tight = solve_gauss_seidel(net, load)
         assert (tight.stop_reason, tight.iterations) == ("max_iter", 3)
 
@@ -727,20 +729,20 @@ class TestLockstepBatch:
 class TestLosses:
     def test_no_load_zero(self, bench):
         solution = solve_newton_raphson(bench.network, no_load_injections(bench.network))
-        assert abs(total_losses(bench.network, solution)) <= 1e-9
+        assert abs(series_losses_pu(solution) * bench.network.s_base_mva) <= 1e-9
 
     def test_lossless_network_has_zero_active_losses(self):
         net = two_bus_network(0.05j)
         solution = solve_newton_raphson(net, bus_vector(net, {"load": -0.4 - 0.1j}))
         assert solution.converged
-        losses_mva = total_losses(net, solution)
+        losses_mva = series_losses_pu(solution) * net.s_base_mva
         assert losses_mva.real == pytest.approx(0.0, abs=1e-9 * net.s_base_mva)
         assert losses_mva.imag > 0.0
 
     def test_two_bus_balance_identity(self):
         net = two_bus_network(TWO_BUS_Z)
         solution = solve_newton_raphson(net, bus_vector(net, {"load": -TWO_BUS_LOAD}))
-        losses_pu = total_losses(net, solution) / net.s_base_mva
+        losses_pu = series_losses_pu(solution)
         assert losses_pu.real == pytest.approx(TWO_BUS_LOSS_P, abs=1e-8)
         balance = solution.slack_injection - TWO_BUS_LOAD - losses_pu
         assert abs(balance) <= 1e-6
@@ -753,7 +755,7 @@ class TestLosses:
             solution = solve_newton_raphson(bench.network, injections)
             assert solution.converged
             loads = -sum(injections)
-            losses_pu = total_losses(bench.network, solution) / bench.network.s_base_mva
+            losses_pu = series_losses_pu(solution)
             assert abs(solution.slack_injection - loads - losses_pu) <= 1e-6
             assert losses_pu.real >= -1e-9
 

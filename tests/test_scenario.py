@@ -108,7 +108,7 @@ class TestLoadProfile:
 
     def test_default_shapes(self):
         ev = ev_workday_profile()
-        assert len(ev) == 96
+        assert len(ev.coefficients) == 96
         assert ev.coefficient(36) == 1.0      # 09:00, charging hours
         assert ev.coefficient(31) == 0.0      # 07:45, before the window
         assert ev.coefficient(68) == 0.0      # 17:00, after the window
