@@ -26,7 +26,6 @@ from .network import (
 from .powerflow import (
     PowerFlowSolution,
     branch_flows,
-    build_ybus,
     solve_newton_raphson,
 )
 from .scenario import (
@@ -67,7 +66,6 @@ __all__ = [
     "branch_flows",
     "build_benchmark",
     "build_injections",
-    "build_ybus",
     "congested_elements",
     "derive_impedances",
     "ev_load_kw",

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -245,8 +246,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
             detail = parse_branch_detail_csv(text)
         except GridFileError as exc:
             raise GridFileError([f"{path}: {d}" for d in exc.diagnostics]) from exc
-        # The parser has checked every row's bin against its loading.
-        rows.append((path.stem, CongestionHistogram.from_labels(
+        # The parser has checked every row's bin against its loading. The
+        # name is the stem's bytes as UTF-8, whatever the locale decoded.
+        name = os.fsencode(path.stem).decode("utf-8", "surrogateescape")
+        rows.append((name, CongestionHistogram.from_labels(
             {branch: label for branch, (_, _, label) in detail.items()})))
     _summary(rows, args.format, args.out, echo=True)
     return EXIT_OK

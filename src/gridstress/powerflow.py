@@ -7,18 +7,20 @@ cross-check it against a Gauss-Seidel oracle of their own. Every
 non-slack bus is a PQ node; PV generation enters as negative load
 upstream of this module.
 
-Each Network is compiled into arrays on its first solve: Ybus, bus and
-branch indices, and the bus powers and Newton-Raphson Jacobian at the
-flat start, which depend on the network alone and serve every solve's
-first step. The compiled form is kept on the instance. Solves are pure
-and deterministic: the same network and injections give bit-identical
-solutions. Non-convergence is a reportable outcome, not an exception,
-because overload studies intentionally push past feasibility; each
-solution records why its iteration stopped (STOP_REASONS), and an
-iterate that overflows stops as non_finite rather than warning. Only a
-converged solution carries branch results: a non-solution keeps its best
-iterate's voltages, iterations and mismatch, and its branch columns are
-empty, so it can reach no loading bin and no report.
+Each Network is compiled into arrays on its first solve, and the
+compiled form is kept on the instance. One pass over the branches gives
+their end buses and admittance_terms, from which Ybus is summed and the
+branch flows are computed; the bus powers and Newton-Raphson Jacobian at
+the flat start depend on the network alone and serve every solve's
+first step. Solves are pure and deterministic: the same network and
+injections give bit-identical solutions. Non-convergence is a reportable
+outcome, not an exception, because overload studies intentionally push
+past feasibility; each solution records why its iteration stopped
+(STOP_REASONS), and an iterate that overflows stops as non_finite rather
+than warning. Only a converged solution carries branch results: a
+non-solution keeps its best iterate's voltages, iterations and mismatch,
+and its branch columns are empty, so it can reach no loading bin and no
+report.
 
 Newton-Raphson runs in lockstep over a batch of operating points, one
 row of bus-ordered injections each: a sweep solves its distinct rows as
@@ -123,43 +125,36 @@ class PowerFlowSolution:
 
 def build_ybus(net: Network) -> np.ndarray:
     """Dense bus admittance matrix ordered like net.buses: the sum of the
-    admittance_terms of every branch (pi model, taps on the from side).
-    """
+    admittance_terms of every branch (pi model, taps on the from side)."""
+    return _sum_ybus(len(net.buses), *_branch_arrays(net))
+
+
+def _branch_arrays(net: Network) -> tuple[np.ndarray, np.ndarray]:
+    """Per branch, in branch order: the positions in net.buses of its from
+    and to buses (m, 2), and its admittance_terms y_ff, y_ft, y_tt (m, 3).
+    The first branch with no impedance, or a zero one, raises."""
     index = {bus.id: i for i, bus in enumerate(net.buses)}
-    ybus = np.zeros((len(net.buses), len(net.buses)), dtype=complex)
+    ends, terms = [], []
     for branch in net.branches:
         z = branch.series_impedance_pu
         if z is None:
             raise ValueError(f"branch {branch.id} has no derived impedance")
         if z == 0:
             raise ValueError(f"branch {branch.id} has zero impedance (singular)")
-        y_ff, y_ft, y_tt = admittance_terms(branch)
-        f, t = index[branch.from_bus], index[branch.to_bus]
-        ybus[f, f] += y_ff
-        ybus[t, t] += y_tt
-        ybus[f, t] -= y_ft
-        ybus[t, f] -= y_ft
+        terms.append(admittance_terms(branch))
+        ends.append((index[branch.from_bus], index[branch.to_bus]))
+    return np.array(ends, dtype=int).reshape(-1, 2), np.array(terms, dtype=complex).reshape(-1, 3)
+
+
+def _sum_ybus(n: int, ends: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """The (n, n) Ybus of the branch arrays, with the bits of a scalar loop
+    over the branches: np.add.at adds y_ff at (f, f), y_tt at (t, t), then
+    -y_ft at (f, t) and (t, f), branch by branch, and x + (-y) rounds like x - y."""
+    (f, t), (y_ff, y_ft, y_tt) = ends.T, terms.T
+    ybus = np.zeros((n, n), dtype=complex)
+    np.add.at(ybus, (np.stack([f, t, f, t], 1).ravel(), np.stack([f, t, t, f], 1).ravel()),
+              np.stack([y_ff, y_tt, -y_ft, -y_ft], 1).ravel())
     return ybus
-
-
-class _Pattern(NamedTuple):
-    """The structural nonzeros of a network's Newton-Raphson Jacobian.
-
-    An entry is a pair of PQ buses (row bus a, column bus b) with
-    ybus[a, b] != 0, or a == b; each gives one entry of each of the four
-    Jacobian blocks. Entries are ordered by column bus, then row bus, so
-    the first `main` have columns below n - n mod 4 and the rest lie in
-    the last n mod 4 bus columns, which round apart (see the module
-    docstring). y holds ybus[a, b], and positions the flat positions in
-    the transposed (m, m) Jacobian of the real angle block's entries,
-    then the reactive angle, real magnitude and reactive magnitude ones.
-    """
-
-    rows: np.ndarray
-    columns: np.ndarray
-    y: np.ndarray
-    main: int
-    positions: np.ndarray
 
 
 class _Compiled(NamedTuple):
@@ -225,27 +220,24 @@ def _compiled(net: Network) -> _Compiled:
 
 
 def _compile(net: Network) -> _Compiled:
-    ybus = build_ybus(net)
-    ybus.setflags(write=False)
     bus_ids = net.bus_ids()
     n = len(bus_ids)
+    ends, terms = _branch_arrays(net)
+    ybus = _sum_ybus(n, ends, terms)
+    ybus.setflags(write=False)
     slack = bus_ids.index(net.slack_id())
     pq = np.array([i for i in range(n) if i != slack], dtype=int)
     # Float view of a complex (n,) array: Re z[i] at 2i, Im z[i] at 2i + 1.
     mismatch_index = np.concatenate([2 * pq, 2 * pq + 1])
     flat_voltages = _polar(np.ones(n), np.zeros(n))
     flat_power, flat_currents = _power(ybus, flat_voltages[None])
-    jacobian = _JacobianWork(_pattern(ybus, pq))
+    jacobian = _JacobianWork(ybus, pq)
     flat_jacobian = jacobian.assemble(jacobian(flat_voltages[None], flat_currents)[0],
                                       jacobian.buffer())
     flat_power = flat_power[0]
     for array in (flat_voltages, flat_power, flat_jacobian):
         array.setflags(write=False)
-    index = {bus_id: i for i, bus_id in enumerate(bus_ids)}
-    from_index = [index[b.from_bus] for b in net.branches]
-    to_index = [index[b.to_bus] for b in net.branches]
-    y_ff, y_ft, y_tt = np.array([admittance_terms(b) for b in net.branches],
-                                dtype=complex).reshape(-1, 3).T
+    (f, t), (y_ff, y_ft, y_tt) = ends.T, terms.T
     y_near = np.concatenate([y_ff, y_tt])
     y_far = np.concatenate([y_ft, y_ft])
     return _Compiled(
@@ -257,8 +249,8 @@ def _compile(net: Network) -> _Compiled:
         jacobian=jacobian,
         branch_ids=tuple(b.id for b in net.branches),
         branch_kinds=tuple(b.kind for b in net.branches),
-        near_index=np.array(from_index + to_index, dtype=int),
-        far_index=np.array(to_index + from_index, dtype=int),
+        near_index=np.concatenate([f, t]),
+        far_index=np.concatenate([t, f]),
         y_near=np.array([y_near.real, y_near.imag]),
         y_far=np.array([y_far.real, y_far.imag]),
         rating_pu=np.array([b.rating_kva / (1000.0 * net.s_base_mva) for b in net.branches],
@@ -283,32 +275,16 @@ def _power(ybus: np.ndarray, voltages: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.multiply(voltages, s, out=s), i_bus
 
 
-def _pattern(ybus: np.ndarray, pq: np.ndarray) -> _Pattern:
-    """The Jacobian's structural nonzeros over the PQ buses of ybus."""
-    npq, n = len(pq), len(ybus)
-    linked = ybus[np.ix_(pq, pq)] != 0
-    np.fill_diagonal(linked, True)
-    # Column-major order: by column, then by row.
-    j, i = np.nonzero(linked.T)
-    rows, columns = pq[i], pq[j]
-    main = int(np.count_nonzero(columns < n - n % 4))
-    # Entry (i, j) of the Jacobian is entry (j, i) of its transpose; the
-    # angle blocks hold columns j, the magnitude blocks columns npq + j,
-    # the real parts rows i and the reactive parts rows npq + i.
-    real_angle = 2 * npq * j + i
-    return _Pattern(
-        rows=rows,
-        columns=columns,
-        y=ybus[rows, columns],
-        main=main,
-        positions=real_angle + np.array([[0], [npq], [2 * npq * npq], [2 * npq * npq + npq]]),
-    )
-
-
 class _JacobianWork:
     """The polar Newton-Raphson Jacobians of one network at its pattern.
     It holds index arrays only, so concurrent solves can share it; each
     solve assembles into a buffer() of its own.
+
+    The pattern is the pairs of PQ buses (row bus a, column bus b) with
+    ybus[a, b] != 0 or a == b, one entry of each of the four blocks,
+    ordered by column bus, then row bus. positions holds their flat
+    positions in the transposed Jacobian, the real angle block's first,
+    then the reactive angle, real magnitude and reactive magnitude ones.
 
     The entries are those of the dense products that define them,
       dS/dangle = 1j * diag(v) @ conj(diag(i) - ybus @ diag(v))
@@ -320,18 +296,27 @@ class _JacobianWork:
     remainder), as the module docstring explains.
     """
 
-    def __init__(self, pattern: _Pattern):
-        self.positions = pattern.positions
-        # The Jacobian's order: two per PQ bus (one diagonal entry each).
-        self.size = 2 * int(np.count_nonzero(pattern.rows == pattern.columns))
+    def __init__(self, ybus: np.ndarray, pq: np.ndarray):
+        npq, n = len(pq), len(ybus)
+        self.size = 2 * npq    # the Jacobian's order: two per PQ bus
+        linked = ybus[np.ix_(pq, pq)] != 0
+        np.fill_diagonal(linked, True)
+        j, i = np.nonzero(linked.T)    # by column, then by row
+        rows, columns = pq[i], pq[j]
+        # Entry (i, j) of the Jacobian is entry (j, i) of its transpose; the
+        # angle blocks hold columns j, the magnitude blocks columns npq + j,
+        # the real parts rows i and the reactive parts rows npq + i.
+        self.positions = 2 * npq * j + i + np.array(
+            [[0], [npq], [2 * npq * npq], [2 * npq * npq + npq]])
+        main = int(np.count_nonzero(columns < n - n % 4))
         # Per column range, main then remainder: the row and column buses
         # of its entries, their ybus values, and the positions and bus of
         # its diagonal entries.
         ranges = []
-        for part in (slice(pattern.main), slice(pattern.main, None)):
-            rows, columns = pattern.rows[part], pattern.columns[part]
-            diagonal = np.flatnonzero(rows == columns)
-            ranges.append((rows, columns, pattern.y[part], diagonal, rows[diagonal]))
+        for part in (slice(main), slice(main, None)):
+            r, c = rows[part], columns[part]
+            diagonal = np.flatnonzero(r == c)
+            ranges.append((r, c, ybus[r, c], diagonal, r[diagonal]))
         self.main, self.remainder = ranges
 
     def __call__(self, voltages: np.ndarray, i_bus: np.ndarray) -> np.ndarray:

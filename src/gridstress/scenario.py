@@ -294,6 +294,8 @@ def build_injections(net: Network, scenario: Scenario, profiles: Mapping[str, Lo
     return _day_injections(net, scenario, profiles, [interval], ev_buses, ev_kw)[0]
 
 
+# Finite inputs whose sum overflows are a ScenarioConfigError, not a warning.
+@np.errstate(over="ignore", invalid="ignore")
 def _day_injections(net: Network, scenario: Scenario, profiles: Mapping[str, LoadProfile],
                     intervals: Sequence[int], ev_buses: Sequence[str],
                     ev_kw: np.ndarray) -> np.ndarray:
@@ -305,7 +307,8 @@ def _day_injections(net: Network, scenario: Scenario, profiles: Mapping[str, Loa
     so a missing one is reported before a short profile's missing slot.
     Each element takes the float steps of a per-interval scalar sum: the
     load term, then the EV draw, then PV, each applied only where the bus
-    has it, so +0.0 and -0.0 stay apart.
+    has it, so +0.0 and -0.0 stay apart. The first entry that is not
+    finite, by slot then bus, raises ScenarioConfigError.
     """
     bindings = scenario.bindings
     slack = net.slack_id()
@@ -352,6 +355,12 @@ def _day_injections(net: Network, scenario: Scenario, profiles: Mapping[str, Loa
     s = np.empty(shape, dtype=complex)
     s.real = p_kw / kva_base
     s.imag = q_kvar / kva_base
+    bad = np.argwhere(~np.isfinite(s))
+    if len(bad):
+        r, k = bad[0]
+        raise ScenarioConfigError(f"scenario {scenario.name!r}: injection at bus "
+                                  f"{net.buses[k].id!r} in slot {intervals[r]} is not finite: "
+                                  f"{complex(s[r, k])} pu")
     return s
 
 

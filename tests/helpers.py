@@ -33,10 +33,10 @@ from gridstress import (
     Scenario,
     StaggerState,
     branch_flows,
-    build_ybus,
     derive_impedances,
     one_third_stagger,
 )
+from gridstress.powerflow import build_ybus
 from gridstress.scenario import _DYADIC_UNIT
 
 # Fixes the property/equivalence generators only; the simulator itself

@@ -21,6 +21,7 @@ from gridstress.fileio import (
     emit_scenario_file,
     parse_branch_detail_csv,
     parse_report_csv,
+    parse_report_json,
 )
 
 from helpers import NETWORK_TEXT, at_or_above_100, feeder_days
@@ -380,8 +381,9 @@ def test_non_ascii_ids_under_an_ascii_locale(fixture_dir, tmp_path):
     """Under a locale whose encoding is ASCII, a bus id outside ASCII is
     written to the detail file as UTF-8, the encoding every input is read
     in, and printed escaped among solve's worst branches; report reads
-    the file back, and a file name outside ASCII is echoed escaped and
-    written to the summary with its own bytes."""
+    the file back, and a file name outside ASCII is echoed escaped, written
+    to the CSV summary with its own bytes and to the JSON one as the name
+    those bytes spell in UTF-8."""
     rename = '"Chrisholm Hall"', '"Chrisholm Hall-\\u00e9"'
     network, scenario = tmp_path / "network.json", tmp_path / "ev25.json"
     network.write_text((fixture_dir / "network.json").read_text().replace(*rename))
@@ -406,10 +408,12 @@ def test_non_ascii_ids_under_an_ascii_locale(fixture_dir, tmp_path):
     renamed = tmp_path / "d\u00e9tail.csv"
     renamed.write_bytes(detail.read_bytes())
     echoed = run("report", str(detail), str(renamed), "--out", str(tmp_path / "report"))
-    assert echoed.splitlines()[1:] == ["detail_ev25_slot36,7,2,11,10",
-                                       "d\\udcc3\\udca9tail,7,2,11,10"]
-    assert (tmp_path / "report" / "report.csv").read_text(encoding="utf-8").splitlines()[1:] == [
-        "detail_ev25_slot36,7,2,11,10", "d\u00e9tail,7,2,11,10"]
+    assert echoed.splitlines()[1:] == ["detail_ev25_slot36,7,2,11,10", "d\\xe9tail,7,2,11,10"]
+    assert (tmp_path / "report" / "report.csv").read_bytes().splitlines()[1:] == [
+        b"detail_ev25_slot36,7,2,11,10", b"d\xc3\xa9tail,7,2,11,10"]
+    run("report", str(renamed), "--format", "json-text", "--out", str(tmp_path / "json"))
+    assert parse_report_json((tmp_path / "json" / "report.json").read_text(
+        encoding="utf-8"))[0][0] == "d\u00e9tail"
 
 
 def _overflowing_network(fixture_dir, tmp_path) -> Path:

@@ -1,12 +1,15 @@
 """Network and scenario documents through the parsers and the CLI: every
-optional key round-trips, an oversized parking lot, a file that is not
-UTF-8 and deeply nested JSON are diagnostics, and solve and benchmark bin
-the stagger scenario as the README says."""
+optional key round-trips, an oversized parking lot, an injection that
+overflows, a file that is not UTF-8 and deeply nested JSON are
+diagnostics, and solve and benchmark bin the stagger scenario as the
+README says."""
 
 from __future__ import annotations
 
 import json
 import shutil
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -222,6 +225,47 @@ def test_extreme_system_base_is_one_network_diagnostic(fixture_dir, tmp_path, ca
     assert captured.out == ""
     assert captured.err == ("degenerate-system-base: network: 1000 * s_base_mva and "
                             f"1 / s_base_mva must be finite, got s_base_mva {value}\n")
+
+
+def _overflowing_injections(fixture_dir, tmp_path, case: str) -> tuple[Path, Path]:
+    """Network and scenario files whose finite values pass validation but
+    sum to an injection at Redwood Hall that overflows: its load at
+    1.7e308 kW with lot E5 there at 10**307 chargers ("ev"), or a 1e12 kW
+    load over a 1e-300 MVA base ("base")."""
+    doc = json.loads((fixture_dir / "network.json").read_text())
+    scenario = json.loads((fixture_dir / "scenarios" / "ev25.json").read_text())
+    if case == "base":
+        doc["s_base_mva"] = 1e-300
+    load = {"ev": 1.7e308, "base": 1e12}[case]
+    for bus in doc["buses"]:
+        if bus["id"] == "Redwood Hall":
+            bus["nominal_load"] = {"kw": load, "kvar": 0.0}
+    for lot in scenario["parking_lots"]:
+        if lot["name"] == "E5" and case == "ev":
+            lot["capacity"] = 10**307
+    paths = tmp_path / "network.json", tmp_path / "ev25.json"
+    for path, content in zip(paths, (doc, scenario)):
+        path.write_text(json.dumps(content))
+    return paths
+
+
+@pytest.mark.parametrize("case, command, slot", [
+    ("ev", "solve", 36), ("ev", "sweep", 35), ("base", "solve", 36), ("base", "sweep", 0)])
+def test_overflowing_injection_is_a_diagnostic(fixture_dir, tmp_path, capsys, case, command,
+                                               slot):
+    """An injection that overflows is reported with its scenario, bus and
+    slot, and exit 1: no numpy warning, no traceback, no file."""
+    network, scenario = _overflowing_injections(fixture_dir, tmp_path, case)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli_main([command, "--network", str(network), "--scenario", str(scenario),
+                         "--profiles", str(fixture_dir / "profiles"), "--out", str(out)])
+    assert code == 1
+    assert caught == []
+    assert capsys.readouterr() == ("", f"scenario 'ev25': injection at bus 'Redwood Hall' in "
+                                       f"slot {slot} is not finite: (-inf+0j) pu\n")
+    assert not out.exists()
 
 
 def test_impedance_past_abs_range_is_a_diagnostic(tmp_path, capsys):

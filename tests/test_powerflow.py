@@ -22,13 +22,13 @@ from gridstress import (
     CableType,
     Network,
     branch_flows,
-    build_ybus,
     derive_impedances,
     run_sweep,
     solve_newton_raphson,
 )
 from gridstress import powerflow as powerflow_module
-from gridstress.powerflow import PowerFlowSolution
+from gridstress.network import admittance_terms
+from gridstress.powerflow import PowerFlowSolution, build_ybus
 
 import helpers
 from helpers import (
@@ -94,6 +94,67 @@ class TestBuildYbus:
                       (), net.cable_catalog)
         with pytest.raises(ValueError, match="singular"):
             build_ybus(bad)
+
+    def test_compiled_ybus_equals_the_scalar_loop_bit_for_bit(self, bench):
+        cases = [bench.network, _reversed_parallel_network()]
+        cases += [net for net, _ in _residue_networks()]
+        for net in cases:
+            net = dataclasses.replace(net)    # a fresh, never-compiled instance
+            reference = _scalar_ybus(net).tobytes()
+            assert powerflow_module._compiled(net).ybus.tobytes() == reference
+            assert build_ybus(net).tobytes() == reference
+
+    def test_compile_takes_each_branch_terms_once(self, bench, monkeypatch):
+        net = dataclasses.replace(bench.network)    # a fresh, never-compiled instance
+        calls = []
+        terms = powerflow_module.admittance_terms
+
+        def counted(branch):
+            calls.append(branch)
+            return terms(branch)
+
+        monkeypatch.setattr(powerflow_module, "admittance_terms", counted)
+        powerflow_module._compiled(net)
+        assert calls == list(net.branches)
+
+    def test_compile_raises_at_the_first_bad_branch(self):
+        net = _reversed_parallel_network()
+        zero, underived = (dataclasses.replace(b, series_impedance_pu=z)
+                           for b, z in zip(net.branches[1:3], (0j, None)))
+        for branches, message in (
+                ((net.branches[0], zero, underived), f"branch {zero.id} has zero impedance"),
+                ((net.branches[0], underived, zero), f"branch {underived.id} has no derived")):
+            bad = dataclasses.replace(net, branches=branches)
+            with pytest.raises(ValueError, match=message):
+                solve_newton_raphson(bad, np.zeros(len(bad.buses), dtype=complex))
+
+
+def _scalar_ybus(net):
+    """Reference: each branch's admittance_terms added into a dense matrix
+    with scalar +=, one branch at a time, in branch order."""
+    index = {bus.id: i for i, bus in enumerate(net.buses)}
+    ybus = np.zeros((len(net.buses), len(net.buses)), dtype=complex)
+    for branch in net.branches:
+        y_ff, y_ft, y_tt = admittance_terms(branch)
+        f, t = index[branch.from_bus], index[branch.to_bus]
+        ybus[f, f] += y_ff
+        ybus[t, t] += y_tt
+        ybus[f, t] -= y_ft
+        ybus[t, f] -= y_ft
+    return ybus
+
+
+def _reversed_parallel_network():
+    """Three buses joined by parallel branches laid both ways (a -> b and
+    b -> a) with off-nominal taps, so several terms meet in one entry."""
+    net = two_bus_network(0.01 + 0.05j)
+    line = net.branches[0]
+    buses = (*net.buses, dataclasses.replace(net.buses[1], id="far"))
+    branches = tuple(dataclasses.replace(line, from_bus=f, to_bus=t, tap=tap)
+                     for f, t, tap in (("source", "load", 1.05), ("load", "source", 0.97),
+                                       ("load", "far", 1.0), ("far", "load", 1.1),
+                                       ("source", "far", 0.95)))
+    return dataclasses.replace(net, buses=buses, branches=branches)
 
 
 class TestNewtonRaphson:
@@ -481,9 +542,9 @@ class TestBitExactVectorisation:
         built = []
         init = powerflow_module._JacobianWork.__init__
 
-        def counted(work, pattern):
-            built.append(pattern)
-            init(work, pattern)
+        def counted(work, ybus, pq):
+            built.append(ybus)
+            init(work, ybus, pq)
 
         monkeypatch.setattr(powerflow_module._JacobianWork, "__init__", counted)
         s_spec = build_injections(net, bench.scenario("ev25"), bench.profiles, 36)
@@ -564,21 +625,29 @@ class TestJacobianPattern:
     def test_pattern_is_the_pq_block_of_ybus_plus_the_diagonal(self, bench):
         for net, _ in [(bench.network, None)] + _residue_networks():
             c = powerflow_module._compiled(net)
-            p = powerflow_module._pattern(c.ybus, c.pq)
+            work = powerflow_module._JacobianWork(c.ybus, c.pq)
             n, npq = len(c.bus_ids), len(c.pq)
             linked = c.ybus != 0
             np.fill_diagonal(linked, True)
             linked[c.slack] = linked[:, c.slack] = False
+            rows, columns = (np.concatenate([work.main[k], work.remainder[k]]).tolist()
+                             for k in (0, 1))
             # In column order, and exactly the linked PQ pairs.
-            assert sorted(zip(p.columns.tolist(), p.rows.tolist())) == list(
-                zip(p.columns.tolist(), p.rows.tolist()))
-            assert set(zip(p.rows.tolist(), p.columns.tolist())) == set(
+            assert sorted(zip(columns, rows)) == list(zip(columns, rows))
+            assert set(zip(rows, columns)) == set(
                 zip(*map(np.ndarray.tolist, np.nonzero(linked))))
-            assert (p.columns[:p.main] < n - n % 4).all()
-            assert (p.columns[p.main:] >= n - n % 4).all()
+            assert (work.main[1] < n - n % 4).all()
+            assert (work.remainder[1] >= n - n % 4).all()
+            # Each range's ybus values, and its diagonal entries and their bus.
+            for r, b, y, diagonal, at in (work.main, work.remainder):
+                assert y.tobytes() == c.ybus[r, b].tobytes()
+                assert diagonal.tolist() == np.flatnonzero(r == b).tolist()
+                assert at.tolist() == r[diagonal].tolist()
             # Four distinct positions per entry, inside the (m, m) Jacobian.
-            assert len(set(p.positions.ravel().tolist())) == p.positions.size
-            assert p.positions.min() >= 0 and p.positions.max() < (2 * npq) ** 2
+            assert work.size == 2 * npq
+            assert work.positions.shape == (4, len(rows))
+            assert len(set(work.positions.ravel().tolist())) == work.positions.size
+            assert work.positions.min() >= 0 and work.positions.max() < work.size ** 2
 
 
 def _assert_same_step(jacobian, reference, mismatch):

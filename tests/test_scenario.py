@@ -25,7 +25,6 @@ from gridstress import (
     Network,
     NominalLoad,
     build_injections,
-    build_ybus,
     derive_impedances,
     ev_load_kw,
     normalize_profile,
@@ -686,14 +685,16 @@ class TestRunSweep:
         assert all(a is b for a, b in zip(solutions[3:], solutions[:3]))
 
     def test_ybus_built_once_per_network_across_sweeps(self, bench, monkeypatch):
+        """The network is compiled, Ybus included, on its first solve only."""
         net = dataclasses.replace(bench.network)   # a fresh, never-solved instance
         builds = []
+        compile_ = powerflow_module._compile
 
         def counted(network):
             builds.append(network)
-            return build_ybus(network)
+            return compile_(network)
 
-        monkeypatch.setattr(powerflow_module, "build_ybus", counted)
+        monkeypatch.setattr(powerflow_module, "_compile", counted)
         for name in ("ev25", "ev25_pv_lm"):
             for _ in range(2):
                 run_sweep(net, bench.scenario(name), bench.profiles, intervals=[35, 36, 37])
