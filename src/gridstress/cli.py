@@ -143,8 +143,13 @@ def _load_inputs(args: argparse.Namespace) -> tuple[Network, Scenario, dict[str,
         raise GridFileError([f"profiles directory not found: {profiles_dir}"])
     profiles: dict[str, LoadProfile] = {}
     for path in sorted(profiles_dir.glob("*.csv")):
-        profiles[path.stem] = parse_profile_csv(_read(path), path.stem)
+        profiles[_name(path)] = parse_profile_csv(_read(path), _name(path))
     return net, scenario, profiles
+
+
+def _name(path: Path) -> str:
+    """A file's stem as its bytes spell it in UTF-8, whatever the locale decoded."""
+    return os.fsencode(path.stem).decode("utf-8", "surrogateescape")
 
 
 def _write(path: Path, text: str) -> None:
@@ -246,10 +251,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
             detail = parse_branch_detail_csv(text)
         except GridFileError as exc:
             raise GridFileError([f"{path}: {d}" for d in exc.diagnostics]) from exc
-        # The parser has checked every row's bin against its loading. The
-        # name is the stem's bytes as UTF-8, whatever the locale decoded.
-        name = os.fsencode(path.stem).decode("utf-8", "surrogateescape")
-        rows.append((name, CongestionHistogram.from_labels(
+        # The parser has checked every row's bin against its loading.
+        rows.append((_name(path), CongestionHistogram.from_labels(
             {branch: label for branch, (_, _, label) in detail.items()})))
     _summary(rows, args.format, args.out, echo=True)
     return EXIT_OK

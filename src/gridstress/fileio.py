@@ -337,7 +337,10 @@ def _convert_rows(body: Sequence[list[str]], what: str, width: int,
 
 
 def _number(cell: str, problem: str) -> float:
-    """The finite float in cell; ValueError(problem) when the cell does not parse."""
+    """The finite float in cell; ValueError(problem) when the cell does not
+    parse. float() alone also takes '_' and other scripts' digits."""
+    if not cell.isascii() or "_" in cell:
+        raise ValueError(problem)
     try:
         value = float(cell)
     except ValueError:

@@ -10,12 +10,11 @@ upstream of this module.
 Each Network is compiled into arrays on its first solve, and the
 compiled form is kept on the instance. One pass over the branches gives
 their end buses and admittance_terms, from which Ybus is summed and the
-branch flows are computed; the bus powers and Newton-Raphson Jacobian at
-the flat start depend on the network alone and serve every solve's
-first step. Solves are pure and deterministic: the same network and
-injections give bit-identical solutions. Non-convergence is a reportable
-outcome, not an exception, because overload studies intentionally push
-past feasibility; each solution records why its iteration stopped
+branch flows are computed; the Jacobian's index arrays come from Ybus.
+Solves are pure and deterministic: the same network and injections give
+bit-identical solutions. Non-convergence is a reportable outcome, not an
+exception, because overload studies intentionally push past
+feasibility; each solution records why its iteration stopped
 (STOP_REASONS), and an iterate that overflows stops as non_finite rather
 than warning. Only a converged solution carries branch results: a
 non-solution keeps its best iterate's voltages, iterations and mismatch,
@@ -163,10 +162,7 @@ class _Compiled(NamedTuple):
     mismatch_index holds the flat positions, in the float view of a
     complex bus array, of the real then the imaginary parts of a power
     mismatch at the PQ buses; jacobian computes and assembles the
-    Jacobian's values at its structural nonzeros. flat_voltages,
-    flat_power and flat_jacobian are the voltages, bus powers and
-    (column-ordered) Jacobian at the flat start, computed by the same code
-    as every later Newton-Raphson step's.
+    Jacobian's values at its structural nonzeros.
     """
 
     ybus: np.ndarray
@@ -182,9 +178,6 @@ class _Compiled(NamedTuple):
     y_near: np.ndarray
     y_far: np.ndarray
     rating_pu: np.ndarray
-    flat_voltages: np.ndarray
-    flat_power: np.ndarray
-    flat_jacobian: np.ndarray
 
     def check_rows(self, s: np.ndarray) -> None:
         """Raise unless each row of s (k, n) is a vector of bus-ordered
@@ -229,14 +222,6 @@ def _compile(net: Network) -> _Compiled:
     pq = np.array([i for i in range(n) if i != slack], dtype=int)
     # Float view of a complex (n,) array: Re z[i] at 2i, Im z[i] at 2i + 1.
     mismatch_index = np.concatenate([2 * pq, 2 * pq + 1])
-    flat_voltages = _polar(np.ones(n), np.zeros(n))
-    flat_power, flat_currents = _power(ybus, flat_voltages[None])
-    jacobian = _JacobianWork(ybus, pq)
-    flat_jacobian = jacobian.assemble(jacobian(flat_voltages[None], flat_currents)[0],
-                                      jacobian.buffer())
-    flat_power = flat_power[0]
-    for array in (flat_voltages, flat_power, flat_jacobian):
-        array.setflags(write=False)
     (f, t), (y_ff, y_ft, y_tt) = ends.T, terms.T
     y_near = np.concatenate([y_ff, y_tt])
     y_far = np.concatenate([y_ft, y_ft])
@@ -246,7 +231,7 @@ def _compile(net: Network) -> _Compiled:
         slack=slack,
         pq=pq,
         mismatch_index=mismatch_index,
-        jacobian=jacobian,
+        jacobian=_JacobianWork(ybus, pq),
         branch_ids=tuple(b.id for b in net.branches),
         branch_kinds=tuple(b.kind for b in net.branches),
         near_index=np.concatenate([f, t]),
@@ -255,9 +240,6 @@ def _compile(net: Network) -> _Compiled:
         y_far=np.array([y_far.real, y_far.imag]),
         rating_pu=np.array([b.rating_kva / (1000.0 * net.s_base_mva) for b in net.branches],
                            dtype=float),
-        flat_voltages=flat_voltages,
-        flat_power=flat_power,
-        flat_jacobian=flat_jacobian,
     )
 
 
@@ -497,11 +479,12 @@ def _iterate(c: _Compiled, s_spec: np.ndarray) -> tuple[np.ndarray, ...]:
     """The Newton-Raphson steps of every row of s_spec (k, n); returns, per
     row, the voltages it reports, its step count, stop code and mismatch.
 
-    Every row starts flat (1.0 per unit, zero angle), whose voltages,
-    powers and Jacobian are compiled, and stops on its own: converged,
-    after NR_MAX_ITER steps, at a singular Jacobian (not counted as a
-    step) or at a non-finite iterate (counted). A converged row reports
-    its last iterate; any other its best one, the smallest mismatch seen.
+    Every row starts flat (1.0 per unit, zero angle), so step 0 computes
+    the bus powers and Jacobian of one flat row for all of them. Each row
+    stops on its own: converged, after NR_MAX_ITER steps, at a singular
+    Jacobian (not counted as a step) or at a non-finite iterate (counted).
+    A converged row reports its last iterate; any other its best one, the
+    smallest mismatch seen.
     """
     k, n = s_spec.shape
     pq, npq = c.pq, len(c.pq)
@@ -520,10 +503,12 @@ def _iterate(c: _Compiled, s_spec: np.ndarray) -> tuple[np.ndarray, ...]:
     rows = np.arange(k)
     polar = np.zeros((k, 2, npq))
     polar[:, 1] = 1.0
-    voltages = np.tile(c.flat_voltages, (k, 1))
+    voltages = np.ones((k, n), dtype=complex)
     best_voltages = voltages.copy()
     best_mismatch = np.full(k, np.inf)
-    s_calc, i_bus = c.flat_power, None
+    # The flat row's powers broadcast over the rows in step 0's mismatch.
+    s_calc, i_bus = _power(c.ybus, voltages[:1])
+    flat_jacobian = jacobian.assemble(jacobian(voltages[:1], i_bus)[0], out)
 
     def stop(which, reason, steps: int) -> None:
         at = rows[which]
@@ -554,7 +539,7 @@ def _iterate(c: _Compiled, s_spec: np.ndarray) -> tuple[np.ndarray, ...]:
         if step:
             values = jacobian(voltages[moving], i_bus[moving])
         for t, r in enumerate(moving.tolist()):
-            jac = jacobian.assemble(values[t], out) if step else c.flat_jacobian
+            jac = jacobian.assemble(values[t], out) if step else flat_jacobian
             try:
                 mis[r] = np.linalg.solve(jac, mis[r])
             except np.linalg.LinAlgError:

@@ -380,14 +380,21 @@ class TestRepeatedCalls:
 def test_non_ascii_ids_under_an_ascii_locale(fixture_dir, tmp_path):
     """Under a locale whose encoding is ASCII, a bus id outside ASCII is
     written to the detail file as UTF-8, the encoding every input is read
-    in, and printed escaped among solve's worst branches; report reads
-    the file back, and a file name outside ASCII is echoed escaped, written
-    to the CSV summary with its own bytes and to the JSON one as the name
-    those bytes spell in UTF-8."""
+    in, and printed escaped among solve's worst branches; a profile file
+    is named by the UTF-8 of its stem's bytes, so the binding "év" finds
+    év.csv. report reads the detail file back, and a file name outside
+    ASCII is echoed escaped, written to the CSV summary with its own bytes
+    and to the JSON one as the name those bytes spell in UTF-8."""
     rename = '"Chrisholm Hall"', '"Chrisholm Hall-\\u00e9"'
     network, scenario = tmp_path / "network.json", tmp_path / "ev25.json"
     network.write_text((fixture_dir / "network.json").read_text().replace(*rename))
-    scenario.write_text((fixture_dir / "scenarios" / "ev25.json").read_text().replace(*rename))
+    scenario.write_text((fixture_dir / "scenarios" / "ev25.json").read_text().replace(
+        *rename).replace('"ev": "ev_workday"', '"ev": "\\u00e9v"'))
+    profiles = tmp_path / "profiles"
+    profiles.mkdir()
+    for path in (fixture_dir / "profiles").glob("*.csv"):
+        name = "\u00e9v" if path.stem == "ev_workday" else path.stem
+        (profiles / f"{name}.csv").write_bytes(path.read_bytes())
     env = {**os.environ, "LC_ALL": "POSIX", "PYTHONUTF8": "0",
            "PYTHONPATH": str(Path(gridstress.__file__).parents[1])}
     env.pop("PYTHONIOENCODING", None)
@@ -400,7 +407,7 @@ def test_non_ascii_ids_under_an_ascii_locale(fixture_dir, tmp_path):
 
     out = tmp_path / "out"
     printed = run("solve", "--network", str(network), "--scenario", str(scenario),
-                  "--profiles", str(fixture_dir / "profiles"), "--out", str(out))
+                  "--profiles", str(profiles), "--out", str(out))
     assert "311.2%  Chrisholm Hall-\\xe9 -> Parking G3\n" in printed
     detail = out / "detail_ev25_slot36.csv"
     assert "Chrisholm Hall-\u00e9 -> Parking G3" in parse_branch_detail_csv(

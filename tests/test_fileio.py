@@ -429,6 +429,13 @@ ERROR_CASES = [
     ("profile-non-numeric-kw", _parse_profile,
      _profile_text(_KW_HEADER, _kws({3: "t3,abc"})),
      ["profile 'p' row 4: non-numeric kw"]),
+    # float() would read these cells as 1.0, 100.0 and 50.0.
+    ("profile-coefficient-other-digits", _parse_profile,
+     _profile_text(_SLOT_HEADER, _slots({2: "2,\u0661"})),
+     ["profile 'p' row 3: non-numeric cell"]),
+    ("profile-kw-underscore-and-other-digits", _parse_profile,
+     _profile_text(_KW_HEADER, _kws({3: "t3,1_00", 5: "t5,\u0665\u0660"})),
+     ["profile 'p' row 4: non-numeric kw", "profile 'p' row 6: non-numeric kw"]),
     ("profile-misnumbered", _parse_profile,
      _profile_text(_SLOT_HEADER, _slots({0: "5,1.0"})),
      ["profile 'p' row 1: expected slot 0, got 5"]),
@@ -482,6 +489,10 @@ ERROR_CASES = [
     ("detail-non-numeric", parse_branch_detail_csv,
      f"{_DETAIL_HEADER}\na -> b,cable,high,40-80\n",
      ["detail row 1: non-numeric loading"]),
+    # float() would read these loadings as 45.5 and 50.0.
+    ("detail-underscore-and-other-digits", parse_branch_detail_csv,
+     f"{_DETAIL_HEADER}\na,cable,4_5.5,40-80\nb,cable,\u0665\u0660,40-80\n",
+     ["detail row 1: non-numeric loading", "detail row 2: non-numeric loading"]),
     ("detail-non-finite", parse_branch_detail_csv,
      f"{_DETAIL_HEADER}\na -> b,cable,50.0,40-80\nb -> c,cable,nan,>150\n",
      ["detail row 2: not a finite number: nan"]),

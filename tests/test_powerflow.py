@@ -446,25 +446,43 @@ class TestBitExactVectorisation:
             ybus[0, 0] = 0j
         assert np.array_equal(ybus, build_ybus(net))
 
-    def test_compiled_flat_jacobian_is_the_flat_start_assembly(self, bench, rng):
+    def test_flat_start_jacobian_is_the_block_assembly(self, bench, rng, monkeypatch):
+        """Step 0 of every row of a block solves the flat start's mismatch
+        with the flat row's Jacobian, which equals the block assembly at the
+        flat start and gives the same step. The compiled form keeps no
+        flat-start iterate."""
+        assert [f for f in powerflow_module._Compiled._fields if f.startswith("flat")] == []
+        solve = np.linalg.solve
+        seen = []
+
+        def spy(a, b):
+            seen.append((a.copy(), b.copy()))
+            return solve(a, b)
+
         for net, s_spec in _jacobian_cases(bench, rng):
             c = powerflow_module._compiled(net)
             n = len(c.bus_ids)
-            flat = powerflow_module._polar(np.ones(n), np.zeros(n))
-            assert c.flat_voltages.tobytes() == flat.tobytes()
-            assert c.flat_power.tobytes() == (flat * np.conj(c.ybus @ flat)).tobytes()
+            flat = np.ones(n, dtype=complex)
+            assert flat.tobytes() == powerflow_module._polar(np.ones(n), np.zeros(n)).tobytes()
+            block = np.stack([s_spec, 0.5 * s_spec])
+            mismatch, largest = powerflow_module._mismatch(
+                block, (flat * np.conj(c.ybus @ flat))[None], c.mismatch_index)
+            assert (largest > powerflow_module.NR_TOL).all()
+            seen.clear()
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "solve", spy)
+                powerflow_module._newton_raphson(net, block)
             reference = _block_jacobian(c.ybus, c.pq, flat)
-            assert np.array_equal(c.flat_jacobian, reference)
-            mismatch, _ = powerflow_module._mismatch(s_spec[None], c.flat_power[None],
-                                                     c.mismatch_index)
-            _assert_same_step(c.flat_jacobian, reference, mismatch[0])
-            for array in (c.flat_voltages, c.flat_power, c.flat_jacobian):
-                assert not array.flags.writeable
+            assert len(seen) >= 2
+            for (jacobian, step_mismatch), expected in zip(seen[:2], mismatch):
+                assert np.array_equal(jacobian, reference)
+                assert step_mismatch.tobytes() == expected.tobytes()
+                _assert_same_step(jacobian, reference, expected)
 
     def test_solver_gets_each_jacobian_in_column_order(self, bench, monkeypatch):
         """np.linalg.solve gathers a row-ordered matrix into LAPACK's column
-        order with a strided copy; each Jacobian, the compiled flat-start one
-        included, arrives in column order instead."""
+        order with a strided copy; each Jacobian, the flat-start one included,
+        arrives in column order instead."""
         from gridstress import build_injections
         column_ordered = []
         solve = np.linalg.solve
@@ -510,12 +528,22 @@ class TestBitExactVectorisation:
     def test_sweep_assembles_one_jacobian_per_step_after_the_first(self, bench, monkeypatch):
         from gridstress import scenario as scenario_module
         net = dataclasses.replace(bench.network)    # a fresh, never-compiled instance
-        assembled = []
+        events = []
         assemble = powerflow_module._JacobianWork.__call__
+        power = powerflow_module._power
+        iterate = powerflow_module._iterate
 
         def counted(work, voltages, i_bus):
-            assembled.append(len(voltages))
+            events.append(("jacobian", len(voltages)))
             return assemble(work, voltages, i_bus)
+
+        def powers(ybus, voltages):
+            events.append(("power", len(voltages)))
+            return power(ybus, voltages)
+
+        def block(c, s_spec):
+            events.append(("block", len(s_spec)))
+            return iterate(c, s_spec)
 
         iterations = []
         solve = scenario_module._newton_raphson
@@ -526,13 +554,22 @@ class TestBitExactVectorisation:
             return solutions
 
         monkeypatch.setattr(powerflow_module._JacobianWork, "__call__", counted)
+        monkeypatch.setattr(powerflow_module, "_power", powers)
+        monkeypatch.setattr(powerflow_module, "_iterate", block)
         monkeypatch.setattr(scenario_module, "_newton_raphson", batch)
         for name in ("ev25", "ev25_pv_lm"):
             run_sweep(net, bench.scenario(name), bench.profiles)
-        # One flat-start Jacobian at compile time, then one per step after
-        # a row's first.
+        # Compiling the fresh network computes neither; each block starts
+        # with one flat row's powers and Jacobian, whatever its number of rows.
+        starts = [i for i, (kind, _) in enumerate(events) if kind == "block"]
+        assert starts[0] == 0 and len(starts) >= 2
+        assert max(events[i][1] for i in starts) > 1
+        for i in starts:
+            assert events[i + 1:i + 3] == [("power", 1), ("jacobian", 1)]
+        # Then one Jacobian per step after a row's first.
         assert sum(iterations) > len(iterations) > 0
-        assert sum(assembled) == 1 + sum(its - 1 for its in iterations if its >= 1)
+        assert sum(rows for kind, rows in events if kind == "jacobian") == (
+            len(starts) + sum(its - 1 for its in iterations if its >= 1))
 
     def test_solves_share_the_compiled_jacobian_index_arrays(self, bench, monkeypatch):
         """A network's one _JacobianWork is built with its compiled form;
