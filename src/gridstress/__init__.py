@@ -33,7 +33,6 @@ from .scenario import (
     ParkingLot,
     ProfileBindings,
     Scenario,
-    StaggerState,
     SweepResult,
     build_injections,
     ev_load_kw,
@@ -59,7 +58,6 @@ __all__ = [
     "PowerFlowSolution",
     "ProfileBindings",
     "Scenario",
-    "StaggerState",
     "SweepResult",
     "Violation",
     "bin_loadings",

@@ -153,8 +153,9 @@ def _name(path: Path) -> str:
 
 
 def _write(path: Path, text: str) -> None:
-    """Write text as UTF-8; a file name the locale could not decode goes
-    back to its own bytes."""
+    """Write text as UTF-8 at path's UTF-8 bytes (the inverse of _name); a
+    file name the locale could not decode goes back to its own bytes."""
+    path = Path(os.fsdecode(str(path).encode("utf-8", "surrogateescape")))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8", errors="surrogateescape")
 

@@ -285,6 +285,9 @@ def parse_scenario_file(text: str, network: Network | None = None) -> Scenario:
     """A scenario file's Scenario. Given the network it runs on, each lot
     and PV site must also reach its power flow (scenario.placement_errors)."""
     scenario = _parse(text, "scenario file", _SCENARIO, "scenario")
+    if "/" in scenario.name or "\0" in scenario.name:
+        raise GridFileError([f"scenario.name: {scenario.name!r} names output files, "
+                             "so it may not hold '/' or NUL"])
     placement = placement_errors(network, scenario) if network is not None else []
     if placement:
         raise GridFileError([f"scenario: {error}" for error in placement])

@@ -21,10 +21,9 @@ all take the same steps.
 Sweeps with the null controller have independent intervals and may be
 evaluated concurrently by callers. The one-third stagger controller
 connects one of three fixed bus groups per interval and carries each
-bus's deferred energy across intervals as one exact backlog, so its
-ledger runs serially in sweep order; it never reads a solution, so it
-settles every interval before the day is evaluated. run_study itself is
-always single-threaded and never shares the mutable ledger.
+bus's deferred energy across intervals as one exact backlog; it never
+reads a solution, so one call settles the scenario's whole day of demand
+(intervals x buses) before the day is evaluated.
 """
 
 from __future__ import annotations
@@ -375,58 +374,42 @@ def _dyadic_units(x: float) -> int:
     return numerator << (1075 - denominator.bit_length())
 
 
-class StaggerState:
-    """Deferral ledger for the one-third stagger controller.
+def one_third_stagger(connected_kw: Mapping[str, float], demanded_kw: np.ndarray,
+                      intervals: Sequence[int]) -> tuple[np.ndarray, Fraction]:
+    """Settle a day of EV demand, connecting one-third of the EV buses per
+    interval and deferring the rest to later intervals.
 
-    A bus's group is its position in the sorted bus ids mod 3. Its cap
-    and its deferred energy are exact integer counts of 2**-1074 kW, so
-    that served + unserved always equals demanded to the last bit.
+    demanded_kw[r, j] is the kW the j-th bus of connected_kw asks for at
+    intervals[r]; returns the served kW in the same layout and the exact
+    kW still deferred after the last interval. A bus's group is its
+    position in the sorted bus ids mod 3. In an interval of its group it
+    serves its backlog plus its demand up to its connected kW, and the
+    excess stays in its backlog; in any other it defers its whole demand.
+    Caps and backlogs are exact integer counts of 2**-1074 kW, so served
+    plus unserved equals demanded to the last bit.
     """
-
-    def __init__(self, connected_kw_by_bus: Mapping[str, float]):
-        self.buses = tuple(sorted(connected_kw_by_bus))
-        self.cap = {bus: _dyadic_units(connected_kw_by_bus[bus]) for bus in self.buses}
-        self.backlog = {bus: 0 for bus in self.buses}
-
-    def unserved(self) -> Fraction:
-        """Energy still deferred; at horizon end this is reported as unserved."""
-        return Fraction(sum(self.backlog.values()), _DYADIC_UNIT)
-
-
-def one_third_stagger(ev_demands: Mapping[str, float], interval: int,
-                      state: StaggerState) -> dict[str, float]:
-    """Connect one-third of EV buses; defer the rest to later intervals.
-
-    Returns the served kW of every bus. A bus in group (interval mod 3)
-    has room up to its nominal connected power: it serves its backlog
-    first, then the current demand, and the excess joins its backlog.
-    Buses outside the active group defer their entire demand. Demand at
-    unknown buses is an error; state is mutated in place.
-    """
-    unknown = sorted(set(ev_demands) - set(state.buses))
-    if unknown:
-        raise ScenarioConfigError(f"stagger state has no group for bus(es): {', '.join(unknown)}")
-
-    served_kw: dict[str, float] = {}
-    active = interval % 3
-    for i, bus in enumerate(state.buses):
-        kw = ev_demands.get(bus, 0.0)
-        if kw < 0:
-            raise ScenarioConfigError(f"negative EV demand at {bus!r}")
-        if i % 3 != active:
-            # No room: nothing drains and nothing is served.
-            if kw:
-                state.backlog[bus] += _dyadic_units(kw)
-            served_kw[bus] = 0.0
-            continue
-        demand = _dyadic_units(kw)
-        room = state.cap[bus]
-        drained = min(state.backlog[bus], room)
-        served = drained + min(demand, room - drained)
-        state.backlog[bus] += demand - served
-        # int / int rounds once, to the nearest float, like float(Fraction).
-        served_kw[bus] = served / _DYADIC_UNIT
-    return served_kw
+    buses = list(connected_kw)
+    if demanded_kw.shape != (len(intervals), len(buses)):
+        raise ValueError(f"demanded_kw has shape {demanded_kw.shape}, expected "
+                         f"({len(intervals)} intervals, {len(buses)} buses)")
+    columns = sorted(range(len(buses)), key=buses.__getitem__)    # i-th: group i mod 3
+    caps = [_dyadic_units(connected_kw[buses[j]]) for j in columns]
+    backlog = [0] * len(columns)
+    served_kw = np.zeros_like(demanded_kw, dtype=float)
+    for r, (interval, row) in enumerate(zip(intervals, demanded_kw.tolist())):
+        for i, j in enumerate(columns):
+            kw = row[j]
+            if kw < 0:
+                raise ScenarioConfigError(f"negative EV demand at {buses[j]!r}")
+            if i % 3 == interval % 3:
+                due = backlog[i] + _dyadic_units(kw)
+                served = min(due, caps[i])
+                backlog[i] = due - served
+                # int / int rounds once, to the nearest float, like float(Fraction).
+                served_kw[r, j] = served / _DYADIC_UNIT
+            elif kw:
+                backlog[i] += _dyadic_units(kw)
+    return served_kw, Fraction(sum(backlog), _DYADIC_UNIT)
 
 
 @dataclass(frozen=True)
@@ -465,9 +448,9 @@ def run_study(net: Network, scenarios: Sequence[Scenario], profiles: Mapping[str
     all, and record: one SweepResult per scenario, in order.
 
     A lot or PV site that cannot be placed is reported before any profile
-    is read. For every interval each controller then settles the EV draw:
-    the deferral ledger runs serially in sweep order, and deferred EV
-    energy carries across intervals. Each scenario's injections are then
+    is read. Each controller then settles the EV draw of every interval
+    in one call, deferred EV energy carrying across intervals in sweep
+    order. Each scenario's injections are then
     evaluated once, as one matrix, with the settled draw. The distinct
     rows of all of them are solved once each, as one batch: an interval
     whose row equals another's bit for bit (so +0.0 and -0.0 differ), in
@@ -482,21 +465,16 @@ def run_study(net: Network, scenarios: Sequence[Scenario], profiles: Mapping[str
         if errors:
             raise ScenarioConfigError("; ".join(errors))
         ev_buses, demanded = _ev_demand(scenario, profiles, intervals)
-        settled = demanded
-        state = None
+        # Whatever is still deferred at the horizon is unserved; the rest was served.
+        settled, unserved_kw = demanded, Fraction(0)
         if scenario.controller == "one_third_stagger" and ev_buses:
-            state = StaggerState(scenario.ev_connected_kw_by_bus())
-            settled = np.empty_like(demanded)
-            for r, (interval, row) in enumerate(zip(intervals, demanded.tolist())):
-                served = one_third_stagger(dict(zip(ev_buses, row)), interval, state)
-                settled[r] = [served[bus] for bus in ev_buses]
+            settled, unserved_kw = one_third_stagger(scenario.ev_connected_kw_by_bus(),
+                                                     demanded, intervals)
         # Exact, in integer units: each distinct demanded kW times its count.
         values, counts = np.unique(demanded, return_counts=True)
         demanded_units = sum(_dyadic_units(value) * count
                              for value, count in zip(values.tolist(), counts.tolist()))
         demanded_kw = Fraction(demanded_units, _DYADIC_UNIT)
-        # Whatever is still deferred at the horizon is unserved; the rest was served.
-        unserved_kw = state.unserved() if state is not None else Fraction(0)
         per_slot_hours = Fraction(1, 4)
         ledgers.append(EnergyLedger(demanded_kwh=demanded_kw * per_slot_hours,
                                     served_kwh=(demanded_kw - unserved_kw) * per_slot_hours,

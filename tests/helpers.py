@@ -1,7 +1,7 @@
 """Shared builders and checks for tests: tiny and randomly generated
 networks, a small network document, injection vectors from mappings by
 bus id, the benchmark's seeded feeder days, no-load injections, overload
-counts, stagger service and backlog in kW, and reference models: the
+counts, a stagger day checked on every prefix, and reference models: the
 Gauss-Seidel oracle of the Newton-Raphson solver, a solution's series
 losses from its branch columns, one slot's injections and the stagger
 controller."""
@@ -16,7 +16,7 @@ import sys
 from collections import deque
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -31,13 +31,11 @@ from gridstress import (
     NominalLoad,
     PowerFlowSolution,
     Scenario,
-    StaggerState,
     branch_flows,
     derive_impedances,
     one_third_stagger,
 )
 from gridstress.powerflow import build_ybus
-from gridstress.scenario import _DYADIC_UNIT
 
 # Fixes the property/equivalence generators only; the simulator itself
 # uses no randomness.
@@ -242,32 +240,39 @@ def at_or_above_100(hist: CongestionHistogram) -> int:
     return hist.bin_100_150 + hist.bin_gt_150
 
 
-def backlog_kw(state: StaggerState) -> dict[str, Fraction]:
-    """Each bus's exact deferred kW; the state counts it in units of 2**-1074 kW."""
-    return {bus: Fraction(units, _DYADIC_UNIT) for bus, units in state.backlog.items()}
+def stagger_day(connected_kw: Mapping[str, float], demanded_kw: np.ndarray,
+                intervals: Sequence[int]) -> tuple[np.ndarray, Fraction]:
+    """Run one_third_stagger over a day and return its (served_kw, unserved_kw).
 
-
-def stagger_served(demands: dict[str, float], interval: int,
-                   state: StaggerState) -> dict[str, Fraction]:
-    """Run one_third_stagger for one slot and return each bus's served kW.
-
-    The served kW of a bus is exact: its demand plus its backlog before
-    the slot minus its backlog after. Asserts that the controller
-    returned that kW, that a bus outside the active group (position in
-    the sorted bus ids mod 3) served nothing and that a bus inside it
-    served no more than its cap.
+    Checks the controller against FifoStagger on every prefix of the
+    intervals: the served rows equal the model's and the exact unserved
+    kW equals its queue, so served plus unserved is the demand. Also
+    asserts that a bus outside the active group (position in the sorted
+    bus ids mod 3) served nothing and a bus inside it at most its cap.
     """
-    before = backlog_kw(state)
-    returned = one_third_stagger(demands, interval, state)
-    after = backlog_kw(state)
-    served = {}
-    for i, bus in enumerate(state.buses):
-        kw = Fraction(demands.get(bus, 0.0)) + before[bus] - after[bus]
-        assert float(kw) == returned[bus], bus
-        room = Fraction(state.cap[bus], _DYADIC_UNIT) if i % 3 == interval % 3 else 0
-        assert 0 <= kw <= room, bus
-        served[bus] = kw
-    return served
+    buses = list(connected_kw)
+    group = {bus: i % 3 for i, bus in enumerate(sorted(buses))}
+    oracle = FifoStagger(connected_kw)
+    expected: list[list[float]] = []
+    demanded = Fraction(0)
+
+    def check(k: int) -> tuple[np.ndarray, Fraction]:
+        served, unserved = one_third_stagger(connected_kw, demanded_kw[:k], intervals[:k])
+        assert served.tolist() == expected, k
+        assert unserved == oracle.unserved(), k
+        assert oracle.served + unserved == demanded, k
+        return served, unserved
+
+    for k, interval in enumerate(intervals):
+        check(k)
+        row = demanded_kw[k].tolist()
+        demanded += sum(map(Fraction, row), Fraction(0))
+        step = oracle.step(dict(zip(buses, row)), interval)
+        expected.append([step[bus] for bus in buses])
+        for bus, kw in step.items():
+            room = connected_kw[bus] if group[bus] == interval % 3 else 0.0
+            assert 0.0 <= kw <= room, (interval, bus)
+    return check(len(intervals))
 
 
 class FifoStagger:
@@ -285,6 +290,7 @@ class FifoStagger:
         self.group = {bus: i % 3 for i, bus in enumerate(self.buses)}
         self.cap = {bus: Fraction(connected_kw_by_bus[bus]) for bus in self.buses}
         self.queues: dict[str, deque[Fraction]] = {bus: deque() for bus in self.buses}
+        self.served = Fraction(0)
 
     def step(self, demands: Mapping[str, float], interval: int) -> dict[str, float]:
         """Settle one slot; the served kW of every bus."""
@@ -305,6 +311,7 @@ class FifoStagger:
             direct = min(demand, room)
             if demand > direct:
                 queue.append(demand - direct)
+            self.served += drained + direct
             served_kw[bus] = float(drained + direct)
         return served_kw
 

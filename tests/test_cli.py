@@ -231,6 +231,25 @@ class TestUnresolvedBindings:
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("name", ["absolute", "x/../../y", "x\0y"])
+def test_a_scenario_name_that_is_no_file_name_is_a_diagnostic(
+        fixture_dir, tmp_path, capsys, command, name):
+    """Output files are named after the scenario, so a name holding '/'
+    (which could write outside --out) or NUL is rejected before any file
+    is written."""
+    if name == "absolute":
+        name = str(tmp_path / "escaped" / "x")
+    argv = TestUnresolvedBindings._argv(command, fixture_dir, tmp_path,
+                                        lambda doc: doc.update(name=name))
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"scenario.name: {name!r} names output files, "
+                            "so it may not hold '/' or NUL\n")
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.rglob("*")] == ["broken.json"]
+
+
 class TestIntervalOption:
     """solve and benchmark share one --interval check."""
 
@@ -421,6 +440,18 @@ def test_non_ascii_ids_under_an_ascii_locale(fixture_dir, tmp_path):
     run("report", str(renamed), "--format", "json-text", "--out", str(tmp_path / "json"))
     assert parse_report_json((tmp_path / "json" / "report.json").read_text(
         encoding="utf-8"))[0][0] == "d\u00e9tail"
+    # An output file named after a scenario takes the UTF-8 of that name.
+    scenario.write_text(scenario.read_text().replace('"name": "ev25"', '"name": "\\u00e9v\\u00e9"'))
+    named = tmp_path / "named"
+    for command in ("solve", "sweep"):
+        run(command, "--network", str(network), "--scenario", str(scenario),
+            "--profiles", str(profiles), "--out", str(named))
+    assert sorted(os.listdir(os.fsencode(named))) == [
+        b"detail_\xc3\xa9v\xc3\xa9_slot36.csv", b"details", b"report.csv",
+        b"sweep_\xc3\xa9v\xc3\xa9.csv"]
+    details = os.listdir(os.fsencode(named / "details"))
+    assert sorted(details)[0] == b"\xc3\xa9v\xc3\xa9_slot00.csv"
+    assert all(detail.startswith(b"\xc3\xa9v\xc3\xa9_slot") for detail in details)
 
 
 def _overflowing_network(fixture_dir, tmp_path) -> Path:

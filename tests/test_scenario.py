@@ -42,18 +42,16 @@ from gridstress.scenario import (
     ProfileError,
     Scenario,
     ScenarioConfigError,
-    StaggerState,
     ev_workday_profile,
     pv_clear_day_profile,
 )
 
 from helpers import (
     FifoStagger,
-    backlog_kw,
     bus_vector,
     feeder_days,
     slot_injections,
-    stagger_served,
+    stagger_day,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -358,94 +356,97 @@ class TestBuildInjections:
         assert injections["E6 Mathador Hall"] == complex(-0.157, -0.0031224989991992004)
 
 
+def _day(*rows: float) -> np.ndarray:
+    """A one-bus day of demand: one row per interval."""
+    return np.array(rows, dtype=float)[:, None]
+
+
 class TestOneThirdStagger:
     def test_three_bus_rotation_trace(self):
         # Hand-enumerated: 3 buses x 100 kW demand, groups of one bus each.
-        state = StaggerState({"a": 100.0, "b": 100.0, "c": 100.0})
-        total_active = []
-        for interval in range(3):
-            demands = {"a": 100.0, "b": 100.0, "c": 100.0}
-            total_active.append(sum(stagger_served(demands, interval, state).values()))
-        assert total_active == [100, 100, 100]
-        assert state.unserved() == Fraction(600)     # 900 demanded - 300 served
+        served, unserved = stagger_day({"a": 100.0, "b": 100.0, "c": 100.0},
+                                       np.full((3, 3), 100.0), range(3))
+        assert served.tolist() == [[100, 0, 0], [0, 100, 0], [0, 0, 100]]
+        assert unserved == Fraction(600)     # 900 demanded - 300 served
 
     def test_single_bus_serves_every_third_interval(self):
-        state = StaggerState({"solo": 100.0})
-        served = []
-        for interval in range(6):
-            served.append(stagger_served({"solo": 100.0}, interval, state)["solo"])
-        assert served == [100, 0, 0, 100, 0, 0]
+        served, unserved = stagger_day({"solo": 100.0}, np.full((6, 1), 100.0), range(6))
+        assert served[:, 0].tolist() == [100, 0, 0, 100, 0, 0]
         # two-thirds of the 600 demanded deferred and reported unserved at horizon
-        assert state.unserved() == Fraction(400)
+        assert unserved == Fraction(400)
 
     def test_zero_demand_serves_and_defers_nothing(self):
-        state = StaggerState({"a": 100.0, "b": 50.0})
-        assert one_third_stagger({"a": 0.0, "b": 0.0}, 0, state) == {"a": 0.0, "b": 0.0}
-        assert backlog_kw(state) == {"a": 0, "b": 0}
+        served, unserved = stagger_day({"a": 100.0, "b": 50.0}, np.zeros((3, 2)), range(3))
+        assert served.tolist() == [[0, 0]] * 3
+        assert unserved == 0
 
     def test_backlog_drains_with_headroom(self):
-        state = StaggerState({"x": 100.0})
-        one_third_stagger({"x": 80.0}, 1, state)   # group 0 inactive; 80 deferred
-        one_third_stagger({"x": 70.0}, 2, state)   # backlog 150
-        served = one_third_stagger({"x": 30.0}, 3, state)  # active
-        assert served == {"x": 100.0}              # 100 of the 150 drained
-        assert backlog_kw(state) == {"x": Fraction(80)}    # 50 old + 30 new
+        # Group 0 is idle at 1 (80 deferred) and 2 (backlog 150), active at 3.
+        served, unserved = stagger_day({"x": 100.0}, _day(80.0, 70.0, 30.0), [1, 2, 3])
+        assert served[:, 0].tolist() == [0, 0, 100]     # 100 of the 150 drained
+        assert unserved == Fraction(80)                 # 50 old + 30 new
 
     def test_idle_bus_keeps_its_backlog(self):
-        state = StaggerState({"x": 100.0})
-        one_third_stagger({"x": 80.0}, 1, state)   # group 0 idle: 80 deferred
-        assert one_third_stagger({"x": 0.0}, 2, state) == {"x": 0.0}   # still idle
-        assert backlog_kw(state) == {"x": Fraction(80)}
+        served, unserved = stagger_day({"x": 100.0}, _day(80.0, 0.0), [1, 2])
+        assert served[:, 0].tolist() == [0, 0]
+        assert unserved == Fraction(80)
 
     def test_active_bus_without_room_acts_like_an_idle_one(self):
-        state = StaggerState({"x": 0.0})
-        assert one_third_stagger({"x": 80.0}, 0, state) == {"x": 0.0}   # active, no room
-        assert backlog_kw(state) == {"x": Fraction(80)}
-        assert one_third_stagger({"x": 0.0}, 3, state) == {"x": 0.0}
-        assert backlog_kw(state) == {"x": Fraction(80)}
+        for intervals in ([0], [0, 3]):     # active both times, no room
+            served, unserved = stagger_day({"x": 0.0}, _day(80.0, 0.0)[:len(intervals)],
+                                           intervals)
+            assert served[:, 0].tolist() == [0] * len(intervals)
+            assert unserved == Fraction(80)
 
     def test_negative_demand_rejected(self):
-        state = StaggerState({"a": 100.0})
-        with pytest.raises(ScenarioConfigError, match="negative EV demand"):
-            one_third_stagger({"a": -1.0}, 0, state)
+        with pytest.raises(ScenarioConfigError, match="negative EV demand at 'a'"):
+            one_third_stagger({"a": 100.0}, _day(-1.0), [0])
 
     def test_matches_the_fifo_reference_model(self, rng):
         # Random bus sets, caps (some zero) and demand runs past three
-        # slots, so groups wrap; demand may be zero, partial or above cap
-        # and may leave buses out.
+        # slots, so groups wrap; demand may be zero, partial or above cap.
         for _ in range(300):
             caps = {f"bus-{i}": rng.choice((0.0, rng.uniform(1.0, 300.0)))
                     for i in rng.sample(range(20), rng.randrange(1, 8))}
-            state, oracle = StaggerState(caps), FifoStagger(caps)
-            for interval in range(rng.randrange(4, 25)):
-                demands = {bus: rng.choice((0.0, rng.uniform(0.0, 1.5 * cap + 1.0)))
-                           for bus, cap in caps.items() if rng.random() < 0.9}
-                assert one_third_stagger(demands, interval, state) == oracle.step(
-                    demands, interval)
-                assert backlog_kw(state) == {bus: oracle.queued(bus) for bus in oracle.buses}
-            assert state.unserved() == oracle.unserved()
+            intervals = range(rng.randrange(4, 25))
+            demanded = np.array([[rng.choice((0.0, rng.uniform(0.0, 1.5 * cap + 1.0)))
+                                  if rng.random() < 0.9 else 0.0 for cap in caps.values()]
+                                 for _ in intervals])
+            stagger_day(caps, demanded, intervals)
 
     def test_conservation_is_exact(self, rng):
         buses = {f"b{i}": rng.uniform(10.0, 300.0) for i in range(5)}
-        state = StaggerState(buses)
-        demanded = served = Fraction(0)
-        for interval in range(30):
-            demands = {bus: rng.uniform(0.0, cap) for bus, cap in buses.items()}
-            served += sum(stagger_served(demands, interval, state).values())
-            demanded += sum(map(Fraction, demands.values()))
-        assert served + state.unserved() == demanded
+        demanded = np.array([[rng.uniform(0.0, cap) for cap in buses.values()]
+                             for _ in range(30)])
+        # stagger_day asserts served + unserved == demanded on every prefix.
+        _, unserved = stagger_day(buses, demanded, range(30))
+        assert unserved > 0
 
-    def test_unknown_bus_rejected(self):
-        state = StaggerState({"a": 100.0})
-        with pytest.raises(ScenarioConfigError, match="no group"):
-            one_third_stagger({"ghost": 50.0}, 0, state)
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 2), (3, 1), (3, 3)])
+    def test_a_demand_matrix_of_another_shape_is_rejected(self, shape):
+        with pytest.raises(ValueError, match="expected \\(3 intervals, 2 buses\\)"):
+            one_third_stagger({"a": 100.0, "b": 100.0}, np.zeros(shape), range(3))
 
     def test_groups_round_robin_over_sorted_ids(self):
-        state = StaggerState({"d": 1.0, "a": 1.0, "c": 1.0, "b": 1.0})
-        demands = {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0}
-        serving = [{bus for bus, kw in one_third_stagger(demands, interval, state).items() if kw}
-                   for interval in range(3)]
+        # Columns follow the mapping's order; groups follow the sorted ids.
+        served, _ = stagger_day({"d": 1.0, "a": 1.0, "c": 1.0, "b": 1.0},
+                                np.ones((3, 4)), range(3))
+        serving = [{bus for bus, kw in zip("dacb", row) if kw} for row in served.tolist()]
         assert serving == [{"a", "d"}, {"b"}, {"c"}]
+
+    def test_run_study_settles_each_stagger_day_in_one_call(self, bench, monkeypatch):
+        calls = []
+
+        def spy(connected_kw, demanded_kw, intervals):
+            calls.append((dict(connected_kw), demanded_kw.shape, list(intervals)))
+            return one_third_stagger(connected_kw, demanded_kw, intervals)
+
+        monkeypatch.setattr(scenario_module, "one_third_stagger", spy)
+        lm = bench.scenario("ev25_pv_lm")
+        scenarios = [lm, bench.scenario("ev25"), dataclasses.replace(lm, name="lm2")]
+        run_study(bench.network, scenarios, bench.profiles)
+        connected = lm.ev_connected_kw_by_bus()
+        assert calls == [(connected, (96, len(connected)), list(range(96)))] * 2
 
 
 def _stagger_demo_network() -> Network:
