@@ -31,6 +31,7 @@ from . import benchmark as benchmark_fixture
 from .congestion import CongestionHistogram, bin_loadings, congested_elements
 from .fileio import (
     GridFileError,
+    _integer,
     detail_csv_for_solution,
     emit_network_file,
     emit_profile_csv,
@@ -69,12 +70,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _interval(text: str) -> int:
-    """argparse type of --interval, a slot index in [0, 95]. argparse lets
-    the _UsageError of an out-of-range slot pass through unchanged."""
+    """argparse type of --interval, a slot index in [0, 95] written as a slot
+    cell is (fileio._integer); an out-of-range slot's _UsageError passes through."""
     try:
-        slot = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        slot = _integer(text, f"invalid int value: {text!r}")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if not 0 <= slot < SLOTS_PER_DAY:
         raise _UsageError(f"--interval must be in [0, {SLOTS_PER_DAY - 1}], got {slot}")
     return slot

@@ -71,11 +71,7 @@ class CongestionHistogram:
 
 def bin_loadings(loadings: Mapping[str, float]) -> CongestionHistogram:
     """Classify branch-id-to-percent loadings into the report bins."""
-    if not all(0.0 <= value < math.inf for value in loadings.values()):
-        for value in loadings.values():
-            bin_label(value)        # raises for the first bad value
-    return CongestionHistogram.from_labels(
-        {branch: _LABELS[bisect.bisect_right(_EDGES, value)] for branch, value in loadings.items()})
+    return CongestionHistogram.from_labels({b: bin_label(v) for b, v in loadings.items()})
 
 
 def congested_elements(solution: PowerFlowSolution, threshold_percent: float) -> list[tuple[str, float]]:

@@ -288,6 +288,11 @@ def parse_scenario_file(text: str, network: Network | None = None) -> Scenario:
     if "/" in scenario.name or "\0" in scenario.name:
         raise GridFileError([f"scenario.name: {scenario.name!r} names output files, "
                              "so it may not hold '/' or NUL"])
+    # detail_<name>_slotNN.csv, the longest output file name, must fit in 255 bytes.
+    size = len(scenario.name.encode("utf-8", "surrogatepass"))
+    if size > 255 - len("detail__slotNN.csv"):
+        raise GridFileError([f"scenario.name: {size} UTF-8 bytes is too long for the output "
+                             "files it names; at most 237"])
     placement = placement_errors(network, scenario) if network is not None else []
     if placement:
         raise GridFileError([f"scenario: {error}" for error in placement])

@@ -6,12 +6,13 @@ by a normalized profile coefficient; EV charging load is penetration
 times parking capacity times per-charger kW, shaped by an EV profile;
 PV sites inject capacity times their profile coefficient as negative
 load at unity power factor. A study (run_study) runs scenarios over the
-same intervals. Each scenario's controller first settles the EV draw of
-every interval; the study then resolves the scenario's bindings (lot
-buses, PV sites' and loaded buses' profiles) and evaluates its whole day
-once into one complex matrix, a row per interval ordered like net.buses
-(slack entry zero). That row is the one injection form: build_injections
-returns one, and the solver takes it. The study then solves the distinct
+same intervals, evaluating each scenario's day in one place: its
+controller first settles the EV draw of every interval; then its
+bindings (lot buses, PV sites' and loaded buses' profiles) are resolved
+and its whole day is evaluated once into one complex matrix, a row per
+interval ordered like net.buses (slack entry zero). That row is the one
+injection form the solver takes; build_injections is that day at one
+interval under the null controller. The study then solves the distinct
 rows of all its days, bit for bit, as one lockstep Newton-Raphson batch
 (see powerflow) and records each interval with the solution of its row:
 intervals whose rows are equal share one (immutable) solution. A sweep
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -236,23 +237,6 @@ def _coefficients(profile: LoadProfile, intervals: Sequence[int]) -> np.ndarray:
     return np.array([profile.coefficient(i) for i in intervals], dtype=float)
 
 
-def _ev_demand(scenario: Scenario, profiles: Mapping[str, LoadProfile],
-               intervals: Sequence[int]) -> tuple[list[str], np.ndarray]:
-    """The buses that draw EV power and their demanded kW, nominal kW times
-    the EV profile's coefficient, per interval (intervals x buses); no bus
-    when none draws EV power."""
-    ev_nominal = scenario.ev_connected_kw_by_bus()
-    if not any(ev_nominal.values()):
-        return [], np.zeros((len(intervals), 0))
-    ev = scenario.bindings.ev
-    if ev is None:
-        raise ScenarioConfigError("scenario has EV load but no EV profile binding")
-    if ev not in profiles:
-        raise ScenarioConfigError(f"bindings.ev: EV profile {ev!r} not found")
-    kw = np.array(list(ev_nominal.values()), dtype=float)
-    return list(ev_nominal), kw * _coefficients(profiles[ev], intervals)[:, None]
-
-
 def placement_errors(net: Network, scenario: Scenario) -> list[str]:
     """Why the scenario's EV and PV terms cannot all reach net's power flow.
 
@@ -279,18 +263,15 @@ def build_injections(net: Network, scenario: Scenario, profiles: Mapping[str, Lo
                      interval: int) -> np.ndarray:
     """Net complex power injections in pu at interval with the scenario's
     nominal EV draw, the vector the solver takes: one entry per bus,
-    ordered like net.buses, with the slack entry zero. This is the row a
-    study of the scenario with the null controller solves at interval.
+    ordered like net.buses, with the slack entry zero. It is row 0 of the
+    scenario's day (as run_study evaluates it) at [interval] under the
+    null controller, so it raises the same errors in the same order.
 
     injection = -(building load * coefficient) - active EV kW + PV kW,
     divided by the system base. Building reactive load scales with the
     same coefficient; EV and PV are unity power factor.
     """
-    errors = placement_errors(net, scenario)
-    if errors:
-        raise ScenarioConfigError("; ".join(errors))
-    ev_buses, ev_kw = _ev_demand(scenario, profiles, [interval])
-    return _day_injections(net, scenario, profiles, [interval], ev_buses, ev_kw)[0]
+    return _scenario_day(net, replace(scenario, controller="null"), profiles, [interval])[0][0]
 
 
 # Finite inputs whose sum overflows are a ScenarioConfigError, not a warning.
@@ -312,41 +293,34 @@ def _day_injections(net: Network, scenario: Scenario, profiles: Mapping[str, Loa
     bindings = scenario.bindings
     slack = net.slack_id()
     position = {bus_id: i for i, bus_id in enumerate(net.bus_ids())}
-
     # (bus position, capacity kW, profile) per PV site
-    pv: list[tuple[int, float, LoadProfile]] = []
-    if scenario.pv_enabled:
-        for site in net.pv_sites():
-            profile_id = bindings.pv.get(site.bus) or site.profile or bindings.pv_default
-            pv.append((position[site.bus], site.capacity_kw,
-                       _bound_profile(profiles, profile_id, "PV", "site at", site.bus)))
-
-    # Loaded buses grouped by profile, in order of first appearance:
-    # profile id -> (profile, positions, kW, kvar)
-    loads: dict[str, tuple[LoadProfile, list[int], list[float], list[float]]] = {}
-    for bus in net.buses:
-        load = bus.nominal_load
-        if bus.id == slack or (load.kw == 0.0 and load.kvar == 0.0):
-            continue
-        profile_id = bindings.load.get(bus.id, bindings.load_default)
-        profile = _bound_profile(profiles, profile_id, "load", "bus", bus.id)
-        group = loads.setdefault(profile_id, (profile, [], [], []))
-        group[1].append(position[bus.id])
-        group[2].append(load.kw)
-        group[3].append(load.kvar)
+    pv = [(position[site.bus], site.capacity_kw,
+           _bound_profile(profiles, bindings.pv.get(site.bus) or site.profile
+                          or bindings.pv_default, "PV", "site at", site.bus))
+          for site in (net.pv_sites() if scenario.pv_enabled else ())]
+    # (bus position, nominal load, profile) per loaded bus
+    loads = [(position[bus.id], bus.nominal_load,
+              _bound_profile(profiles, bindings.load.get(bus.id, bindings.load_default),
+                             "load", "bus", bus.id))
+             for bus in net.buses if bus.id != slack
+             and (bus.nominal_load.kw != 0.0 or bus.nominal_load.kvar != 0.0)]
+    # Each bound profile's coefficients, read once, in order of first appearance.
+    read = {id(p): p for *_, p in pv + loads}
+    coefficients = {key: _coefficients(profile, intervals) for key, profile in read.items()}
 
     # PV kW per bus position, summed in site order.
     pv_kw: dict[int, np.ndarray] = {}
     for i, capacity_kw, profile in pv:
-        pv_kw[i] = pv_kw.get(i, 0.0) + capacity_kw * _coefficients(profile, intervals)
+        pv_kw[i] = pv_kw.get(i, 0.0) + capacity_kw * coefficients[id(profile)]
 
     shape = (len(intervals), len(position))
     p_kw = np.zeros(shape)
     q_kvar = np.zeros(shape)
-    for profile, index, kw, kvar in loads.values():
-        coeff = _coefficients(profile, intervals)[:, None]
-        p_kw[:, index] = 0.0 - np.array(kw) * coeff
-        q_kvar[:, index] = 0.0 - np.array(kvar) * coeff
+    index = [i for i, _, _ in loads]
+    coeff = np.array([coefficients[id(p)] for *_, p in loads])    # loaded buses x intervals
+    coeff = coeff.reshape(len(loads), len(intervals)).T
+    p_kw[:, index] = 0.0 - np.array([load.kw for _, load, _ in loads]) * coeff
+    q_kvar[:, index] = 0.0 - np.array([load.kvar for _, load, _ in loads]) * coeff
     p_kw[:, np.array([position[bus] for bus in ev_buses], dtype=int)] -= ev_kw
     for i, kw in pv_kw.items():
         p_kw[:, i] += kw
@@ -399,8 +373,9 @@ def one_third_stagger(connected_kw: Mapping[str, float], demanded_kw: np.ndarray
     for r, (interval, row) in enumerate(zip(intervals, demanded_kw.tolist())):
         for i, j in enumerate(columns):
             kw = row[j]
-            if kw < 0:
-                raise ScenarioConfigError(f"negative EV demand at {buses[j]!r}")
+            if not 0 <= kw < math.inf:
+                raise ScenarioConfigError(f"{'negative' if kw < 0 else 'non-finite'} "
+                                          f"EV demand at {buses[j]!r}")
             if i % 3 == interval % 3:
                 due = backlog[i] + _dyadic_units(kw)
                 served = min(due, caps[i])
@@ -442,55 +417,69 @@ class SweepResult:
         return tuple(r.interval for r in self.records if not r.solution.converged)
 
 
-def run_study(net: Network, scenarios: Sequence[Scenario], profiles: Mapping[str, LoadProfile],
-              intervals: Iterable[int] = range(SLOTS_PER_DAY)) -> list[SweepResult]:
-    """Run each scenario's controller over every interval, then solve them
-    all, and record: one SweepResult per scenario, in order.
+def _scenario_day(net: Network, scenario: Scenario, profiles: Mapping[str, LoadProfile],
+                  intervals: Sequence[int]) -> tuple[np.ndarray, EnergyLedger]:
+    """The scenario's injections at each interval (_day_injections) under
+    its controller's settled EV draw, and the exact ledger of that draw.
 
     A lot or PV site that cannot be placed is reported before any profile
-    is read. Each controller then settles the EV draw of every interval
-    in one call, deferred EV energy carrying across intervals in sweep
-    order. Each scenario's injections are then
-    evaluated once, as one matrix, with the settled draw. The distinct
-    rows of all of them are solved once each, as one batch: an interval
-    whose row equals another's bit for bit (so +0.0 and -0.0 differ), in
-    any scenario, shares its solution, which is immutable and exactly
-    what solving again would return. Nothing is kept across calls.
-    Solver divergence is recorded on the interval's solution.
+    is read. The EV demand is the nominal kW of each bus that draws EV
+    power times the EV profile's coefficient; whatever the controller
+    still defers at the horizon is unserved, the rest was served.
+    """
+    errors = placement_errors(net, scenario)
+    if errors:
+        raise ScenarioConfigError("; ".join(errors))
+    ev_nominal = scenario.ev_connected_kw_by_bus()
+    ev_buses = list(ev_nominal) if any(ev_nominal.values()) else []
+    demanded = np.zeros((len(intervals), 0))
+    if ev_buses:
+        ev = scenario.bindings.ev
+        if ev is None:
+            raise ScenarioConfigError("scenario has EV load but no EV profile binding")
+        if ev not in profiles:
+            raise ScenarioConfigError(f"bindings.ev: EV profile {ev!r} not found")
+        demanded = (np.array(list(ev_nominal.values()), dtype=float)
+                    * _coefficients(profiles[ev], intervals)[:, None])
+    settled, unserved_kw = demanded, Fraction(0)
+    if scenario.controller == "one_third_stagger" and ev_buses:
+        settled, unserved_kw = one_third_stagger(ev_nominal, demanded, intervals)
+    # Exact, in integer units: each distinct demanded kW times its count.
+    values, counts = np.unique(demanded, return_counts=True)
+    demanded_units = sum(_dyadic_units(value) * count
+                         for value, count in zip(values.tolist(), counts.tolist()))
+    demanded_kw = Fraction(demanded_units, _DYADIC_UNIT)
+    per_slot_hours = Fraction(1, 4)
+    ledger = EnergyLedger(demanded_kwh=demanded_kw * per_slot_hours,
+                          served_kwh=(demanded_kw - unserved_kw) * per_slot_hours,
+                          unserved_kwh=unserved_kw * per_slot_hours)
+    return _day_injections(net, scenario, profiles, intervals, ev_buses, settled), ledger
+
+
+def run_study(net: Network, scenarios: Sequence[Scenario], profiles: Mapping[str, LoadProfile],
+              intervals: Iterable[int] = range(SLOTS_PER_DAY)) -> list[SweepResult]:
+    """Evaluate each scenario's day (_scenario_day), then solve them all
+    and record: one SweepResult per scenario, in order. Each controller
+    settles the EV draw of every interval in one call, and a scenario's
+    errors are raised before the next scenario is read. The distinct rows
+    of all the days are solved once each, as one batch: an interval whose
+    row equals another's bit for bit (so +0.0 and -0.0 differ), in any
+    scenario, shares its solution, which is immutable and exactly what
+    solving again would return. Nothing is kept across calls. Solver
+    divergence is recorded on the interval's solution.
     """
     intervals = list(intervals)
-    days, ledgers = [], []
-    for scenario in scenarios:
-        errors = placement_errors(net, scenario)
-        if errors:
-            raise ScenarioConfigError("; ".join(errors))
-        ev_buses, demanded = _ev_demand(scenario, profiles, intervals)
-        # Whatever is still deferred at the horizon is unserved; the rest was served.
-        settled, unserved_kw = demanded, Fraction(0)
-        if scenario.controller == "one_third_stagger" and ev_buses:
-            settled, unserved_kw = one_third_stagger(scenario.ev_connected_kw_by_bus(),
-                                                     demanded, intervals)
-        # Exact, in integer units: each distinct demanded kW times its count.
-        values, counts = np.unique(demanded, return_counts=True)
-        demanded_units = sum(_dyadic_units(value) * count
-                             for value, count in zip(values.tolist(), counts.tolist()))
-        demanded_kw = Fraction(demanded_units, _DYADIC_UNIT)
-        per_slot_hours = Fraction(1, 4)
-        ledgers.append(EnergyLedger(demanded_kwh=demanded_kw * per_slot_hours,
-                                    served_kwh=(demanded_kw - unserved_kw) * per_slot_hours,
-                                    unserved_kwh=unserved_kw * per_slot_hours))
-        days.append(_day_injections(net, scenario, profiles, intervals, ev_buses, settled))
-
+    days = [_scenario_day(net, scenario, profiles, intervals) for scenario in scenarios]
     # Each slot's row in the batch, keyed by the bytes of its injections:
     # slots equal bit for bit share a row; +0.0 and -0.0 differ.
     rows: dict[bytes, int] = {}
     slots = [[rows.setdefault(injections.tobytes(), len(rows)) for injections in day]
-             for day in days]
+             for day, _ in days]
     batch = np.frombuffer(b"".join(rows), dtype=complex).reshape(len(rows), len(net.buses))
     solutions = _newton_raphson(net, batch)
     return [SweepResult(scenario.name, tuple(IntervalRecord(interval, solutions[row])
                                              for interval, row in zip(intervals, day)), ledger)
-            for scenario, day, ledger in zip(scenarios, slots, ledgers)]
+            for scenario, day, (_, ledger) in zip(scenarios, slots, days)]
 
 
 def run_sweep(net: Network, scenario: Scenario, profiles: Mapping[str, LoadProfile],

@@ -250,6 +250,32 @@ def test_a_scenario_name_that_is_no_file_name_is_a_diagnostic(
     assert [p.name for p in tmp_path.rglob("*")] == ["broken.json"]
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("name", ["n" * 237, "é" * 118 + "n", "n" * 238, "é" * 119],
+                         ids=["237-ascii", "237-utf8", "238-ascii", "238-utf8"])
+def test_a_scenario_name_fits_its_longest_output_file_name(
+        fixture_dir, tmp_path, capsys, command, name):
+    """detail_<name>_slotNN.csv is the name plus 18 bytes and a file name
+    holds 255, so a name of more than 237 UTF-8 bytes is rejected before
+    any file is written."""
+    argv = TestUnresolvedBindings._argv(command, fixture_dir, tmp_path,
+                                        lambda doc: doc.update(name=name))
+    size = len(name.encode())
+    if size <= 237:
+        assert cli_main(argv) == 0
+        out = tmp_path / "out"
+        written = ([f"detail_{name}_slot36.csv"] if command == "solve" else
+                   [f"sweep_{name}.csv", f"details/{name}_slot00.csv", f"details/{name}_slot95.csv"])
+        assert all((out / path).is_file() for path in written)
+        return
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"scenario.name: {size} UTF-8 bytes is too long for the output "
+                            "files it names; at most 237\n")
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.rglob("*")] == ["broken.json"]
+
+
 class TestIntervalOption:
     """solve and benchmark share one --interval check."""
 
@@ -275,6 +301,16 @@ class TestIntervalOption:
         err = capsys.readouterr().err
         assert "argument --interval: invalid int value: 'nine'" in err
         assert "usage:" in err
+
+    @pytest.mark.parametrize("command", ["solve", "benchmark"])
+    @pytest.mark.parametrize("interval", ["3_6", "+36", "٣٦"])
+    def test_is_written_as_a_slot_cell(self, fixture_dir, tmp_path, capsys, command, interval):
+        """ASCII digits with an optional '-', as a profile's slot cell; int()
+        alone would also take '_', '+' and other scripts' digits."""
+        code = cli_main(self._argv(command, fixture_dir, tmp_path, interval))
+        assert code == 1
+        assert f"argument --interval: invalid int value: {interval!r}" in capsys.readouterr().err
+        assert not (tmp_path / "bench").exists()
 
     @pytest.mark.parametrize("interval", ["0", "95"])
     def test_bounds_are_accepted(self, fixture_dir, tmp_path, interval):

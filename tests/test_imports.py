@@ -134,6 +134,15 @@ def test_only_the_study_and_a_single_solve_call_the_batch():
     assert callers == {"scenario.run_study", "powerflow.solve_newton_raphson"}
 
 
+def test_a_scenario_day_is_evaluated_in_one_place():
+    calls = {f"{path.stem}.{name}": called for path in sorted(PACKAGE.glob("*.py"))
+             for name, called in calls_by_function(path.read_text()).items()}
+    assert {name for name, called in calls.items() if "_day_injections" in called} == \
+        {"scenario._scenario_day"}
+    assert {name for name, called in calls.items() if "_scenario_day" in called} == \
+        {"scenario.run_study", "scenario.build_injections"}
+
+
 def test_calls_are_found_by_function():
     source = ("import numpy as np\n"
               "x = np.zeros(3)\n"

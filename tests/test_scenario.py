@@ -401,6 +401,10 @@ class TestOneThirdStagger:
     def test_negative_demand_rejected(self):
         with pytest.raises(ScenarioConfigError, match="negative EV demand at 'a'"):
             one_third_stagger({"a": 100.0}, _day(-1.0), [0])
+        for demand, problem in ((-math.inf, "negative"), (math.inf, "non-finite"),
+                                (math.nan, "non-finite")):
+            with pytest.raises(ScenarioConfigError, match=f"^{problem} EV demand at 'a'$"):
+                one_third_stagger({"a": 100.0}, _day(demand), [0])
 
     def test_matches_the_fifo_reference_model(self, rng):
         # Random bus sets, caps (some zero) and demand runs past three
