@@ -57,9 +57,29 @@ class GridFileError(Exception):
         super().__init__("; ".join(self.diagnostics))
 
 
+_Flawed = type("dict", (dict,), {})     # reads as a dict in diagnostics
+
+
+def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object's dict, _Flawed when a key repeats or a key or string
+    value has no UTF-8 form under surrogateescape, in which all output is written."""
+    obj = dict(pairs)
+    texts = [*obj, *(value for value in obj.values() if type(value) is str)]
+    if len(obj) == len(pairs) and "".join(texts).isascii():
+        return obj
+    obj = _Flawed(obj)
+    obj.flaws = [f"duplicate key {key!r}" for key in obj if sum(k == key for k, _ in pairs) > 1]
+    for text in texts:
+        try:
+            text.encode("utf-8", "surrogateescape")
+        except UnicodeEncodeError:
+            obj.flaws.append(f"{text!r} does not encode as UTF-8")
+    return obj
+
+
 def _load_json(text: str, what: str) -> Any:
-    try:
-        return json.loads(text)     # NaN, Infinity and 1e400 are floats for _scalar to reject
+    try:            # NaN, Infinity and 1e400 are floats for _scalar to reject
+        return json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise GridFileError(
             [f"{what}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
@@ -123,8 +143,8 @@ def _read(table: _Table, raw: Any, path: str, errors: list[str],
           nest: str | None = None) -> dict[str, Any] | None:
     """The attributes of table's object in raw, or None when a required key
     or the tag is missing or bad. Each problem appends a diagnostic: the
-    keys in declaration order, then unknown keys, then the nested values,
-    whose paths start with nest (path + '.' by default)."""
+    keys in declaration order, its flaws (_object), unknown keys, then the
+    nested values, whose paths start with nest (path + '.' by default)."""
     if not isinstance(raw, dict):
         errors.append(f"{path}: expected an object, got {type(raw).__name__}")
         raw = {}
@@ -148,6 +168,8 @@ def _read(table: _Table, raw: Any, path: str, errors: list[str],
             complete = complete and not key.required
             value = kind() if key.nested else None if key.required else key.default
         values[key.attr] = value
+    if type(raw) is _Flawed:
+        errors.extend(f"{path}: {flaw}" for flaw in raw.flaws)
     for name in sorted(set(raw) - {key.name for key in keys}):
         errors.append(f"{path}: unknown key {name!r}")
     if variant is None:
@@ -182,6 +204,8 @@ def _value(kind: Any, raw: Any, path: str, errors: list[str], **given: Any) -> A
     origin, args = get_origin(kind), get_args(kind)
     if origin is list:
         return tuple(_value(args[0], item, f"{path}[{i}]", errors) for i, item in enumerate(raw))
+    if type(raw) is _Flawed:    # a mapping's flaws
+        errors.extend(f"{path}: {flaw}" for flaw in raw.flaws)
     if origin is dict:
         return {name: _value(args[1], item, f"{path}[{name!r}]", errors, name=name)
                 for name, item in raw.items()}
@@ -289,7 +313,7 @@ def parse_scenario_file(text: str, network: Network | None = None) -> Scenario:
         raise GridFileError([f"scenario.name: {scenario.name!r} names output files, "
                              "so it may not hold '/' or NUL"])
     # detail_<name>_slotNN.csv, the longest output file name, must fit in 255 bytes.
-    size = len(scenario.name.encode("utf-8", "surrogatepass"))
+    size = len(scenario.name.encode("utf-8", "surrogateescape"))
     if size > 255 - len("detail__slotNN.csv"):
         raise GridFileError([f"scenario.name: {size} UTF-8 bytes is too long for the output "
                              "files it names; at most 237"])

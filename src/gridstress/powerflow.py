@@ -38,18 +38,19 @@ keeps the exact steps of a solve of it alone:
   (the PQ pairs where Ybus is nonzero, plus the diagonal), as in the
   sparse dSbus_dV of MATPOWER, and each entry rounds like the dense
   products with diagonal matrices that define it. Those products are
-  OpenBLAS zgemm calls. Its main kernel rounds each complex product like
-  _cmul, which gives the entries in the first n - n mod 4 bus columns;
-  its kernel for the last n mod 4 columns uses a fused multiply-add, as
-  numpy's complex multiply of arrays does (a product of numpy scalars
-  does not fuse), which gives the entries there. Either way one set of
-  numpy operations serves every row still iterating. Entries off the
-  pattern are +0.0 where the dense products left either zero; the sign
-  of a zero entry does not change the solve of a nonsingular Jacobian.
-  Each row's values are written into one zeroed buffer and solved on
-  their own. The Jacobians are not stacked into one (k, m, m) array for
-  a batched solve: every row still needs its own factorisation, and that
-  stack measured 0.92-1.07x of solving the rows one by one.
+  OpenBLAS zgemm calls, whose main kernel rounds each complex product
+  like _cmul in the first n - n mod 4 bus columns and whose kernel for
+  the last n mod 4 fuses a multiply-add, as numpy's complex multiply of
+  arrays does (a product of numpy scalars does not fuse). So one formula
+  body gives every entry, with _cmul as its multiply in the main columns
+  and np.multiply in the rest, and one set of numpy operations serves
+  every row still iterating. Entries off the pattern are +0.0 where the
+  dense products left either zero; the sign of a zero entry does not
+  change the solve of a nonsingular Jacobian. Each row's values are
+  written into one zeroed buffer and solved on their own. The Jacobians
+  are not stacked into one (k, m, m) array for a batched solve: every
+  row still needs its own factorisation, and that stack measured
+  0.92-1.07x of solving the rows one by one.
 - Bus currents come from np.matmul over the stacked (k, n, 1) columns,
   one matrix-vector product per row, which rounds like ybus @ v. The
   single product ybus @ V.T is a zgemm and rounds differently.
@@ -223,8 +224,6 @@ def _compile(net: Network) -> _Compiled:
     # Float view of a complex (n,) array: Re z[i] at 2i, Im z[i] at 2i + 1.
     mismatch_index = np.concatenate([2 * pq, 2 * pq + 1])
     (f, t), (y_ff, y_ft, y_tt) = ends.T, terms.T
-    y_near = np.concatenate([y_ff, y_tt])
-    y_far = np.concatenate([y_ft, y_ft])
     return _Compiled(
         ybus=ybus,
         bus_ids=bus_ids,
@@ -236,8 +235,8 @@ def _compile(net: Network) -> _Compiled:
         branch_kinds=tuple(b.kind for b in net.branches),
         near_index=np.concatenate([f, t]),
         far_index=np.concatenate([t, f]),
-        y_near=np.array([y_near.real, y_near.imag]),
-        y_far=np.array([y_far.real, y_far.imag]),
+        y_near=np.concatenate([y_ff, y_tt]),
+        y_far=np.concatenate([y_ft, y_ft]),
         rating_pu=np.array([b.rating_kva / (1000.0 * net.s_base_mva) for b in net.branches],
                            dtype=float),
     )
@@ -271,11 +270,11 @@ class _JacobianWork:
     The entries are those of the dense products that define them,
       dS/dangle = 1j * diag(v) @ conj(diag(i) - ybus @ diag(v))
       dS/dmagnitude = diag(v) @ conj(ybus @ diag(vnorm)) + conj(diag(i)) @ diag(vnorm)
-    with vnorm = v / |v|, computed elementwise with the same formulas in
-    both column ranges: on real and imaginary parts with _cmul in the
-    first n - n mod 4 bus columns (the main range) and with numpy's
-    complex multiply, left operand first, in the last n mod 4 (the
-    remainder), as the module docstring explains.
+    with vnorm = v / |v|, computed elementwise by one formula body over
+    both column ranges. Only its multiply differs: _cmul in the first
+    n - n mod 4 bus columns (the main range) and numpy's complex
+    multiply, left operand first, in the last n mod 4 (the remainder),
+    as the module docstring explains.
     """
 
     def __init__(self, ybus: np.ndarray, pq: np.ndarray):
@@ -304,39 +303,23 @@ class _JacobianWork:
     def __call__(self, voltages: np.ndarray, i_bus: np.ndarray) -> np.ndarray:
         """Per row of voltages (k, n) with bus currents i_bus: the values
         at the pattern's positions, (k, 4, entries)."""
-        rows, columns, y, diagonal, at = self.main
-        main = len(rows)
         jv = 1j * voltages
         vnorm = voltages / np.abs(voltages)
         values = np.empty((len(voltages), *self.positions.shape))
-        # dS/dangle: 1j * v_a * conj(i_a - y v_b), with i_a at the diagonal only.
-        v_b = voltages[:, columns]
-        yv_re, yv_im = _cmul(y.real, y.imag, v_b.real, v_b.imag)
-        d_re, d_im = np.negative(yv_re, out=yv_re), np.negative(yv_im, out=yv_im)
-        d_re[:, diagonal] += i_bus.real[:, at]
-        d_im[:, diagonal] += i_bus.imag[:, at]
-        jv_a = jv[:, rows]
-        values[:, 0, :main], values[:, 1, :main] = _cmul(jv_a.real, jv_a.imag, d_re, -d_im)
-        # dS/dmagnitude: v_a * conj(y vnorm_b), plus conj(i_a) * vnorm_a at the diagonal.
-        vnorm_b = vnorm[:, columns]
-        yn_re, yn_im = _cmul(y.real, y.imag, vnorm_b.real, vnorm_b.imag)
-        v_a = voltages[:, rows]
-        d_re, d_im = _cmul(v_a.real, v_a.imag, yn_re, -yn_im)
-        vnorm_a = vnorm[:, at]
-        c_re, c_im = _cmul(i_bus.real[:, at], -i_bus.imag[:, at], vnorm_a.real, vnorm_a.imag)
-        d_re[:, diagonal] += c_re
-        d_im[:, diagonal] += c_im
-        values[:, 2, :main], values[:, 3, :main] = d_re, d_im
-        rows, columns, y, diagonal, at = self.remainder
-        if len(rows):
-            # The same formulas on complex arrays.
-            d = np.negative(y * voltages[:, columns])
+        main = len(self.main[0])
+        for part, (rows, columns, y, diagonal, at), mul in (
+                (slice(main), self.main, _cmul), (slice(main, None), self.remainder, np.multiply)):
+            if not len(rows):
+                continue
+            # dS/dangle: 1j * v_a * conj(i_a - y v_b), with i_a at the diagonal only.
+            d = np.negative(mul(y, voltages[:, columns]))
             d[:, diagonal] += i_bus[:, at]
-            d_angle = jv[:, rows] * np.conj(d)
-            d_mag = voltages[:, rows] * np.conj(y * vnorm[:, columns])
-            d_mag[:, diagonal] += np.conj(i_bus[:, at]) * vnorm[:, at]
-            values[:, 0, main:], values[:, 1, main:] = d_angle.real, d_angle.imag
-            values[:, 2, main:], values[:, 3, main:] = d_mag.real, d_mag.imag
+            d_angle = mul(jv[:, rows], np.conj(d))
+            # dS/dmagnitude: v_a * conj(y vnorm_b), plus conj(i_a) * vnorm_a at the diagonal.
+            d_mag = mul(voltages[:, rows], np.conj(mul(y, vnorm[:, columns])))
+            d_mag[:, diagonal] += mul(np.conj(i_bus[:, at]), vnorm[:, at])
+            values[:, 0, part], values[:, 1, part] = d_angle.real, d_angle.imag
+            values[:, 2, part], values[:, 3, part] = d_mag.real, d_mag.imag
         return values
 
     def buffer(self) -> np.ndarray:
@@ -352,18 +335,20 @@ class _JacobianWork:
         return out.T
 
 
-def _cmul(a_re: np.ndarray, a_im: np.ndarray, b_re: np.ndarray,
-          b_im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise complex product on real and imaginary parts.
-
-    Spelled out because numpy's complex multiply of arrays fuses a
-    multiply-add, and so rounds unlike a scalar product and unlike
-    zgemm's main kernel; this form rounds like both. It keeps branch
-    flows (and every report built from them) bit-identical to a
-    per-branch scalar loop, and the Jacobian's main columns to the
-    dense products that define them.
-    """
-    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise product of two complex arrays, each element rounded like
+    a Python complex product: four products and two sums, set as the parts
+    of one complex array so that signed zeros survive. numpy's complex
+    multiply of arrays fuses a multiply-add, unlike a scalar product and
+    zgemm's main kernel. This keeps branch flows bit-identical to a
+    per-branch scalar loop, and the Jacobian's main columns to the dense
+    products that define them."""
+    re, im = a.real * b.real, a.real * b.imag
+    re -= a.imag * b.imag
+    im += a.imag * b.real
+    product = np.empty(re.shape, dtype=complex)
+    product.real, product.imag = re, im
+    return product
 
 
 def branch_flows(net: Network, voltages: np.ndarray) -> tuple[tuple, tuple, tuple]:
@@ -383,25 +368,16 @@ def branch_flows(net: Network, voltages: np.ndarray) -> tuple[tuple, tuple, tupl
 def _branch_flows(c: _Compiled, voltages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of voltages (k, n): the complex power entering each branch
     end, from ends then to ends (k, 2m), and each branch's loading (k, m)."""
-    # Each branch end k (from ends, then to ends) carries the current
-    # y_near[k]*v[near] - y_far[k]*v[far]: i_from = y_ff*vf - y_ft*vt and
-    # i_to = y_tt*vt - y_ft*vf.
+    # Branch end k (from ends, then to ends) carries y_near[k]*v[near] - y_far[k]*v[far]:
+    # i_from = y_ff*vf - y_ft*vt and i_to = y_tt*vt - y_ft*vf.
     near = voltages[:, c.near_index]
-    far = voltages[:, c.far_index]
-    v_re, v_im = near.real, near.imag
-    a_re, a_im = _cmul(*c.y_near, v_re, v_im)
-    b_re, b_im = _cmul(*c.y_far, far.real, far.imag)
-    i_re, i_im = a_re - b_re, a_im - b_im
-
-    # s = v * conj(i); np.hypot rounds like abs() of a Python complex.
-    s_re, s_im = _cmul(v_re, v_im, i_re, -i_im)
+    s = _cmul(near, np.conj(_cmul(c.y_near, near) - _cmul(c.y_far, voltages[:, c.far_index])))
     m = len(c.branch_ids)
-    abs_s = np.hypot(s_re, s_im)
+    # np.hypot rounds like abs() of a Python complex.
+    abs_s = np.hypot(s.real, s.imag)
     abs_f, abs_t = abs_s[:, :m], abs_s[:, m:]
     # np.where(t > f, t, f) is Python's max(f, t), NaN order included.
-    loading = 100.0 * np.where(abs_t > abs_f, abs_t, abs_f) / c.rating_pu
-    # The complex s from its parts, signed zeros kept.
-    return np.stack((s_re, s_im), axis=-1).view(complex)[..., 0], loading
+    return s, 100.0 * np.where(abs_t > abs_f, abs_t, abs_f) / c.rating_pu
 
 
 _NO_FLOWS = dict.fromkeys(("branch_ids", "branch_kinds", "s_from", "s_to", "loading_percent"), ())

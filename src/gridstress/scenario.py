@@ -238,13 +238,15 @@ def _coefficients(profile: LoadProfile, intervals: Sequence[int]) -> np.ndarray:
 
 
 def placement_errors(net: Network, scenario: Scenario) -> list[str]:
-    """Why the scenario's EV and PV terms cannot all reach net's power flow.
+    """Why the scenario's EV, PV and load terms cannot all reach net's power flow.
 
-    Each parking lot, and with PV on each PV site, must sit on a known bus
-    other than the slack bus, where no injection enters the power flow:
-    its energy would be counted but never drawn.
+    Each parking lot and load binding, and with PV on each PV site, must
+    sit on a known bus other than the slack bus, where no injection enters
+    the power flow: its energy would be counted but never drawn. Each PV
+    binding must name a bus that carries a PV site, or it binds nothing.
     """
     placed = [(f"parking lot {lot.name!r}", lot.bus) for lot in scenario.parking_lots]
+    placed += [("load binding", bus) for bus in scenario.bindings.load]
     if scenario.pv_enabled:
         placed += [(f"PV site of {site.capacity_kw:g} kW", site.bus) for site in net.pv_sites()]
     bus_ids = net.bus_ids()
@@ -256,7 +258,9 @@ def placement_errors(net: Network, scenario: Scenario) -> list[str]:
         elif bus == slack:
             errors.append(f"{what} is on slack bus {bus!r}, "
                           "where the power flow takes no injection")
-    return errors
+    sites = {site.bus for site in net.pv_sites()}
+    return errors + [f"PV binding references bus {bus!r}, which carries no PV site"
+                     for bus in scenario.bindings.pv if bus not in sites]
 
 
 def build_injections(net: Network, scenario: Scenario, profiles: Mapping[str, LoadProfile],

@@ -276,6 +276,64 @@ def test_a_scenario_name_fits_its_longest_output_file_name(
     assert [p.name for p in tmp_path.rglob("*")] == ["broken.json"]
 
 
+def test_a_scenario_name_counts_the_bytes_its_files_are_named_with(fixture_dir, tmp_path,
+                                                                   capsys):
+    """U+DC80-U+DCFF stand for the undecodable bytes of a file name and are
+    written back as one byte each, so 237 of them fit a detail file name
+    and 238 do not."""
+    argv = TestUnresolvedBindings._argv("solve", fixture_dir, tmp_path,
+                                        lambda doc: doc.update(name="\udce9" * 237))
+    env = {**os.environ, "PYTHONPATH": str(Path(gridstress.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "gridstress.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert sorted(os.listdir(os.fsencode(tmp_path / "out"))) == [
+        b"detail_" + b"\xe9" * 237 + b"_slot36.csv", b"report.csv"]
+    for command in ("solve", "sweep"):
+        (tmp_path / command).mkdir()
+        argv = TestUnresolvedBindings._argv(command, fixture_dir, tmp_path / command,
+                                            lambda doc: doc.update(name="\udce9" * 238))
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == ("scenario.name: 238 UTF-8 bytes is too long for the "
+                                           "output files it names; at most 237\n")
+        assert [p.name for p in (tmp_path / command).iterdir()] == ["broken.json"]
+
+
+class TestStringsWithoutUtf8:
+    """A JSON string holding a lone surrogate has no UTF-8 form, so the
+    files and lines written from it could not be written: reading it is a
+    diagnostic, and nothing is written."""
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_scenario_name(self, fixture_dir, tmp_path, capsys, command):
+        argv = TestUnresolvedBindings._argv(command, fixture_dir, tmp_path,
+                                            lambda doc: doc.update(name="ev\ud800"))
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "scenario: 'ev\\ud800' does not encode as UTF-8\n"
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.rglob("*")] == ["broken.json"]
+
+    @pytest.mark.parametrize("command", ["validate", "solve", "sweep"])
+    def test_bus_id(self, fixture_dir, tmp_path, capsys, command):
+        """The leaf bus Seirra Hall renamed, in its bus and its branch."""
+        doc = json.loads((fixture_dir / "network.json").read_text())
+        bus = next(i for i, b in enumerate(doc["buses"]) if b["id"] == "Seirra Hall")
+        branch = next(i for i, b in enumerate(doc["branches"]) if b["to"] == "Seirra Hall")
+        network = tmp_path / "network.json"
+        network.write_text(json.dumps(doc).replace('"Seirra Hall"', '"Seirra\\ud800"'))
+        argv = [command, "--network", str(network)]
+        if command != "validate":
+            argv += ["--scenario", str(fixture_dir / "scenarios" / "ev10.json"),
+                     "--profiles", str(fixture_dir / "profiles"), "--out", str(tmp_path / "out")]
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"buses[{bus}]: 'Seirra\\ud800' does not encode as UTF-8\n"
+                                f"branches[{branch}]: 'Seirra\\ud800' does not encode as UTF-8\n")
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.rglob("*")] == ["network.json"]
+
+
 class TestIntervalOption:
     """solve and benchmark share one --interval check."""
 

@@ -580,6 +580,33 @@ ERROR_CASES = [
     ("network-integer-past-digit-limit", parse_network_file,
      NETWORK_TEXT.replace('"rating": 1000.0', '"rating": 1' + "0" * 5000),
      [f"network file: integer literal has more than {sys.get_int_max_str_digits()} digits"]),
+    # json.loads alone keeps a repeated key's last value without a word.
+    ("network-repeated-key", parse_network_file,
+     NETWORK_TEXT.replace('"rating": 1000.0', '"rating": 1000.0, "rating": 1.0'),
+     ["branches[0]: duplicate key 'rating'"]),
+    ("network-repeated-catalog-key", parse_network_file,
+     NETWORK_TEXT.replace('"cable_catalog": {"c": ', '"cable_catalog": {"c": {}, "c": '),
+     ["cable_catalog: duplicate key 'c'"]),
+    ("scenario-repeated-key", parse_scenario_file,
+     _SCENARIO_TEXT.replace('"penetration": 0.1', '"penetration": 0.1, "penetration": 1.0'),
+     ["scenario: duplicate key 'penetration'"]),
+    ("scenario-repeated-binding-key", parse_scenario_file,
+     _SCENARIO_TEXT.replace("}", ', "bindings": {"pv": {"a": "x", "b": "y", "a": "z"}}}'),
+     ["bindings.pv: duplicate key 'a'"]),
+    ("report-json-repeated-bin", parse_report_json,
+     _REPORT_TEXT.replace('{"40-80": 1}', '{"40-80": 1, "40-80": 2}'),
+     ["report[0].bins: duplicate key '40-80'"]),
+    # A lone surrogate has no UTF-8 form, so no output can hold the string.
+    ("scenario-name-without-utf8", parse_scenario_file,
+     _SCENARIO_TEXT.replace('"s"', '"ev\\ud800"'),
+     ["scenario: 'ev\\ud800' does not encode as UTF-8"]),
+    ("network-bus-id-without-utf8", parse_network_file,
+     NETWORK_TEXT.replace('"b"', '"b\\udfff"'),
+     ["buses[2]: 'b\\udfff' does not encode as UTF-8",
+      "branches[1]: 'b\\udfff' does not encode as UTF-8"]),
+    ("scenario-binding-key-without-utf8", parse_scenario_file,
+     _SCENARIO_TEXT.replace("}", ', "bindings": {"load": {"a\\udbff": "x"}}}'),
+     ["bindings.load: 'a\\udbff' does not encode as UTF-8"]),
 ]
 
 # What a diagnostic is about, before its first ": ": a document
@@ -612,3 +639,30 @@ class TestCsvDiagnostics:
 
     def test_every_diagnostic_names_its_location(self):
         assert [d for case in ERROR_CASES for d in case[3] if not _LOCATION.match(d)] == []
+
+    def test_escaped_file_name_bytes_are_strings_that_encode(self):
+        """U+DC80-U+DCFF stand for the bytes of a file name that is not
+        UTF-8 (cli._name) and are written back as those bytes."""
+        scenario = parse_scenario_file(_SCENARIO_TEXT.replace('"s"', '"s\\udc80\\udcff"'))
+        assert scenario.name == "s\udc80\udcff"
+        net = parse_network_file(NETWORK_TEXT.replace('"b"', '"b\\udce9"'))
+        assert net.bus_ids() == ("s", "a", "b\udce9")
+
+
+class TestBindingKeys:
+    """Given the network, a binding's key must name a bus it can apply to."""
+
+    @pytest.mark.parametrize("bindings, message", [
+        ('{"load": {"a": "x", "z": "x"}}', "load binding references unknown bus 'z'"),
+        ('{"load": {"s": "x"}}',
+         "load binding is on slack bus 's', where the power flow takes no injection"),
+        ('{"pv": {"a": "x"}}', "PV binding references bus 'a', which carries no PV site"),
+    ])
+    def test_a_key_that_names_nothing_is_a_diagnostic(self, bindings, message):
+        text = _SCENARIO_TEXT.replace("}", f', "bindings": {bindings}}}')
+        net = parse_network_file(NETWORK_TEXT)
+        with pytest.raises(GridFileError) as info:
+            parse_scenario_file(text, net)
+        assert info.value.diagnostics == [f"scenario: {message}"]
+        # Without the network there is nothing to check the key against.
+        assert parse_scenario_file(text).name == "s"

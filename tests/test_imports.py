@@ -170,6 +170,34 @@ def test_the_jacobian_takes_no_matrix_product():
     assert matrix_products((PACKAGE / "powerflow.py").read_text(), "_JacobianWork") == []
 
 
+def split_products(source: str) -> list[str]:
+    """The _cmul calls of source that do not pass two whole complex arrays:
+    another number of arguments, a starred or keyword one, or a .real or
+    .imag part."""
+    calls = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "_cmul"]
+    return [ast.unparse(call) for call in calls
+            if len(call.args) != 2 or call.keywords or any(
+                isinstance(arg, ast.Starred)
+                or isinstance(arg, ast.Attribute) and arg.attr in ("real", "imag")
+                for arg in call.args)]
+
+
+def test_cmul_takes_two_complex_arrays():
+    source = (PACKAGE / "powerflow.py").read_text()
+    assert "_cmul(" in source
+    assert split_products(source) == []
+
+
+def test_split_products_are_found():
+    source = ("def f(v, y, c):\n"
+              "    a = _cmul(y, v)\n"
+              "    b = _cmul(y.real, y.imag, v.real, v.imag)\n"
+              "    return _cmul(*c, v), _cmul(v.real, y), _cmul(v, b=y)\n")
+    assert split_products(source) == ["_cmul(y.real, y.imag, v.real, v.imag)", "_cmul(*c, v)",
+                                      "_cmul(v.real, y)", "_cmul(v, b=y)"]
+
+
 def test_matrix_products_are_found():
     source = ("import numpy as np\n"
               "class W:\n"

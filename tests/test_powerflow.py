@@ -654,10 +654,33 @@ class TestJacobianPattern:
         assert left[:, tail].tobytes() == (a[:, None] * b[:, tail]).tobytes()
         assert right[:, tail].tobytes() == (b[:, tail] * a[tail]).tobytes()
         cmul = powerflow_module._cmul
-        for product, (re, im) in ((left, cmul(a.real[:, None], a.imag[:, None], b.real, b.imag)),
-                                  (right, cmul(b.real, b.imag, a.real, a.imag))):
-            assert product.real[:, main].tobytes() == re[:, main].tobytes()
-            assert product.imag[:, main].tobytes() == im[:, main].tobytes()
+        for product, elementwise in ((left, cmul(a[:, None], b)), (right, cmul(b, a))):
+            assert product[:, main].tobytes() == elementwise[:, main].tobytes()
+
+    @pytest.mark.parametrize("a_shape, b_shape", [((6, 9), (6, 9)), ((9,), (5, 9))],
+                             ids=["equal-shapes", "pattern-times-rows"])
+    def test_cmul_rounds_like_a_python_complex_product(self, a_shape, b_shape):
+        """Element by element and byte for byte, signed zeros included; the
+        second shape is the (entries,) x (rows, entries) broadcast of the
+        Jacobian's ybus values against each row's voltages."""
+        gen = np.random.default_rng(len(b_shape))
+
+        def draw(shape):
+            parts = gen.standard_normal((2, *shape))
+            parts[gen.random(parts.shape) < 0.25] = 0.0
+            parts[gen.random(parts.shape) < 0.25] = -0.0
+            z = np.empty(shape, dtype=complex)
+            z.real, z.imag = parts
+            return z
+
+        a, b = draw(a_shape), draw(b_shape)
+        assert {math.copysign(1.0, x) for x in np.concatenate([a.ravel(), b.ravel()]).view(float)
+                if x == 0} == {1.0, -1.0}
+        expected = np.array([complex(x) * complex(y) for x, y in
+                             zip(*(z.ravel() for z in np.broadcast_arrays(a, b)))])
+        product = powerflow_module._cmul(a, b)
+        assert product.shape == b_shape
+        assert product.tobytes() == expected.reshape(b_shape).tobytes()
 
     def test_pattern_is_the_pq_block_of_ybus_plus_the_diagonal(self, bench):
         for net, _ in [(bench.network, None)] + _residue_networks():

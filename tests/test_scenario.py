@@ -290,6 +290,43 @@ class TestBuildInjections:
         assert run_sweep(pv_net, dataclasses.replace(pv, pv_enabled=False), profiles,
                          intervals=[0]).records[0].solution.converged
 
+    @pytest.mark.parametrize("pv_enabled", [False, True])
+    @pytest.mark.parametrize("bindings, message", [
+        (ProfileBindings(load={"twon": "flat"}), "load binding references unknown bus 'twon'"),
+        (ProfileBindings(load={"feed": "flat"}),
+         "load binding is on slack bus 'feed', where the power flow takes no injection"),
+        (ProfileBindings(pv={"feed": "flat"}),
+         "PV binding references bus 'feed', which carries no PV site"),
+        (ProfileBindings(pv={"Nowhere": "flat"}),
+         "PV binding references bus 'Nowhere', which carries no PV site"),
+    ], ids=["load-unknown-bus", "load-slack-bus", "pv-bus-without-site", "pv-unknown-bus"])
+    def test_a_binding_key_that_names_nothing_is_a_diagnostic(self, pv_enabled, bindings,
+                                                              message):
+        """A binding whose key names no bus it could apply to binds nothing,
+        so the study would run as if it were absent."""
+        net = _mini_grid(load_kw=500.0, pv_kw=100.0)     # load and PV site at 'town'
+        bound = dataclasses.replace(bindings, load_default="flat", pv_default="flat")
+        scenario = Scenario("s", 0.0, pv_enabled=pv_enabled, bindings=bound)
+        with pytest.raises(ScenarioConfigError) as info:
+            run_study(net, [scenario], {"flat": _flat_profile()}, [0])
+        assert str(info.value) == message
+        assert scenario_module.placement_errors(net, scenario) == [message]
+        # The same key on the bus that has the load and the PV site binds it.
+        fixed = dataclasses.replace(bound, **{name: {"town": "flat"}
+                                              for name in ("load", "pv") if getattr(bindings, name)})
+        study = run_study(net, [dataclasses.replace(scenario, bindings=fixed)],
+                          {"flat": _flat_profile()}, [0])
+        assert study[0].records[0].solution.converged
+
+    def test_misspelt_campus_bindings_are_reported_together(self, bench):
+        ev10 = bench.scenario("ev10")
+        typo = dataclasses.replace(ev10, bindings=dataclasses.replace(
+            ev10.bindings, load={"Juniper Hal": "ev_workday"}, pv={"Nowhere": "ev_workday"}))
+        with pytest.raises(ScenarioConfigError) as info:
+            run_study(bench.network, [typo], bench.profiles, [36])
+        assert str(info.value) == ("load binding references unknown bus 'Juniper Hal'; "
+                                   "PV binding references bus 'Nowhere', which carries no PV site")
+
     @pytest.mark.parametrize("run", ["build_injections", "run_sweep"])
     @pytest.mark.parametrize("load_kw, pv_kw, scenario, message", [
         (500.0, 0.0, Scenario("s", 0.0),
